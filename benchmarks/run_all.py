@@ -1,13 +1,15 @@
-"""Regenerate every committed ``BENCH_*.json`` artifact and stamp it.
+"""Regenerate committed ``BENCH_*.json`` artifacts and stamp them.
 
-Runs each artifact-producing benchmark module in full (non-smoke) mode,
-then stamps every ``BENCH_*.json`` at the repo root with the git commit
-SHA and a regeneration timestamp so a perf record is always traceable
-to the code that produced it.
+Runs each requested artifact-producing benchmark module in full
+(non-smoke) mode, then stamps the ``BENCH_<name>.json`` of exactly the
+modules that ran with the git commit SHA and a regeneration timestamp,
+so a perf record is always traceable to the code that produced it —
+and an artifact nobody regenerated keeps its old stamp.
 
-    python benchmarks/run_all.py               # run everything, stamp
-    python benchmarks/run_all.py lifted_vec    # just these modules
-    python benchmarks/run_all.py --stamp-only  # only (re)stamp
+    python benchmarks/run_all.py                         # run all, stamp all
+    python benchmarks/run_all.py lifted_vec              # run + stamp these
+    python benchmarks/run_all.py --stamp-only lifted_vec # only stamp these
+    python benchmarks/run_all.py --stamp-only            # only stamp all
 
 A module failing its acceptance bar stops the run (its exit code is
 propagated) — stamping only happens after every requested module
@@ -57,11 +59,22 @@ def run_module(module):
         cwd=REPO_ROOT).returncode
 
 
-def stamp_artifacts():
+def artifact_path(name, root=REPO_ROOT):
+    return root / f"BENCH_{name}.json"
+
+
+def stamp_artifacts(names=None, root=REPO_ROOT):
+    """Stamp ``BENCH_<name>.json`` under ``root`` for each name, or
+    every ``BENCH_*.json`` there when ``names`` is None.  Returns the
+    stamped file names."""
     sha = git_sha()
     now = int(time.time())
+    if names is None:
+        paths = sorted(root.glob("BENCH_*.json"))
+    else:
+        paths = [artifact_path(name, root) for name in names]
     stamped = []
-    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+    for path in paths:
         payload = json.loads(path.read_text())
         payload["git_sha"] = sha
         payload["stamped_unix"] = now
@@ -70,31 +83,39 @@ def stamp_artifacts():
         stamped.append(path.name)
     print(f"stamped {len(stamped)} artifacts "
           f"(git_sha={sha or 'unknown'}): {', '.join(stamped)}")
+    return stamped
 
 
-def main(argv=None):
+def main(argv=None, root=REPO_ROOT):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "modules", nargs="*", metavar="NAME",
-        help="artifact names to regenerate (default: all); one of: "
-             + ", ".join(sorted(ARTIFACT_MODULES)))
+        help="artifact names to regenerate and stamp (default: all); "
+             "one of: " + ", ".join(sorted(ARTIFACT_MODULES)))
     parser.add_argument(
         "--stamp-only", action="store_true",
-        help="skip the benchmark runs and only stamp existing artifacts")
+        help="skip the benchmark runs and only stamp the named existing "
+             "artifacts (all of them when no NAME is given)")
     args = parser.parse_args(argv)
 
-    if not args.stamp_only:
-        names = args.modules or sorted(ARTIFACT_MODULES)
-        unknown = [n for n in names if n not in ARTIFACT_MODULES]
-        if unknown:
-            parser.error(f"unknown artifact name(s): {', '.join(unknown)}")
-        for name in names:
-            code = run_module(ARTIFACT_MODULES[name])
-            if code:
-                print(f"{name}: FAILED (exit {code}); not stamping",
-                      file=sys.stderr)
-                return code
-    stamp_artifacts()
+    if args.stamp_only:
+        missing = [
+            n for n in args.modules if not artifact_path(n, root).is_file()]
+        if missing:
+            parser.error(f"no artifact for name(s): {', '.join(missing)}")
+        stamp_artifacts(args.modules or None, root)
+        return 0
+    names = args.modules or sorted(ARTIFACT_MODULES)
+    unknown = [n for n in names if n not in ARTIFACT_MODULES]
+    if unknown:
+        parser.error(f"unknown artifact name(s): {', '.join(unknown)}")
+    for name in names:
+        code = run_module(ARTIFACT_MODULES[name])
+        if code:
+            print(f"{name}: FAILED (exit {code}); not stamping",
+                  file=sys.stderr)
+            return code
+    stamp_artifacts(names, root)
     return 0
 
 

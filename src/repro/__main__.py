@@ -23,6 +23,10 @@ one :class:`repro.core.refine.RefinementSession` — loosest ε first, each
 tighter guarantee extending the previous truncation and reusing its
 compiled evaluation — and prints one line per ε.
 
+``marginals`` answers a safe query on a tuple-independent table
+(``--strategy auto`` or ``lifted``) with one in-process grouped lifted
+pass over all candidate answers; ``--workers`` does not apply there.
+For compiled fan-outs (``--strategy bdd``, unsafe queries, BID tables)
 ``marginals --workers K`` (K > 1) fans answer tuples out over a
 persistent :class:`repro.parallel.pool.ShardPool` of K warm worker
 processes; combined with ``--open-world --sweep`` the same workers stay
@@ -285,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["auto", "worlds", "lineage", "lifted",
                                     "bdd", "sampled"])
     marginals.add_argument("--workers", type=int, default=None,
-                           help="fan answer tuples out over the persistent "
-                                "shard pool (k > 1 worker processes)")
+                           help="fan compiled fan-outs (bdd, unsafe, BID) "
+                                "out over the persistent shard pool (k > 1 "
+                                "worker processes); safe queries on TI "
+                                "tables take one in-process grouped pass")
     marginals.add_argument("--open-world", metavar="FIRST,RATIO",
                            default=None,
                            help="complete with a geometric open-world family "
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     marginals.add_argument("--sweep", metavar="E1,E2,...", default=None,
                            help="anytime epsilon sweep through one "
                                 "refinement session (requires --open-world); "
-                                "the shard pool stays warm across steps")
+                                "plans and shard pools stay warm across steps")
     _add_stats_flag(marginals)
     marginals.set_defaults(handler=command_marginals)
 
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="thread-pool size for blocking refinements; "
                             "also sizes the shared shard pool that "
-                            "'marginals' requests fan out on")
+                            "compiled 'marginals' requests fan out on")
     serve.set_defaults(handler=command_serve)
     return parser
 

@@ -272,9 +272,10 @@ def approximate_answer_marginals(
 
     The grounding loop is
     :func:`repro.finite.evaluation.marginal_answer_probabilities` on the
-    truncation: compiled strategies share one lineage/BDD across every
-    answer tuple, and ``workers=k`` fans the answer tuples out over a
-    process pool.
+    truncation: a safe query gets every answer's marginal from one
+    grouped lifted pass in-process (``workers=`` does not apply), while
+    compiled fan-outs share one lineage/BDD across every answer tuple
+    and ``workers=k`` spreads their answer tuples over the shard pool.
 
     >>> from repro.relational import Schema
     >>> from repro.universe import Naturals, FactSpace

@@ -12,9 +12,11 @@ table, recompile the lineage.  A :class:`RefinementSession` binds one
   (:meth:`~repro.core.tuple_independent.CountableTIPDB.extend_truncation`
   and its BID analogue) — the facts shared with the previous truncation
   are reused, counted in the ``refine.reused_facts`` trace counter;
-* compiled evaluation warm-starts: Boolean queries run through a
+* evaluation warm-starts: Boolean queries run through a
   :class:`~repro.finite.compile_cache.CompileCache` whose per-query
-  manager extends across truncations, and answer fan-outs chain
+  plan, fact index and manager extend across truncations; safe answer
+  fan-outs reuse one head-bound plan from the same cache, and compiled
+  ones chain
   :meth:`~repro.finite.compile_cache.SharedGrounding.extended`
   groundings so hash-consed nodes and scoring memos carry over.
 
@@ -151,8 +153,8 @@ class RefinementSession:
         self.strategy = strategy
         self.max_facts = max_facts
         self.compile_cache = compile_cache
-        #: A :class:`~repro.parallel.pool.ShardPool` every
-        #: :meth:`refine_marginals` call of this session fans out on —
+        #: A :class:`~repro.parallel.pool.ShardPool` every compiled
+        #: :meth:`refine_marginals` fan-out of this session runs on —
         #: one warm pool for the whole sweep, so workers keep their
         #: cached table (delta-shipped as the truncation grows) and
         #: extended diagrams from step to step.  Dropped from pickles
@@ -236,15 +238,26 @@ class RefinementSession:
     ) -> Dict[Tuple[Value, ...], ApproximationResult]:
         """The non-Boolean extension (paper §6) as an anytime call.
 
-        Ground answers over ``adom(Ω_n)`` and approximate each; repeated
-        calls chain one warm
-        :class:`~repro.finite.compile_cache.SharedGrounding`, so the
-        compiled per-answer lineages extend rather than recompile.
+        Ground answers over ``adom(Ω_n)`` and approximate each, through
+        :func:`~repro.finite.evaluation.marginal_answer_probabilities`
+        on the session's truncation.
 
-        ``workers=k > 1`` fans each step's answers out on the session's
-        shard pool (``pool=`` here or at construction; otherwise the
-        process-wide pool for ``k``): the same warm workers serve every
-        step of the sweep, receiving only the truncation delta.
+        A safe query on a TI truncation (``strategy`` ``"auto"`` or
+        ``"lifted"``) gets every answer's marginal from one grouped
+        lifted pass, in-process: the head-bound plan and the family's
+        delta-extended fact index live in the session's
+        ``compile_cache``, so each step of a sweep reuses the plan and
+        only indexes the new facts.  ``workers=``/``pool=`` are ignored
+        there.
+
+        Compiled fan-outs (``"bdd"``, unsafe queries, BID tables) chain
+        one warm :class:`~repro.finite.compile_cache.SharedGrounding`,
+        so the compiled per-answer lineages extend rather than
+        recompile; ``workers=k > 1`` fans their answers out on the
+        session's shard pool (``pool=`` here or at construction;
+        otherwise the process-wide pool for ``k``): the same warm
+        workers serve every step of the sweep, receiving only the
+        truncation delta.
         """
         if self._boolean is not None:
             return {(): self.refine(epsilon)}
@@ -260,7 +273,7 @@ class RefinementSession:
             values = marginal_answer_probabilities(
                 query, table, strategy=self.strategy, workers=workers,
                 grounding_factory=self._grounding_factory(table),
-                pool=pool)
+                pool=pool, compile_cache=self.compile_cache)
             obs.gauge("truncation.n", n)
             obs.gauge("truncation.alpha", alpha)
             obs.gauge("truncation.epsilon", epsilon)
@@ -337,7 +350,7 @@ class RefinementSession:
             from repro.finite.compile_cache import SharedGrounding
 
             base = set(constants_of(query.formula))
-            for fact in table.facts():
+            for fact in table.possible_facts():
                 base.update(fact.args)
             if self._grounding is None:
                 self._grounding = SharedGrounding(query.formula, table, base)

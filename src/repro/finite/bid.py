@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ProbabilityError, SchemaError
 from repro.finite.pdb import FinitePDB
@@ -51,7 +53,7 @@ class Block:
         self.bottom_mass = max(0.0, 1.0 - total)
 
     def facts(self) -> List[Fact]:
-        return sorted(self.alternatives)
+        return sorted(self.alternatives, key=Fact.sort_key)
 
     def probability(self, fact: Optional[Fact]) -> float:
         """``p_f`` for a fact of the block, or ``p_⊥`` for None."""
@@ -164,7 +166,14 @@ class BlockIndependentTable:
 
     # ------------------------------------------------------------------ basics
     def facts(self) -> List[Fact]:
-        return sorted(self._block_of)
+        """Possible facts in canonical order."""
+        return sorted(self._block_of, key=Fact.sort_key)
+
+    def possible_facts(self) -> KeysView[Fact]:
+        """Possible facts in block order — a live view, for callers
+        that only build a set or collect arguments (:meth:`facts`
+        pays for a sort)."""
+        return self._block_of.keys()
 
     def block_of(self, fact: Fact) -> Optional[Block]:
         return self._block_of.get(fact)

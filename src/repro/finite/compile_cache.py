@@ -197,7 +197,7 @@ class _Family:
             self.grounded_from = (pdb, size)
             return index
         self.grounded_from = None
-        return self.grounding_index(frozenset(pdb.facts()))
+        return self.grounding_index(frozenset(pdb.possible_facts()))
 
     def grounding_index(self, facts_key: FrozenSet[Fact]) -> FactIndex:
         """The family's fact index, grown to exactly ``facts_key``.
@@ -340,8 +340,11 @@ class CompileCache:
         :class:`~repro.logic.hierarchy.UnsafeLeaf` residue when
         ``partial=True``) is compiled once per query family and reused
         across truncations — a plan is data-independent, only the index
-        grows.  Builds count in the ``lifted.plans`` obs counter, reuses
-        in ``lifted.plan_cache_hits``.  Raises
+        grows.  A formula with free variables gets its head-bound plan
+        (see :func:`~repro.logic.hierarchy.safe_plan_ucq`), cached under
+        the free formula's own family.  Builds count in the
+        ``lifted.plans`` obs counter, reuses in
+        ``lifted.plan_cache_hits``.  Raises
         :class:`~repro.errors.UnsafeQueryError` (cached too) when the
         query has no plan of the requested kind.
         """
@@ -531,7 +534,8 @@ def query_probability_by_bdd_cached(
         compiled = cache.compiled(query.formula, frozenset(pdb.marginals))
         return compiled.probability(pdb.marginal)
     if isinstance(pdb, BlockIndependentTable):
-        compiled = cache.compiled(query.formula, frozenset(pdb.facts()))
+        compiled = cache.compiled(
+            query.formula, frozenset(pdb.possible_facts()))
         return bid_bdd_probability(compiled.manager, compiled.root, pdb)
     raise EvaluationError(
         "bdd evaluation needs a TI or BID table; explicit FinitePDBs "
@@ -565,7 +569,8 @@ class SharedGrounding:
         self.formula = formula
         self.pdb = pdb
         self.possible: FrozenSet[Fact] = (
-            frozenset(pdb.facts()) if possible is None else possible)
+            frozenset(pdb.possible_facts()) if possible is None
+            else possible)
         #: Quantifier domain shared by every answer: the active domain
         #: plus the formula's own constants.  Each answer adds its own
         #: values — matching what per-answer grounding would use.
@@ -588,7 +593,7 @@ class SharedGrounding:
         marginal of an existing fact, and a node's weighted-model-count
         depends only on the facts in its cone — new variables cannot
         alter it."""
-        new_possible = frozenset(pdb.facts())
+        new_possible = frozenset(pdb.possible_facts())
         index = self.index
         if self.possible <= new_possible:
             added = index.extend(new_possible)

@@ -19,7 +19,10 @@ from repro.errors import EvaluationError, UnsafeQueryError
 from repro.parallel.pool import ShardError
 from repro.finite.bid import BlockIndependentTable
 from repro.finite.lineage_eval import query_probability_by_lineage
-from repro.finite.lifted import query_probability_lifted
+from repro.finite.lifted import (
+    answer_marginals_lifted,
+    query_probability_lifted,
+)
 from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.analysis import constants_of, free_variables
@@ -36,6 +39,11 @@ PDBLike = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
 #: normal-approximation half-width, seeded so repeated runs agree.
 SAMPLED_STRATEGY_SAMPLES = 20_000
 SAMPLED_STRATEGY_SEED = 0
+
+#: Strategies under which a safe free-variable query on a TI table is
+#: answered by one grouped lifted pass
+#: (:func:`~repro.finite.lifted.answer_marginals_lifted`).
+GROUPED_STRATEGIES = ("auto", "lifted")
 
 #: ``"auto"`` prefers the compile-once ROBDD path over raw Shannon
 #: expansion for unsafe queries on TI tables at least this many facts —
@@ -231,7 +239,7 @@ def _candidate_values(
         for instance in pdb.instances():
             values |= instance.active_domain()
     else:
-        for fact in pdb.facts():
+        for fact in pdb.possible_facts():
             values.update(fact.args)
     return sorted(values, key=domain_sort_key)
 
@@ -290,7 +298,7 @@ def _shared_grounding(query: Query, pdb: PDBLike):
     from repro.finite.compile_cache import SharedGrounding
 
     base = set(constants_of(query.formula))
-    for fact in pdb.facts():
+    for fact in pdb.possible_facts():
         base.update(fact.args)
     return SharedGrounding(query.formula, pdb, base)
 
@@ -446,6 +454,7 @@ def marginal_answer_probabilities(
     grounding_factory=None,
     pool=None,
     schedule: str = "dynamic",
+    compile_cache=None,
 ) -> Dict[Tuple[Value, ...], float]:
     """Per-tuple marginals ``Pr(ā ∈ Q(D))`` for a non-Boolean query
     (paper §3.1 relaxed semantics; §6 extension of Prop. 6.1).
@@ -453,11 +462,24 @@ def marginal_answer_probabilities(
     Candidate tuples are built from the PDB's active domain plus the
     query's constants (Fact 2.1), or from an explicit ``domain``; the
     candidate tuple space is streamed, never materialized.  Tuples with
-    probability 0 are omitted.
+    probability 0 are omitted; the rest keep ``itertools.product``
+    order over the sorted candidates.
 
-    Answers share one compiled lineage/BDD whenever the strategy
-    compiles (``"bdd"``, or ``"auto"`` without a safe plan).  Pass
-    ``workers=k > 1`` to fan the answer tuples out over the persistent
+    **Safe queries on TI tables** — ``strategy="auto"`` or
+    ``"lifted"``, and the query has a head-bound safe plan — get one
+    grouped lifted pass, in-process
+    (:func:`~repro.finite.lifted.answer_marginals_lifted`): the plan is
+    built once per query in ``compile_cache`` (default: the
+    process-wide :data:`~repro.finite.compile_cache.DEFAULT_COMPILE_CACHE`)
+    and every candidate answer is one row of a single group table, so a
+    fan-out costs one plan evaluation instead of one per answer.
+    ``workers=``/``pool=``/``schedule=`` do not apply there: nothing is
+    shipped, and the report's strategy is ``"lifted"``.
+
+    **Compiled fan-outs** (``"bdd"``; ``"auto"`` without a head-bound
+    plan; BID tables) score answer tuples one by one, sharing one
+    compiled lineage/BDD whenever the strategy compiles.  Pass
+    ``workers=k > 1`` to fan those answers out over the persistent
     :mod:`repro.parallel` shard pool — sound because distinct answer
     tuples are scored independently.  The pool is process-wide and
     *warm*: workers survive across calls, cache the table (repeat calls
@@ -477,10 +499,10 @@ def marginal_answer_probabilities(
     ``fanout.serial_fallback`` trace event instead of failing inside
     the pool.
 
-    ``grounding_factory`` (serial path only — pool workers hold their
-    own warm groundings) overrides how the shared compilation context
-    is built; refinement sessions pass one that carries the previous
-    truncation's manager and scoring memo forward.
+    ``grounding_factory`` (serial compiled path only — pool workers
+    hold their own warm groundings) overrides how the shared
+    compilation context is built; refinement sessions pass one that
+    carries the previous truncation's manager and scoring memo forward.
 
     The returned dict carries an :class:`~repro.obs.EvalReport` as
     ``.report``.
@@ -488,7 +510,7 @@ def marginal_answer_probabilities(
     with obs.trace() as t:
         results = _marginal_answer_probabilities_traced(
             query, pdb, domain, strategy, workers, grounding_factory,
-            pool, schedule)
+            pool, schedule, compile_cache)
         report = obs.EvalReport.from_trace(t)
     return obs.attach_report(results, report)
 
@@ -539,6 +561,7 @@ def _marginal_answer_probabilities_traced(
     grounding_factory=None,
     pool=None,
     schedule: str = "dynamic",
+    compile_cache=None,
 ) -> Dict[Tuple[Value, ...], float]:
     if query.is_boolean:
         boolean = BooleanQuery(query.formula, query.schema, name=query.name)
@@ -546,6 +569,14 @@ def _marginal_answer_probabilities_traced(
     candidates = _candidate_values(query, pdb, domain)
     if not candidates:
         return {}
+    if strategy in GROUPED_STRATEGIES:
+        with obs.phase("fanout"):
+            grouped = answer_marginals_lifted(
+                query, pdb, _iter_answers(candidates, query.arity),
+                plan_cache=compile_cache)
+        if grouped is not None:
+            obs.note(strategy="lifted")
+            return grouped
     if pool is not None or (workers is not None and workers > 1):
         results = _pooled_answer_marginals(
             query, pdb, candidates, strategy, workers, domain,

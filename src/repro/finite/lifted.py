@@ -30,7 +30,10 @@ intensional engine.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.errors import EvaluationError, UnsafeQueryError
@@ -54,7 +57,7 @@ from repro.logic.normalform import (
     ConjunctiveQuery,
     UnionOfConjunctiveQueries,
 )
-from repro.logic.queries import BooleanQuery
+from repro.logic.queries import BooleanQuery, Query
 from repro.logic.syntax import Atom, Constant, Formula, Variable
 from repro.relational.facts import Fact, Value, domain_sort_key
 from repro.relational.index import FactIndex
@@ -66,6 +69,7 @@ from repro.utils.probability import (
 )
 
 __all__ = [
+    "answer_marginals_lifted",
     "evaluate_plan",
     "query_probability_lifted",
     "safe_plan",
@@ -570,10 +574,14 @@ class _BatchedEvaluator:
         self.marginals = self.column.view()
 
     def run(self, plan: SafePlan) -> float:
+        return float(self.run_groups(plan, _Groups(1, {}))[0])
+
+    def run_groups(self, plan: SafePlan, groups: _Groups):
+        """Evaluate ``plan`` over a caller-built group table: one
+        probability per group row, with no fold across rows."""
         if self.info is None:
             self.info = grouped_plan_info(plan)
-        out = self._eval(plan, _Groups(1, {}))
-        return float(out[0])
+        return self._eval(plan, groups)
 
     # ------------------------------------------------------------- dispatch
     def _eval(self, plan: SafePlan, groups: _Groups):
@@ -1072,6 +1080,71 @@ def _run_plan(
     memo = state.candidate_memo if state is not None else None
     return _PlanEvaluator(
         table, index, unsafe_fallback, candidate_memo=memo).run(plan)
+
+
+#: Answer rows per grouped pass.  A row's value depends only on its own
+#: binding, so blocking bounds the group table's memory on large
+#: ``candidates^arity`` products without changing a bit.
+GROUPED_ANSWER_BLOCK = 1 << 14
+
+
+def answer_marginals_lifted(
+    query: Query,
+    table: LiftedTable,
+    answers: Iterable[Tuple[Value, ...]],
+    plan_cache=None,
+) -> Optional[Dict[Tuple[Value, ...], float]]:
+    """``Pr(ā ∈ Q)`` for every answer tuple in one grouped lifted pass,
+    or None when the table is not TI or ``query`` has no head-bound
+    safe plan (:func:`~repro.logic.hierarchy.safe_plan_ucq`).
+
+    The plan is built once per query family in ``plan_cache`` (default:
+    the process-wide compile cache), under the free formula's own
+    family, next to that family's delta-extended fact index.  It runs
+    in the batched executor over a root group table holding one row per
+    answer tuple — the head variables are bound group columns, just as
+    an enclosing separator binds its variable — and stops before any
+    root fold, so the plan root yields every answer's marginal at once.
+
+    Positive answers are kept, in ``answers`` order.  A row's value
+    depends on its own binding only: leaves read one fact each, and
+    every project folds its own segment in canonical
+    :func:`~repro.relational.facts.domain_sort_key` order.  So an
+    answer's bits do not depend on which answers share its pass (pool
+    workers evaluating contiguous chunks agree with one serial pass),
+    nor on the index's extend history.  As in
+    :func:`query_probability_lifted`, the family's stripe lock is held
+    from grounding through execution.  Each evaluated row counts in
+    ``fanout.answers``.
+    """
+    if not isinstance(table, TupleIndependentTable):
+        return None
+    from repro.finite.compile_cache import DEFAULT_COMPILE_CACHE
+
+    cache = plan_cache if plan_cache is not None else DEFAULT_COMPILE_CACHE
+    state = cache.lifted_state(query.formula)
+    with state.lock:
+        try:
+            plan, index = cache.lifted(query.formula, table)
+        except UnsafeQueryError:
+            return None
+        evaluator = _BatchedEvaluator(
+            table, index, info=state.annotations_for(plan))
+        results: Dict[Tuple[Value, ...], float] = {}
+        pending = iter(answers)
+        while True:
+            block = list(itertools.islice(pending, GROUPED_ANSWER_BLOCK))
+            if not block:
+                return results
+            obs.incr("fanout.answers", len(block))
+            columns = {
+                variable: [answer[i] for answer in block]
+                for i, variable in enumerate(query.variables)
+            }
+            values = evaluator.run_groups(plan, _Groups(len(block), columns))
+            for answer, probability in zip(block, values):
+                if probability > 0:
+                    results[answer] = float(probability)
 
 
 def evaluate_plan(

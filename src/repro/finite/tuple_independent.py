@@ -9,7 +9,9 @@ of the Section 6 truncation ``truncate(n)`` of a countable TI PDB.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.analysis.products import product_complement
 from repro.errors import ProbabilityError
@@ -99,7 +101,13 @@ class TupleIndependentTable:
 
     def facts(self) -> List[Fact]:
         """Possible facts in canonical order."""
-        return sorted(self.marginals)
+        return sorted(self.marginals, key=Fact.sort_key)
+
+    def possible_facts(self) -> KeysView[Fact]:
+        """Possible facts in insertion order — a live view, for callers
+        that only build a set or collect arguments (:meth:`facts`
+        pays for a sort)."""
+        return self.marginals.keys()
 
     def marginal(self, fact: Fact) -> float:
         """``P(E_f)``; 0 for unlisted facts (closed world)."""

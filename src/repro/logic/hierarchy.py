@@ -516,14 +516,29 @@ def _plan_component(
 def safe_plan_ucq(
     ucq: UnionOfConjunctiveQueries, partial: bool = False
 ) -> SafePlan:
-    """Compile a Boolean UCQ to a safe plan.
+    """Compile a UCQ to a safe plan.
 
     Disjuncts over pairwise-incompatible relation slices combine by
     independent union; overlapping disjuncts go through the UCQ-level
     separator rule and, failing that, inclusion–exclusion with
     cancellation.  Unsafe queries raise :class:`UnsafeQueryError` with
     the minimal offending subquery attached — unless ``partial=True``,
-    which wraps unsafe top-level pieces in :class:`UnsafeLeaf` nodes.
+    which wraps unsafe top-level pieces of a Boolean UCQ in
+    :class:`UnsafeLeaf` nodes.
+
+    Head (answer) variables are planned as *bound*, exactly like the
+    variables an enclosing separator binds: the result is one
+    **head-bound plan** whose leaves read the head variables from the
+    caller's binding, valid for every answer tuple (the grouped
+    answer-marginal pass of :mod:`repro.finite.lifted` evaluates it
+    over all candidate answers at once).  Validity for colliding
+    answers — a head value equal to a query constant, or two head
+    variables sharing a value — comes from the same rules that let a
+    separator range over constants: :func:`shatter_key` treats
+    variables as wildcards, so atoms whose bound variables *could*
+    ground to a common fact are compatible and get no independence
+    rule (``R(x) ∧ R(y)`` and ``R(x) ∧ R(1)`` are refused).  Head-bound
+    plans are strict (``partial`` never wraps under bound variables).
 
     >>> from repro.relational import RelationSymbol
     >>> R, T = RelationSymbol("R", 1), RelationSymbol("T", 1)
@@ -534,15 +549,12 @@ def safe_plan_ucq(
     ... ]))
     >>> isinstance(plan, IndependentUnion)
     True
+    >>> safe_plan_ucq(UnionOfConjunctiveQueries([
+    ...     ConjunctiveQuery([Atom(R, (x,))], head_variables=(x,))]))
+    FactLeaf(R(x))
     """
-    for cq in ucq.disjuncts:
-        if cq.head_variables:
-            raise UnsafeQueryError(
-                "safe_plan_ucq expects a Boolean UCQ; ground the head "
-                "variables first",
-                subquery=ucq,
-            )
-    return _plan_ucq(ucq, frozenset(), partial)
+    head = frozenset(v for cq in ucq.disjuncts for v in cq.head_variables)
+    return _plan_ucq(ucq, head, partial)
 
 
 def _plan_ucq(

@@ -31,14 +31,21 @@ values, the pruned answer support, and — for compiled strategies — a
 :class:`~repro.finite.compile_cache.SharedGrounding` that *extends*
 across sweep steps (same hash-consed node store, same scoring memo,
 delta-updated fact index), plus a worker-local
-:class:`~repro.finite.compile_cache.CompileCache` for the per-answer
-safe-plan/BDD path.  Compiled diagrams therefore survive worker-side
-exactly as they do in the parent's serial sessions.
+:class:`~repro.finite.compile_cache.CompileCache` for the safe-plan
+and per-answer BDD paths.  Compiled diagrams therefore survive
+worker-side exactly as they do in the parent's serial sessions.
+
+The evaluation layer keeps safe queries on TI tables in-process (one
+grouped lifted pass needs no pool), so only compiled fan-outs reach the
+pool through it.  A safe query shipped here by a direct
+:func:`pooled_answer_marginals` call evaluates each chunk with the same
+grouped helper, :func:`~repro.finite.lifted.answer_marginals_lifted`.
 
 Bit-identity: workers evaluate index ranges of the *same* canonical
 answer enumeration the serial path uses (the deterministic support list,
 or the ``candidates^arity`` product), with the same per-answer
-evaluation; merging contiguous ranges in order reproduces the serial
+evaluation — a grouped pass's per-row values do not depend on which
+rows share it; merging contiguous ranges in order reproduces the serial
 result dict exactly, entry order included.
 """
 
@@ -108,7 +115,7 @@ class _QueryRuntime:
 
     __slots__ = (
         "key", "query", "strategy", "domain", "version",
-        "candidates", "answers", "grounding", "share", "seen",
+        "candidates", "answers", "grounding", "share", "grouped", "seen",
     )
 
     def __init__(self, key: str, query, strategy: str, domain):
@@ -121,13 +128,16 @@ class _QueryRuntime:
         self.answers: Optional[List] = None  # pruned support, or None
         self.grounding = None
         self.share: Optional[bool] = None
+        self.grouped = False  # one grouped lifted pass per chunk
         self.seen = 0  # facts already in the grounding
 
     def refresh(self, entry: list) -> None:
         from repro.finite.evaluation import (
+            GROUPED_STRATEGIES,
             _candidate_values,
             _grounding_is_safe,
         )
+        from repro.finite.lifted import answer_marginals_lifted
         from repro.logic.analysis import constants_of
 
         table, version, arg_values, fact_list = entry
@@ -136,13 +146,25 @@ class _QueryRuntime:
         query = self.query
         candidates = _candidate_values(query, table, self.domain)
         if self.share is None:
-            # Strategy, table kind, and grounded safety are all stable
-            # across truncation growth — decide once per family.
-            self.share = self.strategy == "bdd" or (
-                self.strategy == "auto"
-                and (
-                    isinstance(table, BlockIndependentTable)
-                    or not _grounding_is_safe(query, candidates)
+            # Strategy, table kind, and plan/grounded safety are all
+            # stable across truncation growth — decide once per family,
+            # in the parent's order: grouped pass first.  An empty
+            # grouped pass returns None unless the query has a
+            # head-bound plan, and warms the plan and index for chunks.
+            self.grouped = (
+                self.strategy in GROUPED_STRATEGIES
+                and answer_marginals_lifted(
+                    query, table, (), plan_cache=_worker_compile_cache())
+                is not None
+            )
+            self.share = not self.grouped and (
+                self.strategy == "bdd"
+                or (
+                    self.strategy == "auto"
+                    and (
+                        isinstance(table, BlockIndependentTable)
+                        or not _grounding_is_safe(query, candidates)
+                    )
                 )
             )
         if self.share:
@@ -172,6 +194,7 @@ class _QueryRuntime:
 
     def eval_range(self, start: int, stop: Optional[int], step: int) -> Dict:
         from repro.finite.evaluation import query_probability
+        from repro.finite.lifted import answer_marginals_lifted
         from repro.logic.normalform import substitute
         from repro.logic.queries import BooleanQuery
 
@@ -183,6 +206,12 @@ class _QueryRuntime:
                 itertools.product(self.candidates, repeat=query.arity),
                 start, stop, step,
             )
+        if self.grouped:
+            answers = list(answers)
+            _PERF["answers"] += len(answers)
+            return answer_marginals_lifted(
+                query, _TABLES[self.key][0], answers,
+                plan_cache=_worker_compile_cache())
         results: Dict = {}
         for answer in answers:
             _PERF["answers"] += 1
@@ -213,8 +242,8 @@ def _worker_store_table(key: str, blob: bytes) -> int:
     """Full ship: (re)place the table under ``key``; any runtime built
     on a previous incarnation of the key is dropped."""
     table = pickle.loads(blob)
-    facts = table.facts()
-    _TABLES[key] = [table, 0, _fact_args(facts), list(facts)]
+    facts = list(table.possible_facts())
+    _TABLES[key] = [table, 0, _fact_args(facts), facts]
     for stale in [k for k in _RUNTIMES if k[0] == key]:
         del _RUNTIMES[stale]
     return _table_count(table)

@@ -33,7 +33,9 @@ Operations: ``ping``, ``create``, ``query``, ``sweep``, ``marginals``,
 ``best``, ``sessions``, ``stats``, ``drop``, ``snapshot``, ``restore``,
 ``shutdown``.
 
-Answer fan-out: a server started with ``shard_workers=k > 1`` holds one
+Answer fan-out: a ``marginals`` request on a safe query over a TI
+truncation is one in-process grouped lifted pass.  For compiled
+fan-outs, a server started with ``shard_workers=k > 1`` holds one
 process-wide :class:`~repro.parallel.pool.ShardPool` (via
 :func:`~repro.parallel.pool.get_shared_pool`) that *every* session's
 ``marginals`` requests fan out on — the pool's warm workers cache each

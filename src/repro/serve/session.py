@@ -153,8 +153,9 @@ def build_session(spec: Mapping) -> RefinementSession:
     formula = parse_formula(query_text, schema)
     if free_variables(formula):
         # A free-variable query makes an answer-marginal session: the
-        # 'marginals' op fans its answers out on the server's shared
-        # shard pool instead of answering one Boolean probability.
+        # 'marginals' op answers every candidate tuple (one grouped pass
+        # when the query is safe, the server's shared shard pool for
+        # compiled fan-outs) instead of one Boolean probability.
         query: Query = Query(formula, schema)
     else:
         query = BooleanQuery(formula, schema)
@@ -256,7 +257,11 @@ class ManagedSession:
         """One answer-marginal refinement at guarantee ε (free-variable
         sessions; a Boolean session returns its single ``()`` answer).
 
-        ``pool`` is the server's shared
+        A safe query on a TI truncation is answered in-process by one
+        grouped lifted pass over every candidate answer (see
+        :meth:`~repro.core.refine.RefinementSession.refine_marginals`),
+        and ``workers``/``pool`` are ignored.  Compiled fan-outs use
+        ``pool``, the server's shared
         :class:`~repro.parallel.pool.ShardPool` — every session fans
         out on the same warm workers, which cache each session's table
         (delta-shipped between calls) and compiled diagrams.

@@ -70,6 +70,16 @@ class TestTable:
         assert key_table().instance_probability(
             Instance([R(1, 1), R(1, 2)])) == 0.0
 
+    def test_facts_order_unchanged_on_mixed_argument_types(self):
+        mixed = Schema.of(A=1)
+        A = mixed["A"]
+        values = [10, 2, "b", "a", 2.5, ("t", 1), True]
+        blocks = [
+            Block(f"k{i}", {A(v): 0.25}) for i, v in enumerate(values)]
+        table = BlockIndependentTable(mixed, blocks)
+        assert table.facts() == sorted(A(v) for v in values)
+        assert list(table.possible_facts()) == [A(v) for v in values]
+
     def test_marginals(self):
         table = key_table()
         assert table.marginal(R(1, 2)) == 0.3

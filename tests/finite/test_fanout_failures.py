@@ -1,7 +1,11 @@
 """Failure injection for the ``workers=`` answer-marginal fan-out:
 worker exceptions must surface with the original traceback, and
 unpicklable payloads must degrade to the serial path (with a trace
-event) instead of dying inside the pool."""
+event) instead of dying inside the pool.
+
+Only compiled fan-outs reach the pool — a safe query on a TI table is
+answered by one in-process grouped lifted pass whatever ``workers=``
+says — so the pool tests run ``R(x)`` under ``strategy="bdd"``."""
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.finite.evaluation import (
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.parser import parse_formula
 from repro.logic.queries import Query
+from repro.parallel.pool import ShardPool
 from repro.relational import Schema
 
 schema = Schema.of(R=1, S=2)
@@ -31,8 +36,9 @@ def _r_query():
 
 def test_pooled_fanout_matches_serial():
     query, table = _r_query(), _table()
-    serial = marginal_answer_probabilities(query, table)
-    pooled = marginal_answer_probabilities(query, table, workers=2)
+    serial = marginal_answer_probabilities(query, table, strategy="bdd")
+    pooled = marginal_answer_probabilities(
+        query, table, workers=2, strategy="bdd")
     assert dict(pooled) == dict(serial)
     assert list(pooled) == list(serial)  # same enumeration order
     events = {e["name"] for e in pooled.report.events}
@@ -66,8 +72,10 @@ def test_unpicklable_payload_degrades_to_serial_with_event():
     table.not_picklable = lambda: None  # closures cannot cross the pool
     query = _r_query()
     assert _pool_pickle_error((table,)) is not None
-    answers = marginal_answer_probabilities(query, table, workers=2)
-    assert dict(answers) == dict(marginal_answer_probabilities(query, _table()))
+    answers = marginal_answer_probabilities(
+        query, table, workers=2, strategy="bdd")
+    assert dict(answers) == dict(
+        marginal_answer_probabilities(query, _table(), strategy="bdd"))
     events = {e["name"]: e for e in answers.report.events}
     assert "fanout.serial_fallback" in events
     assert events["fanout.serial_fallback"]["workers"] == 2
@@ -89,11 +97,42 @@ def test_fanout_does_not_ship_columnar_arrays():
     table.columns  # warm the columnar mirror before the fan-out
     state = pickle.loads(pickle.dumps(table)).__dict__
     assert state["_columns"] is None
-    serial = marginal_answer_probabilities(query, _table())
-    pooled = marginal_answer_probabilities(query, table, workers=2)
+    serial = marginal_answer_probabilities(query, _table(), strategy="bdd")
+    pooled = marginal_answer_probabilities(
+        query, table, workers=2, strategy="bdd")
     assert dict(pooled) == dict(serial)
     events = {e["name"] for e in pooled.report.events}
     assert "fanout.pool" in events
     # The parent-side mirror survives the round-trip untouched.
     assert table._columns is not None
     assert table.expected_size() == _table().expected_size()
+
+
+def _assert_grouped_in_process(result, serial):
+    assert result.report.strategy == "lifted"
+    assert "fanout.pool" not in {e["name"] for e in result.report.events}
+    assert not any(
+        name.startswith("fanout.ship_") and value
+        for name, value in result.report.counters.items())
+    assert dict(result) == dict(serial)  # bit for bit
+    assert list(result) == list(serial)  # same enumeration order
+
+
+@pytest.mark.parametrize("text", [
+    "R(x)", "EXISTS y. R(x) AND S(x, y)", "S(x, y)"])
+def test_safe_query_ignores_workers_and_pool(text):
+    """A safe query on a TI table takes the in-process grouped pass:
+    neither ``workers=`` nor ``pool=`` puts it on the pool, nothing is
+    shipped, and the answers equal the serial ones bit for bit."""
+    query = Query(parse_formula(text, schema), schema)
+    serial = marginal_answer_probabilities(query, _table())
+    assert serial.report.strategy == "lifted"
+    _assert_grouped_in_process(
+        marginal_answer_probabilities(query, _table(), workers=2), serial)
+    pool = ShardPool(2)
+    try:
+        _assert_grouped_in_process(
+            marginal_answer_probabilities(query, _table(), pool=pool),
+            serial)
+    finally:
+        pool.close()

@@ -28,6 +28,34 @@ class TestConstruction:
         assert table.facts() == [R(2)]
 
 
+class TestFactOrder:
+    MIXED = Schema.of(A=1, B=2)
+
+    def mixed_facts(self):
+        A, B = self.MIXED["A"], self.MIXED["B"]
+        values = [10, 2, -1, 2.5, "b", "a", "10", True, False,
+                  ("t", 1), ("t", "a"), (), 0.5]
+        facts = [A(v) for v in values]
+        facts += [B(u, v) for u, v in itertools.product(values[:6], repeat=2)]
+        random.Random(7).shuffle(facts)
+        return facts
+
+    def test_facts_order_unchanged_on_mixed_argument_types(self):
+        """``facts()`` sorts by ``Fact.sort_key`` instead of pairwise
+        ``Fact.__lt__`` — the same comparisons, hence the same order."""
+        facts = self.mixed_facts()
+        table = TupleIndependentTable(self.MIXED, {f: 0.5 for f in facts})
+        assert table.facts() == sorted(facts)
+        assert table.facts() == sorted(table.possible_facts())
+
+    def test_possible_facts_is_the_unsorted_insertion_view(self):
+        facts = self.mixed_facts()
+        table = TupleIndependentTable(self.MIXED, {f: 0.5 for f in facts})
+        assert list(table.possible_facts()) == facts
+        table.extend({self.MIXED["A"](99): 0.25})
+        assert list(table.possible_facts())[-1] == self.MIXED["A"](99)
+
+
 class TestInstanceProbability:
     def test_product_formula(self):
         table = TupleIndependentTable(schema, {R(1): 0.8, R(2): 0.5})

@@ -293,17 +293,19 @@ def test_concurrent_signature_materialization():
 
 # ------------------------------------------------------------ shard pool
 def test_concurrent_marginal_sweeps_one_shared_shard_pool():
-    """The serve pattern for answer fan-out: N request threads, each
-    with its own session, all fanning out on ONE warm shard pool (the
-    pool serializes calls; the shipper tracks per-worker state under its
-    own lock).  Every thread's pooled sweep must be bit-identical to the
-    serial reference — answers, floats, and entry order."""
+    """The serve pattern for compiled answer fan-out: N request threads,
+    each with its own session, all fanning out on ONE warm shard pool
+    (the pool serializes calls; the shipper tracks per-worker state
+    under its own lock).  Every thread's pooled sweep must be
+    bit-identical to the serial reference — answers, floats, and entry
+    order.  ``strategy="bdd"``: a safe query under ``"auto"`` would take
+    the in-process grouped pass and never touch the pool."""
     from repro.logic import Query
     from repro.parallel import ShardPool
 
     query = Query(parse_formula("R(x)", schema), schema)
     sweep = [0.2, 0.1, 0.05]
-    reference_session = RefinementSession(query, make_pdb())
+    reference_session = RefinementSession(query, make_pdb(), strategy="bdd")
     reference = {
         eps: [
             (a, r.value)
@@ -315,7 +317,7 @@ def test_concurrent_marginal_sweeps_one_shared_shard_pool():
     pool = ShardPool(2)
     try:
         def worker():
-            session = RefinementSession(query, make_pdb())
+            session = RefinementSession(query, make_pdb(), strategy="bdd")
             return {
                 eps: [
                     (a, r.value)
@@ -329,6 +331,86 @@ def test_concurrent_marginal_sweeps_one_shared_shard_pool():
             assert values == reference
     finally:
         pool.close()
+
+
+def test_concurrent_grouped_marginal_sweeps_share_one_family():
+    """The grouped answer-marginal pass under sharing: N sessions of one
+    safe free query share one CompileCache — one head-bound plan, one
+    family fact index — while sweeping *different* truncations, so each
+    grounding regrows or rebuilds the index the others are using.  The
+    family lock spans grounding through execution, so every thread's
+    answers are bit-identical to a serial sweep on a private cache,
+    entry order included."""
+    from repro.logic import Query
+
+    query = Query(parse_formula("R(x)", schema), schema)
+    sweeps = [[0.2, 0.05], [0.1, 0.02], [0.05, 0.01], [0.3, 0.1, 0.01]]
+
+    def sweep_values(session, sweep):
+        values = {}
+        for eps in sweep:
+            results = session.refine_marginals(eps)
+            assert next(iter(results.values())).report.strategy == "lifted"
+            values[eps] = [(a, r.value) for a, r in results.items()]
+        return values
+
+    references = [
+        sweep_values(
+            RefinementSession(query, make_pdb(), compile_cache=CompileCache()),
+            sweep)
+        for sweep in sweeps
+    ]
+    shared_cache = CompileCache()
+
+    def worker(i):
+        session = RefinementSession(
+            query, make_pdb(), compile_cache=shared_cache)
+        return sweep_values(session, sweeps[i])
+
+    thunks = [
+        (lambda i=i % len(sweeps): worker(i)) for i in range(N_THREADS)]
+    for i, values in enumerate(run_threads(thunks)):
+        assert values == references[i % len(sweeps)]
+
+
+def test_grouped_pass_holds_the_family_lock_through_execution(monkeypatch):
+    """Another session's grounding must not slip in between a grouped
+    pass's grounding and its execution.  Indexing a bigger truncation
+    there would give this table's marginal column 0.0 rows for facts
+    it lacks, and the column only re-syncs *new* index rows, so those
+    facts would stay 0.0 once the table grows to include them.  The
+    interleaving is forced: the other session starts right before the
+    first evaluator reads the column and gets half a second to run."""
+    from repro.finite import lifted
+    from repro.finite.evaluation import marginal_answer_probabilities
+    from repro.logic import Query
+
+    query = Query(parse_formula("R(x)", schema), schema)
+    pdb = make_pdb()
+    small, big = pdb.truncate(5), pdb.truncate(20)
+    cache = CompileCache()
+    original = lifted._BatchedEvaluator.__init__
+    others = []
+
+    def init(self, *args, **kwargs):
+        if not others:
+            other = threading.Thread(
+                target=marginal_answer_probabilities, args=(query, big),
+                kwargs={"compile_cache": cache})
+            others.append(other)
+            other.start()
+            other.join(timeout=0.5)  # blocked on the family lock
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(lifted._BatchedEvaluator, "__init__", init)
+    marginal_answer_probabilities(query, small, compile_cache=cache)
+    others[0].join(timeout=30)
+    assert not others[0].is_alive()
+    pdb.extend_truncation(small, 20)
+    warm = marginal_answer_probabilities(query, small, compile_cache=cache)
+    cold = marginal_answer_probabilities(
+        query, pdb.truncate(20), compile_cache=CompileCache())
+    assert list(warm.items()) == list(cold.items())
 
 
 # ------------------------------------------------------------- BDD rescoring
