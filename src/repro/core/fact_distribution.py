@@ -27,7 +27,7 @@ from repro.core.prefix_cache import PrefixCache
 from repro.errors import ConvergenceError, ProbabilityError
 from repro.relational.facts import Fact
 from repro.universe.factspace import FactSpace
-from repro.utils.rationals import validate_probability
+from repro.utils.rationals import is_probability, probability_error
 
 
 class FactDistribution:
@@ -155,7 +155,8 @@ class TableFactDistribution(FactDistribution):
     def __init__(self, marginals: Mapping[Fact, float]):
         cleaned: Dict[Fact, float] = {}
         for fact, probability in marginals.items():
-            validate_probability(probability, what=f"probability of {fact}")
+            if not is_probability(probability):
+                raise probability_error(probability, f"probability of {fact}")
             if probability > 0:
                 cleaned[fact] = float(probability)
         self._order: List[Fact] = sorted(

@@ -23,7 +23,7 @@ from repro.finite.pdb import FinitePDB
 from repro.relational.facts import Fact
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
-from repro.utils.rationals import validate_probability
+from repro.utils.rationals import is_probability, probability_error
 
 
 class Block:
@@ -41,7 +41,8 @@ class Block:
         self.alternatives: Dict[Fact, float] = {}
         total = 0.0
         for fact, probability in alternatives.items():
-            validate_probability(probability, what=f"probability of {fact}")
+            if not is_probability(probability):
+                raise probability_error(probability, f"probability of {fact}")
             if probability > 0:
                 self.alternatives[fact] = float(probability)
                 total += probability

@@ -29,6 +29,7 @@ intensional engine.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -94,6 +95,9 @@ LIFTED_CACHED_GROUPS = "lifted.cached_groups"
 LIFTED_CANDIDATE_MEMO_HITS = "lifted.candidate_memo_hits"
 
 _EXECUTORS = ("auto", "scalar", "batched")
+
+#: Placeholder for the separator value in a probe-key layout.
+_SEPARATOR = object()
 
 
 def _ground_fact(atom: Atom, binding: Binding) -> Fact:
@@ -745,27 +749,36 @@ class _BatchedEvaluator:
             )
             for g in range(groups.size)
         )
-        flat, offsets = self.index.probe_rows_multi(
+        index = self.index
+        flat, offsets = index.probe_rows_multi(
             leaf.relation, positions, keys)
         # Re-fold every segment in canonical separator-value order
         # (``domain_sort_key``, as the scalar fast path does): bucket
         # order is index-interning order, which depends on the shared
         # index's rebuild/extend history and would make concurrent
-        # sweeps differ from a serial one by float rounding.
+        # sweeps differ from a serial one by float rounding.  The keys
+        # come from the index's sort-key column.  A segment's rows are
+        # distinct facts agreeing off the separator positions, so no
+        # two share a separator value; buckets are ascending, so the
+        # stable sort puts any key tie in row order, as the scalar
+        # path's ``(key, row)`` pairs do.
         first, rest = separator_positions[0], separator_positions[1:]
-        fact_at = self.index.fact_at
+        sort_key = index.sort_key_column(first).__getitem__
+        fact_at = index.fact_at
         filtered: List[int] = []
         new_offsets = [0]
         for g in range(groups.size):
-            segment = []
-            for row in flat[offsets[g]:offsets[g + 1]]:
-                args = fact_at(row).args
-                value = args[first]
-                if rest and any(args[p] != value for p in rest):
-                    continue
-                segment.append((domain_sort_key(value), row))
-            segment.sort()
-            filtered.extend(row for _, row in segment)
+            segment = flat[offsets[g]:offsets[g + 1]]
+            if rest:
+                kept = []
+                for row in segment:
+                    args = fact_at(row).args
+                    value = args[first]
+                    if all(args[p] == value for p in rest):
+                        kept.append(row)
+                segment = kept
+            segment.sort(key=sort_key)
+            filtered.extend(segment)
             new_offsets.append(len(filtered))
         flat, offsets = filtered, new_offsets
         obs.incr(LIFTED_GROUP_ROWS, len(flat))
@@ -847,51 +860,64 @@ class _BatchedEvaluator:
         """Separator values the delta facts touch and that are (now)
         candidates — the only values whose child probability can differ
         from the cached one.  Candidacy is monotone under append-only
-        extension, so cached values never need revoking."""
-        delta = self.index.facts_since(cache.epoch)
+        extension, so cached values never need revoking.
+
+        Each scope atom reads only its relation's rows past the cached
+        epoch: a relation's row list is ascending, so a bisection finds
+        where the delta starts."""
+        index = self.index
+        fact_at = index.fact_at
         touched: Dict[Value, None] = {}
-        for fact in delta:
-            for atoms in info.per_disjunct:
-                for grouped in atoms:
-                    if fact.relation != grouped.relation:
-                        continue
+        for atoms in info.per_disjunct:
+            for grouped in atoms:
+                if not grouped.separator_positions:
+                    continue
+                rows = index.probe_rows(grouped.relation, {})
+                first, *rest = grouped.separator_positions
+                for row in rows[bisect.bisect_left(rows, cache.epoch):]:
+                    args = fact_at(row).args
                     if any(
-                        fact.args[p] != value
-                        for p, value in grouped.constants
+                        args[p] != value for p, value in grouped.constants
                     ):
                         continue
-                    values = {
-                        fact.args[p]
-                        for p in grouped.separator_positions
-                    }
-                    if len(values) == 1:
-                        touched.setdefault(values.pop(), None)
-        return [
-            value for value in touched if self._is_candidate(info, value)
-        ]
+                    value = args[first]
+                    if all(args[p] == value for p in rest):
+                        touched.setdefault(value, None)
+        return self._candidates_among(info, touched)
 
-    def _is_candidate(self, info: GroupedProject, value: Value) -> bool:
-        """Root-level candidacy of one separator value: some disjunct
-        has, for *every* atom containing the separator, a fact matching
-        its constants with the value at all separator positions."""
-        index = self.index
+    def _candidates_among(
+        self, info: GroupedProject, values: Iterable[Value]
+    ) -> List[Value]:
+        """The root-level candidates among ``values``: those for which
+        some disjunct has, for *every* atom containing the separator, a
+        fact matching its constants with the value at all separator
+        positions.  Each atom's probe signature and key layout are built
+        once per call, not once per value."""
+        probes = []
         for atoms in info.per_disjunct:
             candidate_atoms = [a for a in atoms if a.separator_positions]
             if not candidate_atoms:
                 continue
+            disjunct = []
             for grouped in candidate_atoms:
-                entries = list(grouped.constants) + [
-                    (p, value) for p in grouped.separator_positions
-                ]
-                entries.sort()
-                positions = tuple(p for p, _ in entries)
-                key = tuple(v for _, v in entries)
-                table = index.signature_table(grouped.relation, positions)
-                if key not in table:
+                entries = sorted(
+                    list(grouped.constants)
+                    + [(p, _SEPARATOR) for p in grouped.separator_positions])
+                table = self.index.signature_table(
+                    grouped.relation, tuple(p for p, _ in entries))
+                disjunct.append((table, tuple(v for _, v in entries)))
+            probes.append(disjunct)
+        candidates = []
+        for value in values:
+            for disjunct in probes:
+                if all(
+                    tuple(value if v is _SEPARATOR else v for v in layout)
+                    in table
+                    for table, layout in disjunct
+                ):
+                    candidates.append(value)
                     break
-            else:
-                return True
-        return False
+        return candidates
 
     # ----------------------------------------------------------- candidates
     def _candidate_groups(self, info: GroupedProject, groups: _Groups):

@@ -14,13 +14,13 @@ from typing import (
 )
 
 from repro.analysis.products import product_complement
-from repro.errors import ProbabilityError
+from repro.errors import ProbabilityError, SchemaError
 from repro.finite.pdb import FinitePDB
 from repro.relational.facts import Fact
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.utils.iteration import powerset
-from repro.utils.rationals import validate_probability
+from repro.utils.rationals import is_probability, probability_error
 
 
 class TupleIndependentTable:
@@ -42,10 +42,9 @@ class TupleIndependentTable:
         #: :meth:`extend` once built, dropped from pickles.
         self._columns = None
         for fact, probability in marginals.items():
-            validate_probability(probability, what=f"marginal of {fact}")
+            if not is_probability(probability):
+                raise probability_error(probability, f"marginal of {fact}")
             if fact.relation not in schema:
-                from repro.errors import SchemaError
-
                 raise SchemaError(f"fact {fact} not over schema {schema}")
             if probability > 0:
                 self.marginals[fact] = float(probability)
@@ -53,29 +52,34 @@ class TupleIndependentTable:
     def extend(self, marginals: Mapping[Fact, float]) -> None:
         """Add possible facts *in place*, with the same validation as
         construction.  Re-listing an existing fact with an unchanged
-        marginal is a no-op; changing its marginal is rejected (the
-        incremental-truncation caller must never rewrite history).
+        marginal is a no-op; changing its marginal — to 0 included — is
+        rejected (the incremental-truncation caller must never rewrite
+        history).  All-or-nothing: the whole batch is checked before the
+        first fact goes in, so a rejected batch leaves the table (and
+        its columnar mirror) untouched.
         """
-        from repro.errors import SchemaError
-
+        current = self.marginals
+        added: List[Tuple[Fact, float]] = []
         for fact, probability in marginals.items():
-            validate_probability(probability, what=f"marginal of {fact}")
+            if not is_probability(probability):
+                raise probability_error(probability, f"marginal of {fact}")
             if fact.relation not in self.schema:
                 raise SchemaError(f"fact {fact} not over schema {self.schema}")
-            if probability <= 0:
+            existing = current.get(fact)
+            if existing is not None:
+                if existing != float(probability):
+                    raise ProbabilityError(
+                        f"extend would change the marginal of {fact} "
+                        f"from {existing} to {probability}"
+                    )
                 continue
-            existing = self.marginals.get(fact)
-            if existing is not None and existing != float(probability):
-                raise ProbabilityError(
-                    f"extend would change the marginal of {fact} "
-                    f"from {existing} to {probability}"
-                )
-            probability = float(probability)
-            if existing is None and self._columns is not None:
-                # O(delta): the columnar mirror grows in place, so warm
-                # ε-sweep state stays valid across truncation growth.
-                self._columns.intern(fact, probability)
-            self.marginals[fact] = probability
+            if probability > 0:
+                added.append((fact, float(probability)))
+        if added and self._columns is not None:
+            # O(delta): the columnar mirror grows in place, so warm
+            # ε-sweep state stays valid across truncation growth.
+            self._columns.extend_items(added)
+        current.update(added)
 
     @property
     def columns(self):
@@ -228,3 +232,4 @@ class TupleIndependentTable:
             f"TupleIndependentTable(facts={len(self.marginals)}, "
             f"expected_size={self.expected_size():.4g})"
         )
+

@@ -32,6 +32,7 @@ expansion fallback.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from typing import (
     Dict,
@@ -45,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.relational.facts import Fact, Value
+from repro.relational.facts import Fact, Value, domain_sort_key
 from repro.relational.schema import RelationSymbol
 
 #: A bound-column signature: the sorted argument positions a probe fixes.
@@ -122,6 +123,8 @@ class FactIndex:
         "_values",
         "_marginals",
         "_marginal_source",
+        "_sort_keys",
+        "_sort_key_memo",
         "_view_cache",
         "_lock",
     )
@@ -144,6 +147,11 @@ class FactIndex:
         #: :meth:`marginal_column`); dropped from pickles.
         self._marginals = None
         self._marginal_source = None
+        #: Lazily built ``domain_sort_key`` columns, one per argument
+        #: position asked for, aligned to row ids (see
+        #: :meth:`sort_key_column`); dropped from pickles.
+        self._sort_keys: Dict[int, List[Optional[tuple]]] = {}
+        self._sort_key_memo: Dict[Value, tuple] = {}
         #: bucket id → (bucket, view): repeated probes of the same
         #: bucket reuse one lazy fact view instead of allocating a
         #: fresh ``_RowFacts`` per probe.  The strong bucket reference
@@ -162,27 +170,33 @@ class FactIndex:
         with self._lock:
             rows = self._rows
             row_facts = self._row_facts
-            added: List[int] = []
+            by_relation = self._by_relation
+            start = len(row_facts)
             for fact in facts:
                 if fact in rows:
                     continue
                 row = len(row_facts)
                 rows[fact] = row
                 row_facts.append(fact)
-                self._by_relation.setdefault(fact.relation, []).append(row)
+                by_relation.setdefault(fact.relation, []).append(row)
                 self._values.update(fact.args)
-                added.append(row)
-            if added and self._signatures:
-                for (relation, positions), table in self._signatures.items():
-                    for row in added:
-                        fact = row_facts[row]
-                        if fact.relation != relation:
-                            continue
-                        key = tuple(fact.args[i] for i in positions)
-                        table.setdefault(key, []).append(row)
-            if added and self._marginals is not None:
+            if len(row_facts) == start:
+                return 0
+            # Relation row lists are ascending, so each one's new rows
+            # are the tail a bisection at ``start`` finds.
+            for (relation, positions), table in self._signatures.items():
+                relation_rows = by_relation[relation]
+                for row in relation_rows[
+                    bisect.bisect_left(relation_rows, start):
+                ]:
+                    args = row_facts[row].args
+                    key = tuple(args[i] for i in positions)
+                    table.setdefault(key, []).append(row)
+            if self._marginals is not None:
                 self._sync_marginals()
-            return len(added)
+            for position, column in self._sort_keys.items():
+                self._sync_sort_keys(position, column)
+            return len(row_facts) - start
 
     # -------------------------------------------------------------- queries
     def probe(
@@ -300,11 +314,6 @@ class FactIndex:
         delta-only re-execution."""
         return len(self._row_facts)
 
-    def facts_since(self, epoch: int) -> List[Fact]:
-        """Facts interned at row ids ``>= epoch``, in row order — the
-        delta a cache stamped at ``epoch`` has not yet seen."""
-        return self._row_facts[epoch:]
-
     @property
     def fact_set(self) -> KeysView:
         """The indexed facts as a set-like view (do not mutate)."""
@@ -349,6 +358,57 @@ class FactIndex:
             for fact in self._row_facts[len(self._marginals):]
         )
 
+    # ------------------------------------------------------ sort-key column
+    def sort_key_column(self, position: int) -> List[Optional[tuple]]:
+        """``domain_sort_key`` of every row's argument at ``position``,
+        aligned to row ids (None where a row's fact is shorter).
+
+        Built on first use in one pass, then grown by :meth:`extend`
+        with the new rows only, under the index lock.  Sorting row ids
+        into canonical value order is then
+        ``rows.sort(key=column.__getitem__)``, with no key computed per
+        sort.  Keys of ``int`` and ``str`` values are computed once per
+        distinct value and shared; other types (where equal values may
+        print differently, like ``0.0`` and ``-0.0``) get a key per row.
+
+        >>> from repro.relational import RelationSymbol
+        >>> S = RelationSymbol("S", 2)
+        >>> index = FactIndex([S(10, "a"), S(9, "b")])
+        >>> index.sort_key_column(0)
+        [('int', '10'), ('int', '9')]
+        >>> rows = [1, 0]
+        >>> rows.sort(key=index.sort_key_column(0).__getitem__)
+        >>> rows                      # repr order: '10' before '9'
+        [0, 1]
+        """
+        column = self._sort_keys.get(position)
+        if column is None:
+            # Double-checked like signature_table: published once full.
+            with self._lock:
+                column = self._sort_keys.get(position)
+                if column is None:
+                    column = []
+                    self._sync_sort_keys(position, column)
+                    self._sort_keys[position] = column
+        return column
+
+    def _sync_sort_keys(self, position: int, column: list) -> None:
+        memo = self._sort_key_memo
+        for fact in self._row_facts[len(column):]:
+            args = fact.args
+            if position >= len(args):
+                column.append(None)
+                continue
+            value = args[position]
+            kind = type(value)
+            if kind is int or kind is str:
+                key = memo.get(value)
+                if key is None:
+                    key = memo[value] = domain_sort_key(value)
+            else:
+                key = domain_sort_key(value)
+            column.append(key)
+
     # --------------------------------------------------- read-only set protocol
     def __contains__(self, fact: object) -> bool:
         return fact in self._rows
@@ -362,8 +422,8 @@ class FactIndex:
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
         """Drop the columnar caches (signature buckets stay: they are
-        plain row-id dicts); the marginal column is rebuilt lazily on
-        the other side of a process-pool fan-out."""
+        plain row-id dicts); the marginal and sort-key columns are
+        rebuilt lazily on the other side of a process-pool fan-out."""
         return {
             "_rows": self._rows,
             "_row_facts": self._row_facts,
@@ -377,6 +437,8 @@ class FactIndex:
             setattr(self, name, value)
         self._marginals = None
         self._marginal_source = None
+        self._sort_keys = {}
+        self._sort_key_memo = {}
         self._view_cache = {}
         self._lock = threading.RLock()
 

@@ -92,7 +92,8 @@ def diagonal_product(*iterables: Iterable[T]) -> Iterator[Tuple[T, ...]]:
     Unlike :func:`itertools.product`, this works when the inputs are
     infinite: tuples are produced in order of increasing *total index sum*
     (Cantor's diagonal argument), so every tuple appears after finitely
-    many steps.
+    many steps.  Within one total, index tuples come in lexicographic
+    order.
 
     >>> from itertools import count
     >>> it = diagonal_product(count(), count())
@@ -102,49 +103,52 @@ def diagonal_product(*iterables: Iterable[T]) -> Iterator[Tuple[T, ...]]:
     if not iterables:
         yield ()
         return
+    if len(iterables) == 1:
+        for item in iterables[0]:
+            yield (item,)
+        return
     caches: List[List[T]] = [[] for _ in iterables]
     iterators = [iter(it) for it in iterables]
-    exhausted = [False] * len(iterables)
-    k = len(iterables)
-
-    def ensure(i: int, n: int) -> bool:
-        """Grow cache i to at least n+1 elements; return True on success."""
-        while len(caches[i]) <= n and not exhausted[i]:
-            try:
-                caches[i].append(next(iterators[i]))
-            except StopIteration:
-                exhausted[i] = True
-        return len(caches[i]) > n
-
     total = 0
     while True:
-        produced = False
-        for split in _compositions(total, k):
-            if all(ensure(i, split[i]) for i in range(k)):
-                produced = True
-                yield tuple(caches[i][split[i]] for i in range(k))
-        if not produced:
-            # Learn exhaustion for every factor (ensure() above may have
-            # short-circuited before touching later ones).
-            for i in range(k):
-                ensure(i, total)
-            if any(exhausted[i] and not caches[i] for i in range(k)):
-                return  # an empty factor: the product is empty
-            if all(exhausted):
-                max_total = sum(len(c) - 1 for c in caches)
-                if total > max_total:
-                    return
+        # Every factor holds indices 0..total (or all it has): one
+        # islice per factor and anti-diagonal.
+        for cache, iterator in zip(caches, iterators):
+            missing = total + 1 - len(cache)
+            if missing > 0:
+                cache.extend(itertools.islice(iterator, missing))
+        sizes = [len(cache) for cache in caches]
+        # A factor short of ``total + 1`` items is exhausted, so past
+        # the largest reachable total nothing is left (an empty factor
+        # makes that bound negative at once).
+        if total > sum(sizes) - len(sizes):
+            return
+        if len(caches) == 2:
+            first, second = caches
+            for i in range(
+                max(0, total - sizes[1] + 1), min(total, sizes[0] - 1) + 1
+            ):
+                yield first[i], second[total - i]
+        else:
+            for split in _bounded_compositions(total, sizes):
+                yield tuple(cache[i] for cache, i in zip(caches, split))
         total += 1
 
 
-def _compositions(total: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """All k-tuples of non-negative integers summing to ``total``."""
-    if k == 1:
-        yield (total,)
+def _bounded_compositions(
+    total: int, sizes: Sequence[int]
+) -> Iterator[Tuple[int, ...]]:
+    """All tuples ``(i_0, …, i_{k-1})`` with ``0 <= i_j < sizes[j]``
+    summing to ``total``, in lexicographic order."""
+    if len(sizes) == 1:
+        if total < sizes[0]:
+            yield (total,)
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, k - 1):
-            yield (head,) + rest
+    rest = sizes[1:]
+    reach = sum(rest) - len(rest)  # the largest total ``rest`` can make
+    for head in range(max(0, total - reach), min(total, sizes[0] - 1) + 1):
+        for tail in _bounded_compositions(total - head, rest):
+            yield (head,) + tail
 
 
 def interleave(*iterables: Iterable[T]) -> Iterator[T]:

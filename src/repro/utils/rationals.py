@@ -50,9 +50,15 @@ def as_fraction(value: Probability) -> Fraction:
 def is_probability(value: Probability) -> bool:
     """True iff ``value`` lies in the closed interval ``[0, 1]``.
 
+    A ``float`` is decided by two float comparisons: they are exact, and
+    NaN and ±inf fail them.  Every other type goes through the exact
+    :class:`Fraction` conversion.
+
     >>> is_probability(0.3), is_probability(Fraction(7, 5)), is_probability(-0.0)
     (True, False, True)
     """
+    if type(value) is float:
+        return 0.0 <= value <= 1.0
     try:
         frac = as_fraction(value)
     except ProbabilityError:
@@ -67,8 +73,19 @@ def validate_probability(value: Probability, what: str = "probability") -> Proba
     0.25
     """
     if not is_probability(value):
-        raise ProbabilityError(f"{what} must lie in [0, 1], got {value!r}")
+        raise probability_error(value, what)
     return value
+
+
+def probability_error(value: object, what: str) -> ProbabilityError:
+    """The error :func:`validate_probability` raises — for hot loops
+    that test :func:`is_probability` themselves and build the ``what``
+    label only when a value fails.
+
+    >>> probability_error(1.5, "marginal of R(1)")
+    ProbabilityError('marginal of R(1) must lie in [0, 1], got 1.5')
+    """
+    return ProbabilityError(f"{what} must lie in [0, 1], got {value!r}")
 
 
 def float_close(a: float, b: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:

@@ -23,9 +23,63 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             TupleIndependentTable(schema, {S(1): 0.5})
 
+    @pytest.mark.parametrize("value", [1.5, float("nan"), -0.25, "0.5"],
+                             ids=repr)
+    def test_error_texts_name_the_fact(self, value):
+        from repro.core.fact_distribution import TableFactDistribution
+        from repro.finite.bid import Block
+
+        makers_by_label = {
+            "marginal": [
+                lambda m: TupleIndependentTable(schema, m),
+                lambda m: TupleIndependentTable(schema, {}).extend(m),
+            ],
+            "probability": [
+                lambda m: Block("b", m),
+                TableFactDistribution,
+            ],
+        }
+        for label, makers in makers_by_label.items():
+            for make in makers:
+                with pytest.raises(ProbabilityError) as caught:
+                    make({R(1): value})
+                assert str(caught.value) == (
+                    f"{label} of R(1) must lie in [0, 1], got {value!r}")
+
     def test_zero_probability_facts_dropped(self):
         table = TupleIndependentTable(schema, {R(1): 0.0, R(2): 0.5})
         assert table.facts() == [R(2)]
+
+
+class TestExtend:
+    def test_zeroing_a_listed_marginal_is_rejected(self):
+        table = TupleIndependentTable(schema, {R(1): 0.5})
+        with pytest.raises(ProbabilityError, match="from 0.5 to 0.0"):
+            table.extend({R(1): 0.0})
+        assert table.marginal(R(1)) == 0.5
+
+    def test_relisting_an_unchanged_marginal_is_a_no_op(self):
+        table = TupleIndependentTable(schema, {R(1): 0.5})
+        table.extend({R(1): 0.5, R(2): 0.0})
+        assert table.marginals == {R(1): 0.5}
+
+    @pytest.mark.parametrize("bad", [
+        {R(3): 1.5},
+        {R(1): 0.75},
+        {RelationSymbol("S", 1)(3): 0.5},
+    ], ids=["out-of-range", "changed", "foreign-relation"])
+    def test_a_rejected_batch_leaves_the_table_untouched(self, bad):
+        table = TupleIndependentTable(schema, {R(1): 0.5})
+        mirror = table.columns  # build the columnar mirror first
+        batch = {R(2): 0.25, **bad}
+        with pytest.raises((ProbabilityError, SchemaError)):
+            table.extend(batch)
+        assert table.marginals == {R(1): 0.5}
+        assert len(table) == len(mirror) == 1
+        assert R(2) not in mirror
+        table.extend({R(2): 0.25})
+        assert list(table.possible_facts()) == [R(1), R(2)]
+        assert len(mirror) == 2
 
 
 class TestFactOrder:

@@ -67,6 +67,20 @@ def test_query_probability_attaches_report_per_strategy():
     assert _report_of(sampled).samples > 0
 
 
+def test_lifted_evaluation_reports_its_ground_phase():
+    """The lifted path times the growth of the family's fact index as
+    ``ground``, so ``--stats`` splits ``evaluate`` into grounding and
+    plan execution."""
+    for strategy in ("lifted", "auto"):
+        value = query_probability(
+            _exists_r(), _table(), strategy=strategy,
+            compile_cache=CompileCache())
+        report = _report_of(value)
+        assert report.strategy == "lifted"
+        assert {"ground", "evaluate"} <= set(report.timings)
+        assert report.timings["ground"] <= report.timings["evaluate"]
+
+
 def test_marginal_answer_probabilities_attaches_report():
     answers = marginal_answer_probabilities(
         Query(parse_formula("R(x)", schema), schema), _table())

@@ -97,6 +97,96 @@ class TestDiagonalProduct:
         assert list(diagonal_product()) == [()]
 
 
+def reference_diagonal_product(*iterables):
+    """Reference enumeration for the differential test: it tests every
+    composition of each total, growing a factor's cache one ``next`` at
+    a time as the compositions reach for it."""
+    if not iterables:
+        yield ()
+        return
+    caches = [[] for _ in iterables]
+    iterators = [iter(it) for it in iterables]
+    exhausted = [False] * len(iterables)
+    k = len(iterables)
+
+    def ensure(i, n):
+        while len(caches[i]) <= n and not exhausted[i]:
+            try:
+                caches[i].append(next(iterators[i]))
+            except StopIteration:
+                exhausted[i] = True
+        return len(caches[i]) > n
+
+    def compositions(total, k):
+        if k == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, k - 1):
+                yield (head,) + rest
+
+    total = 0
+    while True:
+        produced = False
+        for split in compositions(total, k):
+            if all(ensure(i, split[i]) for i in range(k)):
+                produced = True
+                yield tuple(caches[i][split[i]] for i in range(k))
+        if not produced:
+            for i in range(k):
+                ensure(i, total)
+            if any(exhausted[i] and not caches[i] for i in range(k)):
+                return
+            if all(exhausted):
+                max_total = sum(len(c) - 1 for c in caches)
+                if total > max_total:
+                    return
+        total += 1
+
+
+#: Factor makers for the differential test: fresh iterables per call.
+FACTORS = {
+    "empty": lambda: [],
+    "one": lambda: ["a"],
+    "three": lambda: "xyz",
+    "seven": lambda: range(7),
+    "infinite": itertools.count,
+    "generator": lambda: (i * i for i in range(40)),
+}
+
+#: Factor combinations, arity 0 to 3.  A small finite factor beside an
+#: infinite one leaves few tuples per anti-diagonal, and the oracle
+#: walks every composition of each total, so those stay at size 7.
+COMBINATIONS = [
+    (),
+    ("empty",), ("one",), ("three",), ("infinite",), ("generator",),
+    ("empty", "infinite"), ("infinite", "empty"), ("one", "three"),
+    ("three", "seven"), ("seven", "three"), ("infinite", "infinite"),
+    ("infinite", "generator"), ("generator", "infinite"),
+    ("seven", "infinite"), ("infinite", "seven"),
+    ("infinite", "infinite", "infinite"),
+    ("infinite", "generator", "infinite"),
+    ("seven", "infinite", "infinite"), ("infinite", "three", "infinite"),
+    ("generator", "seven", "infinite"), ("three", "seven", "generator"),
+    ("one", "three", "seven"),
+    ("empty", "infinite", "infinite"), ("infinite", "infinite", "empty"),
+]
+
+
+class TestDiagonalProductOracle:
+    """Same tuples in the same order as the reference enumeration —
+    finite, infinite and empty factors, arity 0 to 3, first 5000
+    tuples."""
+
+    @pytest.mark.parametrize(
+        "names", COMBINATIONS, ids=lambda names: "-".join(names) or "none")
+    def test_matches_reference(self, names):
+        got = take(5000, diagonal_product(*(FACTORS[n]() for n in names)))
+        want = take(
+            5000, reference_diagonal_product(*(FACTORS[n]() for n in names)))
+        assert got == want
+
+
 class TestInterleave:
     def test_round_robin(self):
         assert list(interleave([1, 2, 3], "ab")) == [1, "a", 2, "b", 3]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ProbabilityError
+from repro.utils.probability import numpy_or_none
 from repro.utils.rationals import (
     as_fraction,
     complement,
@@ -47,6 +48,44 @@ class TestIsProbability:
     @pytest.mark.parametrize("value", [-0.1, 1.0001, Fraction(9, 8), 2])
     def test_invalid(self, value):
         assert not is_probability(value)
+
+
+def fraction_oracle(value):
+    """The exact verdict: a finite real in [0, 1]."""
+    try:
+        frac = as_fraction(value)
+    except ProbabilityError:
+        return False
+    return 0 <= frac <= 1
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+    5e-324, math.nan, math.inf, -math.inf, True, 1, 2,
+    Fraction(1, 3), Fraction(4, 3),
+]
+
+
+class TestFloatFastPath:
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_verdict_matches_the_fraction_oracle(self, value):
+        assert is_probability(value) is fraction_oracle(value)
+
+    def test_numpy_float64_matches_the_oracle(self):
+        numpy = numpy_or_none()
+        if numpy is None:
+            pytest.skip("numpy not installed")
+        for value in EDGE_VALUES[:9]:
+            wide = numpy.float64(value)
+            assert bool(is_probability(wide)) is fraction_oracle(wide)
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, -math.inf, "0.5"],
+                             ids=repr)
+    def test_error_text_is_unchanged(self, value):
+        with pytest.raises(ProbabilityError) as caught:
+            validate_probability(value, what="marginal of R(1)")
+        assert str(caught.value) == (
+            f"marginal of R(1) must lie in [0, 1], got {value!r}")
 
 
 class TestValidateProbability:
