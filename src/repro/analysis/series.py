@@ -8,6 +8,12 @@ series: a :class:`SeriesCertificate` pairs the sequence with an explicit
 tail bound ``tail(n) ≥ Σ_{i>n} p_i`` that tends to 0.  Standard
 certificates (geometric, zeta with exponent > 1, finite support) are
 provided; custom ones take a user-supplied tail function.
+
+The closed-form tails are *rounded outward*: each is evaluated in
+floating point and then moved up by one ulp per rounded operation plus
+one (:func:`repro.utils.rationals.round_up`), and the finite suffix sums
+round every addition upward (:func:`~repro.utils.rationals.add_up`), so
+``tail(n)`` bounds the real tail mass, not merely its nearest float.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import ConvergenceError
+from repro.utils.rationals import add_up, round_up
 
 
 def partial_sums(terms: Iterable[float]) -> Iterator[float]:
@@ -55,7 +62,10 @@ class _GeometricTail:
         self.ratio = ratio
 
     def __call__(self, n: int) -> float:
-        return self.first * self.ratio**n / (1 - self.ratio)
+        # ``1 − ratio`` rounded down, then pow (two), product, quotient:
+        # four rounded operations, five ulps up.
+        denominator = -add_up(self.ratio, -1.0)
+        return round_up(self.first * self.ratio**n / denominator, 5)
 
 
 class _ZetaTerms:
@@ -78,9 +88,14 @@ class _ZetaTail:
         self.scale = scale
 
     def __call__(self, n: int) -> float:
+        # ``1 − s`` rounded up: a larger (negative) exponent only raises
+        # ``n^(1−s)``, and its negation is ``s − 1`` rounded down.
+        exponent = add_up(1.0, -self.exponent)
         if n == 0:
-            return self.scale * (1 + 1 / (self.exponent - 1))
-        return self.scale * n ** (1 - self.exponent) / (self.exponent - 1)
+            # quotient, sum, product: three rounded operations.
+            return round_up(self.scale * (1 + 1 / -exponent), 4)
+        # pow (two), product, quotient: four rounded operations.
+        return round_up(self.scale * n**exponent / -exponent, 5)
 
 
 class _FiniteTerms:
@@ -104,10 +119,25 @@ class _FiniteTail:
         return self.suffix[min(n, self.length)]
 
 
+def upward_suffix_sums(values: Sequence[float]) -> List[float]:
+    """``suffix[i] ≥ Σ_{j ≥ i} values[j]`` for non-negative values, with
+    every addition rounded up (so each entry bounds the exact real sum);
+    ``suffix[len(values)] = 0``.
+
+    >>> upward_suffix_sums([0.5, 0.25])
+    [0.75, 0.25, 0.0]
+    """
+    suffix: List[float] = [0.0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        suffix[i] = add_up(suffix[i + 1], values[i])
+    return suffix
+
+
 def geometric_tail(first: float, ratio: float) -> Callable[[int], float]:
     """Tail bound for the geometric series ``first · ratio^i`` (i ≥ 0).
 
-    ``tail(n) = first · ratio^n / (1 − ratio)`` bounds ``Σ_{i ≥ n}``.
+    ``tail(n) = first · ratio^n / (1 − ratio)`` bounds ``Σ_{i ≥ n}``
+    (rounded outward).
 
     >>> tail = geometric_tail(0.5, 0.5)
     >>> abs(tail(0) - 1.0) < 1e-12
@@ -210,12 +240,9 @@ class SeriesCertificate:
         values = list(values)
         if any(v < 0 for v in values):
             raise ConvergenceError("series terms must be non-negative")
-        suffix: List[float] = [0.0] * (len(values) + 1)
-        for i in range(len(values) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + values[i]
         return cls(
             _FiniteTerms(values),
-            _FiniteTail(suffix, len(values)),
+            _FiniteTail(upward_suffix_sums(values), len(values)),
             total=sum(values),
         )
 

@@ -14,12 +14,14 @@ converges (Theorem 4.15) — divergent specifications are rejected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.products import product_complement
+from repro.analysis.series import geometric_tail, upward_suffix_sums
 from repro.core.pdb import CountablePDB
 from repro.core.prefix_cache import PrefixCache
 from repro.errors import ApproximationError, ConvergenceError, ProbabilityError
@@ -27,6 +29,7 @@ from repro.finite.bid import Block, BlockIndependentTable
 from repro.relational.facts import Fact
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
+from repro.utils.rationals import add_up
 
 
 class BlockFamily:
@@ -81,13 +84,19 @@ class BlockFamily:
         """
         blocks = list(blocks)
         masses = [sum(b.alternatives.values()) for b in blocks]
-        suffix = [0.0] * (len(blocks) + 1)
-        for i in range(len(blocks) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + masses[i]
+        # Certified block tails: every addition rounded up (the block
+        # masses themselves are rounded up the same way).
+        suffix = upward_suffix_sums([
+            functools.reduce(add_up, b.alternatives.values(), 0.0)
+            for b in blocks
+        ])
+        total = 0.0
+        for mass in reversed(masses):
+            total += mass
         return cls(
             lambda: iter(blocks),
             lambda n: suffix[min(n, len(blocks))],
-            total_mass=suffix[0],
+            total_mass=total,
         )
 
     @classmethod
@@ -107,8 +116,7 @@ class BlockFamily:
             for i in itertools.count():
                 yield make_block(i)
 
-        def tail(n: int) -> float:
-            return first * ratio**n / (1 - ratio)
+        tail = geometric_tail(first, ratio)  # rounded outward
 
         return cls(enumerate_blocks, tail, total_mass=None)
 

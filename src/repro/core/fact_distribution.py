@@ -22,12 +22,17 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.analysis.series import SeriesCertificate
+from repro.analysis.series import SeriesCertificate, upward_suffix_sums
 from repro.core.prefix_cache import PrefixCache
 from repro.errors import ConvergenceError, ProbabilityError
 from repro.relational.facts import Fact
 from repro.universe.factspace import FactSpace
-from repro.utils.rationals import is_probability, probability_error
+from repro.utils.rationals import (
+    add_up,
+    is_probability,
+    probability_error,
+    round_up,
+)
 
 
 class FactDistribution:
@@ -163,9 +168,13 @@ class TableFactDistribution(FactDistribution):
             cleaned, key=lambda f: (-cleaned[f], f.sort_key())
         )
         self._marginals = cleaned
-        self._suffix: List[float] = [0.0] * (len(self._order) + 1)
-        for i in range(len(self._order) - 1, -1, -1):
-            self._suffix[i] = self._suffix[i + 1] + cleaned[self._order[i]]
+        ordered = [cleaned[fact] for fact in self._order]
+        #: Certified tails: suffix sums with every addition rounded up.
+        self._suffix: List[float] = upward_suffix_sums(ordered)
+        total = 0.0
+        for probability in reversed(ordered):
+            total += probability
+        self._total = total
 
     def support(self) -> Iterator[Fact]:
         return iter(self._order)
@@ -180,7 +189,7 @@ class TableFactDistribution(FactDistribution):
         return self._suffix[min(n, len(self._order))]
 
     def total_mass(self) -> float:
-        return self._suffix[0]
+        return self._total
 
     def max_probability(self) -> float:
         if not self._order:
@@ -501,7 +510,10 @@ class UnionFactDistribution(FactDistribution):
         # After n facts of the interleaved stream, each part has emitted
         # at least ⌊n/k⌋ facts (or is exhausted); sum the parts' tails.
         per_part = n // len(self.parts)
-        return sum(part.tail(per_part) for part in self.parts)
+        total = 0.0
+        for part in self.parts:
+            total = add_up(total, part.tail(per_part))
+        return total
 
     def total_mass(self) -> float:
         return sum(part.total_mass() for part in self.parts)
@@ -781,7 +793,7 @@ class ScaledFactDistribution(FactDistribution):
         return self.factor * self.base.probability(fact)
 
     def tail(self, n: int) -> float:
-        return self.factor * self.base.tail(n)
+        return round_up(self.factor * self.base.tail(n), 2)
 
     def total_mass(self) -> float:
         return self.factor * self.base.total_mass()

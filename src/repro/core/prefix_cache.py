@@ -37,6 +37,7 @@ pulls on the underlying enumeration (see :mod:`repro.obs`).
 from __future__ import annotations
 
 import threading
+from fractions import Fraction
 from typing import (
     Callable,
     Dict,
@@ -227,7 +228,10 @@ class PrefixCache(Generic[T]):
         budget_name: str = "max_facts",
         what: str = "",
     ) -> int:
-        """Smallest n ≤ budget with ``tail(n) ≤ bound``.
+        """Smallest n ≤ budget with ``tail(n) ≤ bound``, decided exactly:
+        a float ``bound`` compares with the float tails as it is (IEEE
+        comparisons are exact), any other number as its exact
+        :class:`~fractions.Fraction`.
 
         Exponential probe (1, 2, 4, … capped at ``budget``) followed by
         bisection on the bracket ``tail(lo) > bound ≥ tail(hi)`` —
@@ -243,6 +247,8 @@ class PrefixCache(Generic[T]):
         """
         if bound <= 0:
             raise ConvergenceError(f"tail bound must be positive, got {bound}")
+        if not isinstance(bound, float):
+            bound = Fraction(bound)
         if self.tail(0) <= bound:
             return 0
         if budget <= 0:

@@ -34,12 +34,12 @@ import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.analysis.bounds import alpha_from_tail
 from repro.core.approx import (
     ApproximationResult,
     _finish_approximation,
     choose_block_truncation,
     choose_truncation,
+    record_certificate,
 )
 from repro.core.bid import CountableBIDPDB
 from repro.core.completion import CompletedPDB
@@ -187,7 +187,7 @@ class RefinementSession:
         everything previous calls materialized.
 
         Equals a fresh one-shot call bit-for-bit: same truncation size,
-        same probability, same α.
+        same probability, same δ and α.
         """
         if self._boolean is None:
             raise EvaluationError(
@@ -201,14 +201,17 @@ class RefinementSession:
             value = query_probability(
                 self._boolean, table, strategy=self.strategy,
                 compile_cache=self.compile_cache)
-            alpha = alpha_from_tail(self._tail(n))
-            result = _finish_approximation(t, value, epsilon, n, alpha)
+            result = _finish_approximation(
+                t, value, epsilon, n, self._tail(n))
             self.history.append(result)
         return result
 
     def refine_to(self, target_width: float) -> ApproximationResult:
         """Refine until the certified enclosure ``[low, high]`` is at
-        most ``target_width`` wide — i.e. ε = width/2."""
+        most ``target_width`` wide.  The enclosure's width is
+        ``δ ≤ ε`` plus the (tiny) fold-error allowance on each side, so
+        ε = width/2 is ample; it also keeps the paper's ``value ± ε``
+        within the target."""
         return self.refine(target_width / 2.0)
 
     def sweep(self, epsilons: Iterable[float]) -> Dict[float, ApproximationResult]:
@@ -269,22 +272,23 @@ class RefinementSession:
             with obs.phase("truncate"):
                 table, reused = self._materialize(n)
             obs.incr(REFINE_REUSED_FACTS, reused)
-            alpha = alpha_from_tail(self._tail(n))
             values = marginal_answer_probabilities(
                 query, table, strategy=self.strategy, workers=workers,
                 grounding_factory=self._grounding_factory(table),
                 pool=pool, compile_cache=self.compile_cache)
-            obs.gauge("truncation.n", n)
-            obs.gauge("truncation.alpha", alpha)
-            obs.gauge("truncation.epsilon", epsilon)
-            # One shared report, as in the one-shot entry point: the
-            # fan-out's telemetry applies to every answer's result.
-            sampling_error = t.gauges.get("sampling.half_width", 0.0)
+            # One certificate and one shared report, as in the one-shot
+            # entry point: the union bound holds per answer sentence
+            # with the same δ = tail(n), and the fan-out's telemetry
+            # applies to every answer's result.
+            tail = self._tail(n)
+            alpha, sampling_error, fold_error = record_certificate(
+                t, epsilon, n, tail)
             report = obs.EvalReport.from_trace(t)
         return {
             answer: obs.attach_report(
                 ApproximationResult(
-                    float(value), epsilon, n, alpha, sampling_error),
+                    float(value), epsilon, n, alpha, sampling_error,
+                    tail, fold_error),
                 report)
             for answer, value in values.items()
         }

@@ -15,6 +15,14 @@ the reduction rules (no redundant tests, no duplicate nodes) hold by
 construction, so ROBDD equality is pointer equality per manager.
 Variable order follows the canonical fact order by default, or a
 caller-supplied order (the classic lever benchmarked in A-3).
+
+The evaluation paths order variables by the *table's* insertion order
+(:meth:`BDDManager.aligned_to`): a truncation lists its facts in
+enumeration order and a tightening step only appends, so a diagram
+grown along an ε-sweep and one compiled cold for the same table see the
+same order — an ROBDD is canonical for its function and order, and the
+weighted model count is a fixed function of the diagram, so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +35,11 @@ from repro import obs
 from repro.errors import EvaluationError
 from repro.logic.lineage import Lineage
 from repro.relational.facts import Fact
-from repro.utils.probability import numpy_or_none
+from repro.utils.probability import (
+    numpy_or_none,
+    record_fold_error,
+    wmc_error_bound,
+)
 
 #: Reachable-node count above which :meth:`BDDManager.rescore` switches
 #: to the per-level vectorized pass (numpy available only).
@@ -143,13 +155,38 @@ class BDDManager:
                     added += 1
         return added
 
+    def aligned_to(self, order: Sequence[Fact]) -> "BDDManager":
+        """A manager whose variable order agrees with ``order`` (a
+        table's facts in insertion order).
+
+        If the current order is a prefix of ``order``, the rest is
+        appended (:meth:`extend_order`); if ``order`` is a prefix of the
+        current order, nothing changes.  Either way every diagram built
+        here for facts of ``order`` is the one a fresh
+        ``BDDManager(order)`` would build, and this manager is returned.
+        Otherwise it is left untouched and a fresh ``BDDManager(order)``
+        is returned, counted in ``bdd.order_resets``.
+        """
+        with self._lock:
+            current = self.order
+            known = len(current)
+            if len(order) < known:
+                if list(order) == current[: len(order)]:
+                    return self
+            elif not known or list(order[:known]) == current:
+                self.extend_order(order[known:])
+                return self
+        obs.incr("bdd.order_resets")
+        return BDDManager(order)
+
     def build(self, expr: Lineage) -> BDDRef:
         """Compile a lineage expression into this manager.
 
-        Facts not yet in the variable order are appended first (see
-        :meth:`extend_order`); structurally shared sub-expressions land
-        on the same hash-consed nodes, and repeated builds reuse the
-        manager's apply cache.
+        Facts not yet in the variable order are appended first, sorted
+        canonically (see :meth:`extend_order`) — a manager aligned to
+        its table (:meth:`aligned_to`) already holds every fact.
+        Structurally shared sub-expressions land on the same hash-consed
+        nodes, and repeated builds reuse the manager's apply cache.
         """
         with self._lock:
             self.extend_order(sorted(expr.facts() - set(self.order)))
@@ -527,7 +564,8 @@ def _build(manager: BDDManager, node: tuple) -> BDDRef:
 
 
 def query_probability_by_bdd(query, table) -> float:
-    """Exact ``P(Q)`` by lineage → ROBDD → weighted model count.
+    """Exact ``P(Q)`` by lineage → ROBDD → weighted model count, with
+    variables in the table's insertion order.
 
     The lineage step uses the set-at-a-time grounding engine for
     positive-existential queries (see :func:`repro.logic.lineage.lineage_of`).
@@ -544,6 +582,8 @@ def query_probability_by_bdd(query, table) -> float:
     """
     from repro.logic.lineage import lineage_of
 
-    expr = lineage_of(query.formula, set(table.marginals))
-    manager, root = compile_lineage(expr)
+    order = list(table.marginals)
+    expr = lineage_of(query.formula, set(order))
+    manager, root = compile_lineage(expr, order=order)
+    record_fold_error(wmc_error_bound(len(order)))
     return manager.probability(root, table.marginal)

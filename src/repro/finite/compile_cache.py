@@ -9,11 +9,14 @@ compilation turns each of these into *compile once, score linearly*:
 
 * :class:`CompileCache` memoizes compiled diagrams keyed by
   ``(query fingerprint, possible-fact-set fingerprint)``.  Each query
-  owns one :class:`~repro.finite.bdd.BDDManager`; a new fact set
-  (e.g. a larger truncation Ω_m ⊇ Ω_n) *extends* the manager's variable
-  order and recompiles against the already hash-consed node store and
-  apply cache instead of starting cold.  Re-scoring a cached diagram
-  under new marginals is a single linear weighted-model-counting pass.
+  owns one :class:`~repro.finite.bdd.BDDManager` whose variable order is
+  the table's insertion order; a larger truncation Ω_m ⊇ Ω_n appends
+  its suffix to that order and recompiles against the already
+  hash-consed node store and apply cache instead of starting cold.  A
+  table whose order does not extend the manager's gets a fresh manager,
+  so a diagram never depends on which tables the family saw before.
+  Re-scoring a cached diagram under new marginals is a single linear
+  weighted-model-counting pass.
 * :class:`SharedGrounding` serves non-Boolean fan-outs: every answer
   tuple's grounded sentence compiles into the *same* manager, so
   sub-diagrams shared between answers exist once, and one shared
@@ -36,6 +39,7 @@ from typing import (
     FrozenSet,
     Iterable,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -49,6 +53,7 @@ from repro.logic.lineage import Lineage, lineage_of
 from repro.logic.syntax import Formula, Variable
 from repro.relational.facts import Fact, Value
 from repro.relational.index import FactIndex
+from repro.utils.probability import record_fold_error, wmc_error_bound
 
 
 class CompiledQuery:
@@ -141,10 +146,12 @@ class LiftedExecState:
 
 
 class _Family:
-    """All diagrams compiled for one query: a manager plus one root per
-    possible-fact-set fingerprint, and one shared
-    :class:`~repro.relational.index.FactIndex` the grounding engine
-    delta-extends as the family's fact sets grow across truncations."""
+    """All diagrams compiled for one query: the current manager, one
+    ``(manager, root)`` per compiled table (keyed by its facts in
+    insertion order, or by the fact set for callers that give no
+    order), and one shared :class:`~repro.relational.index.FactIndex`
+    the grounding engine delta-extends as the family's fact sets grow
+    across truncations."""
 
     __slots__ = (
         "manager", "roots", "index", "lifted", "exec_state", "lock",
@@ -153,7 +160,11 @@ class _Family:
 
     def __init__(self) -> None:
         self.manager = BDDManager([])
-        self.roots: "OrderedDict[FrozenSet[Fact], BDDRef]" = OrderedDict()
+        #: Each root with the manager it lives in: a table whose order
+        #: does not extend the current manager's starts a fresh one, and
+        #: the roots of the old one stay valid for their own tables.
+        self.roots: "OrderedDict[object, Tuple[BDDManager, BDDRef]]" = (
+            OrderedDict())
         self.index: Optional[FactIndex] = None
         #: Safe-plan solver results, keyed ``"strict"`` / ``"partial"``:
         #: ``("plan", plan, ucq)`` or ``("error", exc, ucq)``.  Plans are
@@ -236,13 +247,13 @@ class _Family:
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
-        """Flatten roots to node ids (the manager pickles its node
+        """Flatten roots to node ids (each manager pickles its node
         store iteratively) and drop the stripe lock."""
         return {
             "manager": self.manager,
             "roots": [
-                (key, BDDManager._id(root))
-                for key, root in self.roots.items()
+                (key, manager, BDDManager._id(root))
+                for key, (manager, root) in self.roots.items()
             ],
             "index": self.index,
             "lifted": self.lifted,
@@ -250,9 +261,13 @@ class _Family:
 
     def __setstate__(self, state) -> None:
         self.manager = state["manager"]
-        by_id = self.manager.nodes_by_id()
-        self.roots = OrderedDict(
-            (key, by_id[root_id]) for key, root_id in state["roots"])
+        resolvers: Dict[int, Dict[int, BDDRef]] = {}
+        self.roots = OrderedDict()
+        for key, manager, root_id in state["roots"]:
+            by_id = resolvers.get(id(manager))
+            if by_id is None:
+                by_id = resolvers[id(manager)] = manager.nodes_by_id()
+            self.roots[key] = (manager, by_id[root_id])
         self.index = state["index"]
         self.lifted = state["lifted"]
         self.lock = threading.RLock()
@@ -265,11 +280,15 @@ class CompileCache:
 
     Keys are ``(formula, frozenset(possible facts))`` — both hashable by
     structure, so syntactically equal queries over equal truncations hit
-    the same diagram.  Within a query family, a later superset fact set
-    (a grown truncation) compiles into the same manager: the variable
-    order is extended *below* the existing one, and the manager's unique
-    table and apply cache carry over, so shared substructure is reused
-    rather than rebuilt.
+    the same diagram.  The variable order cannot come from that key; it
+    comes from the table (``order=``, its facts in insertion order).
+    Within a query family, a grown truncation compiles into the same
+    manager: its new facts are appended *below* the existing order, and
+    the manager's unique table and apply cache carry over, so shared
+    substructure is reused rather than rebuilt.  A table whose order
+    does not extend the manager's starts a fresh one.  Callers that pass
+    only a fact set (no ``order``) get new facts appended in canonical
+    order.
 
     >>> from repro.relational import Schema
     >>> from repro.logic import parse_formula
@@ -300,19 +319,31 @@ class CompileCache:
         self._lock = threading.RLock()
 
     def compiled(
-        self, formula: Formula, possible_facts: AbstractSet[Fact]
+        self,
+        formula: Formula,
+        possible_facts: AbstractSet[Fact],
+        order: Optional[Sequence[Fact]] = None,
     ) -> CompiledQuery:
-        """The compiled diagram of ``formula`` over ``possible_facts``."""
+        """The compiled diagram of ``formula`` over ``possible_facts``.
+
+        ``order`` lists the same facts in the table's insertion order;
+        the diagram then tests them in that order, whatever the family
+        compiled before (:meth:`BDDManager.aligned_to
+        <repro.finite.bdd.BDDManager.aligned_to>`), and is cached under
+        that order.  Without it the diagram is cached under the fact
+        set and new facts join the manager's order canonically sorted.
+        """
         facts_key = frozenset(possible_facts)
+        key = facts_key if order is None else tuple(order)
         family = self._family(formula)
         with family.lock:
-            root = family.roots.get(facts_key)
-            if root is not None or facts_key in family.roots:
-                family.roots.move_to_end(facts_key)
+            entry = family.roots.get(key)
+            if entry is not None:
+                family.roots.move_to_end(key)
                 with self._lock:
                     self.stats.hits += 1
                 obs.incr("cache.hit")
-                return CompiledQuery(family.manager, family.roots[facts_key])
+                return CompiledQuery(*entry)
             with self._lock:
                 self.stats.misses += 1
                 if family.roots:
@@ -320,16 +351,19 @@ class CompileCache:
             obs.incr("cache.miss")
             if family.roots:
                 obs.incr("cache.extension")
+            if order is not None:
+                family.manager = family.manager.aligned_to(order)
+            manager = family.manager
             with obs.phase("compile"):
                 expr = lineage_of(
                     formula, facts_key,
                     index=family.grounding_index(facts_key))
-                root = family.manager.build(expr)
-            obs.gauge("bdd.nodes", family.manager.count_nodes(root))
-            family.roots[facts_key] = root
+                root = manager.build(expr)
+            obs.gauge("bdd.nodes", manager.count_nodes(root))
+            family.roots[key] = (manager, root)
             while len(family.roots) > self.max_roots_per_query:
                 family.roots.popitem(last=False)
-            return CompiledQuery(family.manager, root)
+            return CompiledQuery(manager, root)
 
     def _family(self, formula: Formula) -> _Family:
         with self._lock:
@@ -540,7 +574,9 @@ def query_probability_by_bdd_cached(
     entry point of :func:`repro.finite.evaluation.query_probability`.
 
     TI tables score by one weighted-model-counting pass; BID tables by
-    block-aware branching over the same compiled diagram.
+    block-aware branching over the same compiled diagram.  Variables are
+    ordered by the table's insertion order, so a table grown in place
+    along an ε-sweep gets the bits a cold compile of it gets.
 
     >>> from repro.relational import Schema
     >>> from repro.logic import BooleanQuery, parse_formula
@@ -553,12 +589,12 @@ def query_probability_by_bdd_cached(
     """
     if cache is None:
         cache = DEFAULT_COMPILE_CACHE
-    if isinstance(pdb, TupleIndependentTable):
-        compiled = cache.compiled(query.formula, frozenset(pdb.marginals))
-        return compiled.probability(pdb.marginal)
-    if isinstance(pdb, BlockIndependentTable):
-        compiled = cache.compiled(
-            query.formula, frozenset(pdb.possible_facts()))
+    if isinstance(pdb, (TupleIndependentTable, BlockIndependentTable)):
+        order = list(pdb.possible_facts())
+        compiled = cache.compiled(query.formula, order, order=order)
+        record_fold_error(wmc_error_bound(len(order)))
+        if isinstance(pdb, TupleIndependentTable):
+            return compiled.probability(pdb.marginal)
         return bid_bdd_probability(compiled.manager, compiled.root, pdb)
     raise EvaluationError(
         "bdd evaluation needs a TI or BID table; explicit FinitePDBs "
@@ -573,6 +609,9 @@ class SharedGrounding:
     memo (TI) or block-branching memo (BID) serve every answer tuple:
     grounding ``Q(ā)`` and ``Q(b̄)`` typically yields heavily overlapping
     lineages, and their shared sub-diagrams are compiled and scored once.
+    The manager orders variables by the table's insertion order, every
+    table fact included, so :meth:`extended` and :meth:`extended_by`
+    only ever append the truncation's new facts to it.
     """
 
     def __init__(
@@ -598,7 +637,9 @@ class SharedGrounding:
         #: plus the formula's own constants.  Each answer adds its own
         #: values — matching what per-answer grounding would use.
         self.base_domain: FrozenSet[Value] = frozenset(base_domain)
-        self.manager = BDDManager([]) if manager is None else manager
+        if manager is None:
+            manager, score_cache = BDDManager(list(pdb.possible_facts())), None
+        self.manager = manager
         self._score_cache: Dict[int, float] = (
             {} if score_cache is None else score_cache)
         #: One fact index serves every answer's grounding (and, via
@@ -615,39 +656,54 @@ class SharedGrounding:
         facts.  Sound because growing a truncation never changes the
         marginal of an existing fact, and a node's weighted-model-count
         depends only on the facts in its cone — new variables cannot
-        alter it."""
-        new_possible = frozenset(pdb.possible_facts())
+        alter it.  A table whose insertion order does not extend the
+        manager's gets a fresh manager and memo instead."""
+        order = list(pdb.possible_facts())
+        new_possible = frozenset(order)
         index = self.index
         if self.possible <= new_possible:
-            added = index.extend(new_possible)
+            added = index.extend(order)
             if added:
                 obs.incr("grounding.delta_facts", added)
         else:
             index = None  # shrunk truncation: rebuild in the constructor
+        return self._with_manager(
+            self.manager.aligned_to(order), pdb, base_domain, index,
+            new_possible)
+
+    def _with_manager(self, manager, pdb, base_domain, index, possible):
+        """The grounding of ``pdb`` on ``manager``; the scoring memo
+        carries over only when the manager does."""
+        score_cache = self._score_cache if manager is self.manager else None
         return SharedGrounding(
             self.formula, pdb, base_domain,
-            manager=self.manager, score_cache=self._score_cache,
-            index=index,
+            manager=manager, score_cache=score_cache,
+            index=index, possible=possible,
         )
 
     def extended_by(
         self, pdb, base_domain: Iterable[Value], delta_facts: Iterable[Fact]
     ) -> "SharedGrounding":
         """Like :meth:`extended`, for callers that already *know* the
-        truncation's append-only delta (the shard-pool shipping layer
-        does): the possible-fact set and the index are patched with just
-        the delta facts instead of rescanning the whole table — the
-        rescan is what dominates a refresh once the table dwarfs its
-        per-step growth."""
-        delta = frozenset(delta_facts)
+        truncation's append-only delta, in insertion order (the
+        shard-pool shipping layer does): the possible-fact set, the
+        index and the variable order are patched with just the delta
+        facts instead of rescanning the whole table — the rescan is what
+        dominates a refresh once the table dwarfs its per-step growth.
+        A manager that does not hold exactly the previous table's facts
+        is realigned to the whole table instead."""
+        delta = list(delta_facts)
         added = self.index.extend(delta)
         if added:
             obs.incr("grounding.delta_facts", added)
-        return SharedGrounding(
-            self.formula, pdb, base_domain,
-            manager=self.manager, score_cache=self._score_cache,
-            index=self.index, possible=self.possible | delta,
-        )
+        manager = self.manager
+        if len(manager.order) == len(self.possible):
+            manager.extend_order(delta)
+        else:
+            manager = manager.aligned_to(list(pdb.possible_facts()))
+        return self._with_manager(
+            manager, pdb, base_domain, self.index,
+            self.possible.union(delta))
 
     def answer_probability(
         self,
@@ -663,6 +719,7 @@ class SharedGrounding:
             index=self.index,
         )
         root = self.manager.build(expr)
+        record_fold_error(wmc_error_bound(len(self.possible)))
         if isinstance(self.pdb, TupleIndependentTable):
             return self.manager.probability(
                 root, self.pdb.marginal, self._score_cache)

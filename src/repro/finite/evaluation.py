@@ -32,6 +32,7 @@ from repro.logic.semantics import evaluate
 from repro.logic.syntax import Formula
 from repro.relational.facts import Value, domain_sort_key
 from repro.relational.instance import Instance
+from repro.utils.probability import record_fold_error, worlds_error_bound
 
 PDBLike = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
 
@@ -74,6 +75,8 @@ def query_probability_by_worlds(query: BooleanQuery, pdb: PDBLike) -> float:
     0.75
     """
     finite = _as_finite_pdb(pdb)
+    record_fold_error(
+        worlds_error_bound(len(finite.worlds), len(finite.facts())))
     return finite.probability(query.holds_in)
 
 

@@ -65,9 +65,12 @@ from repro.relational.index import FactIndex
 from repro.utils.probability import (
     TINY_PROBABILITY,
     UNDERFLOW_FLOOR,
+    UNIT_ROUNDOFF,
     ComplementAccumulator,
+    record_fold_error,
     segmented_disjunction,
 )
+from repro.utils.rationals import round_up
 
 __all__ = [
     "answer_marginals_lifted",
@@ -1064,6 +1067,56 @@ class _BatchedEvaluator:
         return out
 
 
+def _plan_error_weight(plan: SafePlan) -> Tuple[int, int]:
+    """``(c, leaves)`` of the forward-error bound
+    :func:`plan_error_bound`: a value of ``plan`` read from F facts
+    errs by at most ``u·c·(F + 1)``.  Per node, from the children's
+    ``c_i`` (k children; DESIGN.md, "Sound in floating point"):
+
+    * leaf: 1; unsafe residue (a weighted model count): 8;
+    * independent join (a product of k values in [0, 1]):
+      ``Σ c_i + k``;
+    * independent union (one hybrid fold of k complements):
+      ``Σ c_i + 2k + 8``;
+    * independent project (a fold over separator values, each read
+      from at least one fact of its own): ``2·c + 10``;
+    * inclusion–exclusion (a signed sum): ``Σ |coef_i|·(c_i + k + 1)``.
+    """
+    if isinstance(plan, FactLeaf):
+        return 1, 1
+    if isinstance(plan, UnsafeLeaf):
+        return 8, 1
+    if isinstance(plan, IndependentProject):
+        weight, leaves = _plan_error_weight(plan.child)
+        return 2 * weight + 10, leaves
+    if isinstance(plan, InclusionExclusion):
+        k = len(plan.terms)
+        weight = leaves = 0
+        for coefficient, term in plan.terms:
+            term_weight, term_leaves = _plan_error_weight(term)
+            weight += abs(coefficient) * (term_weight + k + 1)
+            leaves += term_leaves
+        return weight, leaves
+    k = len(plan.children)
+    weight = 2 * k + 8 if isinstance(plan, IndependentUnion) else k
+    leaves = 0
+    for child in plan.children:
+        child_weight, child_leaves = _plan_error_weight(child)
+        weight += child_weight
+        leaves += child_leaves
+    return weight, leaves
+
+
+def plan_error_bound(plan: SafePlan, facts: int) -> float:
+    """Forward-error bound of one value of ``plan`` evaluated over a
+    table of ``facts`` facts: every leaf reads at most ``facts`` facts,
+    so the value reads ``F ≤ leaves·facts`` and errs by at most
+    ``u·c·(F + 1)`` (:func:`_plan_error_weight`).  Independent of the
+    executor and of which groups a sweep's caches reused."""
+    weight, leaves = _plan_error_weight(plan)
+    return round_up(UNIT_ROUNDOFF * weight * (leaves * facts + 1))
+
+
 def _run_plan(
     plan: SafePlan,
     table: LiftedTable,
@@ -1092,6 +1145,7 @@ def _run_plan(
             f"unknown lifted executor {executor!r}; "
             f"expected one of {_EXECUTORS}"
         )
+    record_fold_error(plan_error_bound(plan, len(table.possible_facts())))
     is_bid = isinstance(table, BlockIndependentTable)
     if executor != "scalar" and not is_bid:
         if state is not None:
@@ -1154,6 +1208,7 @@ def answer_marginals_lifted(
             plan, index = cache.lifted(query.formula, table)
         except UnsafeQueryError:
             return None
+        record_fold_error(plan_error_bound(plan, len(table)))
         evaluator = _BatchedEvaluator(
             table, index, info=state.annotations_for(plan))
         results: Dict[Tuple[Value, ...], float] = {}

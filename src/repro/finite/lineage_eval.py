@@ -26,6 +26,11 @@ from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.lineage import Lineage, lineage_of
 from repro.logic.queries import BooleanQuery
 from repro.relational.facts import Fact
+from repro.utils.probability import (
+    record_fold_error,
+    wmc_error_bound,
+    worlds_error_bound,
+)
 
 
 def lineage_probability(
@@ -200,9 +205,11 @@ def query_probability_by_lineage(
     0.75
     """
     if isinstance(pdb, FinitePDB):
+        record_fold_error(worlds_error_bound(len(pdb.worlds), len(pdb.facts())))
         return pdb.probability(query.holds_in)
     possible = set(pdb.facts())
     expr = lineage_of(query.formula, possible)
+    record_fold_error(wmc_error_bound(len(possible)))
     if isinstance(pdb, TupleIndependentTable):
         return lineage_probability(expr, pdb.marginal)
     return _bid_lineage_probability(expr, pdb)

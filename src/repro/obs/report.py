@@ -2,7 +2,8 @@
 
 An :class:`EvalReport` is the structured summary of one evaluation run,
 distilled from an :class:`~repro.obs.trace.EvalTrace`: which strategy
-actually fired, truncation size and achieved α versus requested ε,
+actually fired, truncation size, its certified tail δ and the rule
+that stopped there, achieved α versus requested ε, the fold-error bound,
 compile-cache hit/miss/extension counts and diagram node counts,
 sampling batch counts and estimated standard error, and wall-clock per
 phase.  It renders both human-readable (``render()``) and as JSON
@@ -40,6 +41,8 @@ REFINE_REUSED_FACTS = "refine.reused_facts"
 #: Gauge names.
 GAUGE_TRUNCATION = "truncation.n"
 GAUGE_ALPHA = "truncation.alpha"
+GAUGE_TAIL = "truncation.tail"
+GAUGE_FOLD_ERROR = "fold.error"
 GAUGE_EPSILON = "truncation.epsilon"
 GAUGE_HALF_WIDTH = "sampling.half_width"
 GAUGE_STD_ERROR = "sampling.std_error"
@@ -57,8 +60,16 @@ class EvalReport:
     epsilon: Optional[float] = None
     #: Truncation size n actually used.
     truncation: Optional[int] = None
-    #: Achieved ``α_n = (3/2)·tail(n)``.
+    #: δ, the certified ``tail(n)`` that stopped the truncation search —
+    #: the width of the certified enclosure.
+    tail: Optional[float] = None
+    #: The rule that chose n (``repro.core.approx.STOPPING_RULE``).
+    stopping_rule: Optional[str] = None
+    #: Achieved ``α_n = (3/2)·tail(n)`` (claim (∗)'s quantity).
     alpha: Optional[float] = None
+    #: Forward-error bound of the floating-point evaluation, added to
+    #: both ends of the enclosure.
+    fold_error: Optional[float] = None
     #: Monte-Carlo confidence-bound on the sampled conditional
     #: (0 when every evaluation was exact).
     sampling_error: float = 0.0
@@ -92,7 +103,10 @@ class EvalReport:
             strategy=trace.meta.get("strategy"),
             epsilon=gauges.get(GAUGE_EPSILON),
             truncation=None if truncation is None else int(truncation),
+            tail=gauges.get(GAUGE_TAIL),
+            stopping_rule=trace.meta.get("stopping_rule"),
             alpha=gauges.get(GAUGE_ALPHA),
+            fold_error=gauges.get(GAUGE_FOLD_ERROR),
             sampling_error=gauges.get(GAUGE_HALF_WIDTH, 0.0),
             sampling_std_error=gauges.get(GAUGE_STD_ERROR),
             samples=counters.get(SAMPLING_SAMPLES, 0),
@@ -121,7 +135,10 @@ class EvalReport:
             "strategy": self.strategy,
             "epsilon": self.epsilon,
             "truncation": self.truncation,
+            "tail": self.tail,
+            "stopping_rule": self.stopping_rule,
             "alpha": self.alpha,
+            "fold_error": self.fold_error,
             "sampling_error": self.sampling_error,
             "sampling_std_error": self.sampling_std_error,
             "samples": self.samples,
@@ -148,8 +165,17 @@ class EvalReport:
         if self.epsilon is not None:
             lines.append(f"  epsilon         : {self.epsilon:g}")
         if self.truncation is not None:
-            alpha = "" if self.alpha is None else f"  (alpha {self.alpha:.3g})"
-            lines.append(f"  truncation n    : {self.truncation}{alpha}")
+            notes = []
+            if self.tail is not None:
+                notes.append(f"tail {self.tail:.4g}")
+            if self.alpha is not None:
+                notes.append(f"alpha {self.alpha:.3g}")
+            detail = f"  ({', '.join(notes)})" if notes else ""
+            lines.append(f"  truncation n    : {self.truncation}{detail}")
+        if self.stopping_rule is not None:
+            lines.append(f"  stopping rule   : {self.stopping_rule}")
+        if self.fold_error is not None:
+            lines.append(f"  fold error      : <= {self.fold_error:.3g}")
         if self.samples:
             lines.append(
                 f"  samples         : {self.samples} "
@@ -198,7 +224,10 @@ REPORT_SCHEMA: Dict[str, object] = {
     "strategy": (str, type(None)),
     "epsilon": (int, float, type(None)),
     "truncation": (int, type(None)),
+    "tail": (int, float, type(None)),
+    "stopping_rule": (str, type(None)),
     "alpha": (int, float, type(None)),
+    "fold_error": (int, float, type(None)),
     "sampling_error": (int, float),
     "sampling_std_error": (int, float, type(None)),
     "samples": (int,),

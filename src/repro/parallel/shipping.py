@@ -30,7 +30,9 @@ runtime per ``(table key, query)``: the parsed query, its candidate
 values, the pruned answer support, and — for compiled strategies — a
 :class:`~repro.finite.compile_cache.SharedGrounding` that *extends*
 across sweep steps (same hash-consed node store, same scoring memo,
-delta-updated fact index), plus a worker-local
+delta-updated fact index, and a variable order that appends the
+shipped delta in the table's insertion order, so workers compile the
+diagrams the parent's serial path compiles), plus a worker-local
 :class:`~repro.finite.compile_cache.CompileCache` for the safe-plan
 and per-answer BDD paths.  Compiled diagrams therefore survive
 worker-side exactly as they do in the parent's serial sessions.
@@ -177,6 +179,8 @@ class _QueryRuntime:
 
                 self.grounding = SharedGrounding(query.formula, table, base)
             else:
+                # The delta in append order: it extends the grounding's
+                # variable order exactly as the table grew.
                 self.grounding = self.grounding.extended_by(
                     table, base, fact_list[self.seen:])
             self.seen = len(fact_list)

@@ -15,8 +15,15 @@ object per line in each direction::
        "partial": false}
 
 Every response carries ``"ok"``; failures carry ``"error"`` with the
-message of the :class:`~repro.errors.ReproError` that caused them — a
-bad request never kills the connection, let alone the server.
+message of the :class:`~repro.errors.ReproError` that caused them and
+``"error_type"`` with its class name — a bad request never kills the
+connection, let alone the server.  An
+:class:`~repro.errors.ApproximationError` whose truncation search ran
+out of budget also carries ``"achieved_tail"``, the certified tail mass
+it reached::
+
+    ← {"ok": false, "error": "cannot certify epsilon=1e-09: ...",
+       "error_type": "ApproximationError", "achieved_tail": 0.0031}
 
 Blocking work (refinement, sweeps, snapshot pickling) runs on a small
 thread pool via ``run_in_executor``, so slow refinements never stall the
@@ -57,6 +64,22 @@ from repro.serve.session import ManagedSession, SessionManager, result_to_json
 from repro.serve.snapshot import load_snapshot, save_snapshot
 
 DEFAULT_PORT = 7532
+
+
+def error_response(err: ReproError) -> Dict:
+    """The wire form of a failed request: the message, the error class
+    and, for an exhausted truncation search, the tail it achieved.
+
+    >>> from repro.errors import ApproximationError
+    >>> error_response(ApproximationError("budget", achieved_tail=0.25))
+    {'ok': False, 'error': 'budget', 'error_type': 'ApproximationError', 'achieved_tail': 0.25}
+    """
+    response = {
+        "ok": False, "error": str(err), "error_type": type(err).__name__}
+    achieved = getattr(err, "achieved_tail", None)
+    if achieved is not None:
+        response["achieved_tail"] = achieved
+    return response
 
 
 class QueryServer:
@@ -103,7 +126,7 @@ class QueryServer:
         try:
             return await handler(request)
         except ReproError as err:
-            return {"ok": False, "error": str(err)}
+            return error_response(err)
 
     async def dispatch_line(self, line) -> Dict:
         if isinstance(line, bytes):

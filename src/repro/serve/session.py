@@ -166,12 +166,17 @@ def build_session(spec: Mapping) -> RefinementSession:
 
 
 def result_to_json(result: ApproximationResult) -> Dict:
-    """The wire form of one anytime answer."""
+    """The wire form of one anytime answer: ``tail`` is δ, the certified
+    ``tail(n)``, and ``[low, high]`` the enclosure
+    ``[p − δ·p, p + δ·(1 − p)]`` widened by ``fold_error`` and
+    ``sampling_error`` (see :class:`ApproximationResult`)."""
     return {
         "value": result.value,
         "epsilon": result.epsilon,
         "truncation": result.truncation,
+        "tail": result.tail,
         "alpha": result.alpha,
+        "fold_error": result.fold_error,
         "sampling_error": result.sampling_error,
         "low": result.low,
         "high": result.high,

@@ -43,10 +43,14 @@ import math
 import threading
 from typing import Iterable, Optional, Sequence
 
+from repro import obs
 from repro.errors import ConvergenceError
+from repro.utils.rationals import round_up
 
 __all__ = [
     "ComplementAccumulator",
+    "FOLD_ERROR_GAUGE",
+    "UNIT_ROUNDOFF",
     "disjunction",
     "log_product_complement",
     "numpy_or_none",
@@ -57,6 +61,8 @@ __all__ = [
     "vector_complement_product",
     "vector_disjunction",
     "vector_log_complement",
+    "wmc_error_bound",
+    "worlds_error_bound",
 ]
 
 #: Below this, ``1 − p`` rounds to exactly 1.0 (one ulp of 1.0 is
@@ -66,6 +72,44 @@ TINY_PROBABILITY = 1e-16
 #: Products below this are within ~8 factors of underflowing to 0.0;
 #: the running product is folded into the log residual and restarted.
 UNDERFLOW_FLOOR = 1e-300
+
+
+#: Unit roundoff of IEEE double precision under round-to-nearest: every
+#: operation's relative error is at most this.
+UNIT_ROUNDOFF = 2.0**-53
+#: Gauge: the largest forward-error bound of the floating-point folds
+#: behind one answer — what the certified enclosure is widened by.
+FOLD_ERROR_GAUGE = "fold.error"
+
+
+def record_fold_error(bound: float) -> None:
+    """Report an evaluator's forward-error bound to the active traces
+    (the worst case over a fan-out's answers wins)."""
+    obs.gauge_max(FOLD_ERROR_GAUGE, bound)
+
+
+def wmc_error_bound(facts: int) -> float:
+    """Forward-error bound ``8·u·(facts + 1)`` of a weighted model count
+    — a BDD score, a Shannon expansion, or their block-branching BID
+    forms — over at most ``facts`` variables.
+
+    Each node computes ``p·v_high + (1 − p)·v_low`` from children in
+    [0, 1]: at most 5u of new error on top of the larger child error, so
+    the error grows by ≤ 5u per level of a path, and a path tests each
+    variable at most once (DESIGN.md, "Sound in floating point").
+
+    >>> wmc_error_bound(100) < 1e-13
+    True
+    """
+    return round_up(8 * UNIT_ROUNDOFF * (facts + 1))
+
+
+def worlds_error_bound(worlds: int, facts: int) -> float:
+    """Forward-error bound ``u·(worlds + 2·facts + 4)`` of world
+    enumeration: each world's mass is a product of at most ``facts + 1``
+    factors (relative error ≤ (2·facts + 4)·u) and the sum over at most
+    ``worlds`` masses totalling ≤ 1 adds ≤ u per term."""
+    return round_up(UNIT_ROUNDOFF * (worlds + 2 * facts + 4))
 
 
 _NUMPY_PROBE_LOCK = threading.Lock()

@@ -109,3 +109,48 @@ def complement(value: Probability) -> Probability:
     if isinstance(value, Fraction):
         return Fraction(1) - value
     return 1 - value
+
+
+# ------------------------------------------------------ directed rounding
+# Certified quantities (tail bounds, enclosure endpoints) must hold for
+# the *real* numbers, not just for their round-to-nearest floats.  These
+# helpers emulate rounding toward ±inf: every IEEE operation rounds to
+# nearest, so its exact result lies within half an ulp of the float it
+# returns, and one ``math.nextafter`` step past that float bounds it.
+
+
+def round_up(value: float, steps: int = 1) -> float:
+    """``value`` moved ``steps`` ulps toward +inf.
+
+    Let ``value`` be the float result of k correctly rounded
+    multiplications, divisions and additions of non-negative terms on
+    exact positive inputs (a libm ``pow``, accurate to one ulp, counts
+    as two).  Each operation errs by a relative ``u = 2⁻⁵³`` at most
+    and each step adds more than ``u``, so ``round_up(value, k + 1)``
+    bounds the exact result from above.
+
+    >>> round_up(1.0) > 1.0 and round_up(0.0) > 0.0
+    True
+    """
+    for _ in range(steps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def add_up(a: float, b: float) -> float:
+    """The smallest float ≥ ``a + b`` (exact sum), by Knuth's TwoSum:
+    the rounding error of ``a + b`` is recovered exactly, and the sum
+    moves up one ulp only when it was rounded down.
+
+    >>> add_up(0.1, 0.2) >= 0.1 + 0.2
+    True
+    >>> add_up(0.5, 0.25)
+    0.75
+    """
+    total = a + b
+    if math.isinf(total):
+        return total
+    b_virtual = total - a
+    error = (a - (total - b_virtual)) + (b - b_virtual)
+    return math.nextafter(total, math.inf) if error > 0 else total
+

@@ -88,3 +88,41 @@ class TestTruncationErrorBound:
         actual_outside = 1 - product_complement(tail_probabilities)
         bound = truncation_error_bound(sum(tail_probabilities))
         assert actual_outside <= bound + 1e-12
+
+
+class TestExactDecisions:
+    """The stopping rule and the (∗) conditions are decided on exact
+    rationals, with no floating-point slack."""
+
+    def test_union_bound_rule_is_exact_at_the_boundary(self):
+        from fractions import Fraction
+
+        from repro.core.approx import choose_truncation
+        from repro.core.fact_distribution import TableFactDistribution
+        from repro.relational import RelationSymbol
+
+        R = RelationSymbol("R", 1)
+        # tail(1) = 0.1 (one addition, exact), tail(0) = 0.1 + 0.4.
+        d = TableFactDistribution({R(1): 0.4, R(2): 0.1})
+        assert d.tail(1) == 0.1
+        assert choose_truncation(d, 0.1) == 1
+        assert choose_truncation(d, math.nextafter(0.1, 0.0)) == 2
+        # The float 0.1 lies above the rational 1/10.
+        assert choose_truncation(d, Fraction(1, 10)) == 2
+
+    def test_required_alpha_is_the_last_float_that_holds(self):
+        for epsilon in (0.4, 0.3, 0.1, 0.05, 0.01, 1e-4):
+            alpha = required_alpha(epsilon)
+            assert epsilon_conditions_hold(alpha, epsilon)
+            assert not epsilon_conditions_hold(
+                math.nextafter(alpha, 1.0), epsilon)
+
+    def test_log1p_can_overshoot_and_is_rejected(self):
+        """math.log1p(0.1) lies above the exact log(1.1); the exact
+        decision rejects it where the old 1e-12 slack accepted it."""
+        assert not epsilon_conditions_hold(math.log1p(0.1), 0.1)
+
+    def test_negative_and_zero_alpha(self):
+        assert epsilon_conditions_hold(0.0, 0.1)
+        assert epsilon_conditions_hold(-2.0, 0.1)
+        assert not epsilon_conditions_hold(2.0, 0.1)

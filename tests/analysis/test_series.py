@@ -115,3 +115,38 @@ class TestCertifyConvergence:
     def test_custom_tail(self):
         cert = certify_convergence([0.5, 0.25], tail=lambda n: 2.0**-n)
         assert cert.tail(3) == 0.125
+
+
+class TestOutwardRoundedTails:
+    """Closed-form tails bound the exact real tail, not just its float."""
+
+    def test_geometric_tail_bounds_the_exact_closed_form(self):
+        from fractions import Fraction
+
+        first, ratio = 0.3, 0.95
+        tail = geometric_tail(first, ratio)
+        for n in (0, 1, 17, 94, 500):
+            exact = Fraction(first) * Fraction(ratio) ** n / (
+                1 - Fraction(ratio))
+            assert Fraction(tail(n)) >= exact
+
+    def test_zeta_tail_bounds_the_integral_with_an_inexact_exponent(self):
+        from fractions import Fraction
+
+        # 1 − 2.1 is inexact in binary: the exponent is rounded up.
+        tail = zeta_tail(2.1, scale=0.5)
+        for n in (1, 10, 1000):
+            integral = 0.5 * n ** (1 - 2.1) / 1.1
+            assert tail(n) > integral
+            assert tail(n) < integral * (1 + 1e-12)
+        assert Fraction(zeta_tail(1.5, 0.5)(100)) >= Fraction(1, 10)
+
+    def test_finite_tails_round_every_addition_up(self):
+        from fractions import Fraction
+
+        values = [0.1] * 10 + [0.2, 0.3]
+        cert = SeriesCertificate.finite(values)
+        for n in range(len(values) + 1):
+            exact = sum((Fraction(v) for v in values[n:]), Fraction(0))
+            assert Fraction(cert.tail(n)) >= exact
+        assert cert.tail(len(values)) == 0.0

@@ -54,12 +54,13 @@ class TestChooseTruncation:
                 choose_truncation(d, bad)
 
     def test_truncation_meets_alpha_conditions(self):
+        """The union-bound rule: n is the smallest prefix whose certified
+        tail is at most ε, so tail(n) ≤ ε < tail(n − 1)."""
         pdb = geometric_pdb()
         for epsilon in (0.3, 0.1, 0.01, 1e-4):
             n = choose_truncation(pdb.distribution, epsilon)
-            alpha = 1.5 * pdb.distribution.tail(n)
-            assert math.exp(alpha) <= 1 + epsilon + 1e-12
-            assert math.exp(-alpha) >= 1 - epsilon - 1e-12
+            assert pdb.distribution.tail(n) <= epsilon
+            assert n == 0 or pdb.distribution.tail(n - 1) > epsilon
 
     def test_tail_facts_below_half(self):
         """Claim (∗) hypothesis: all facts beyond n have p ≤ 1/2."""
@@ -80,11 +81,19 @@ class TestChooseTruncation:
         assert choose_truncation(pdb.distribution, 1e-5) < 40
 
     def test_zeta_polynomial_growth(self):
-        """The §6 complexity remark: slow series need huge truncations."""
+        """The §6 complexity remark: a zeta tail 0.5/n gives n(ε) ~ 1/ε,
+        so every 10× tighter ε costs 10× the facts, while a geometric
+        tail gives n(ε) = O(log 1/ε), a constant number more."""
         zeta = ZetaFactDistribution(space, exponent=2.0, scale=0.5)
         geo = GeometricFactDistribution(space, first=0.5, ratio=0.5)
-        assert (choose_truncation(zeta, 1e-3)
-                > 50 * choose_truncation(geo, 1e-3))
+        epsilons = (1e-2, 1e-3, 1e-4)
+        for epsilon in epsilons:
+            # ε·n(ε) → 0.5; the outward-rounded tail may cost one fact.
+            n = choose_truncation(zeta, epsilon)
+            assert 0.5 <= epsilon * n <= 0.5 + epsilon
+        sizes = [choose_truncation(geo, epsilon) for epsilon in epsilons]
+        # log2(10) ≈ 3.3 more facts per decade of ε.
+        assert [b - a for a, b in zip(sizes, sizes[1:])] in ([3, 4], [4, 3])
 
 
 class TestErrorGuarantee:

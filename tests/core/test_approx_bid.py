@@ -75,3 +75,28 @@ class TestBIDApproximation:
         with pytest.raises(ApproximationError):
             approximate_query_probability_bid(
                 q("EXISTS x, y. R(x, y)"), key_pdb(), 0.9)
+
+
+class TestBIDCertificate:
+    def test_block_truncation_stops_at_the_union_bound(self):
+        """The smallest n whose certified block-mass tail is at most ε —
+        block masses 0.5·0.5^i give tail(n) = 0.5^n."""
+        pdb = key_pdb()
+        result = approximate_query_probability_bid(
+            q("EXISTS x, y. R(x, y)"), pdb, 0.1)
+        assert result.truncation == 4
+        assert result.tail <= 0.1 < pdb.family.tail(3)
+        truth = exists_truth(pdb)
+        assert result.low <= truth <= result.high
+        assert result.high - result.low <= result.tail + 3 * result.fold_error
+
+    def test_finite_block_tails_round_up(self):
+        from fractions import Fraction
+
+        blocks = [Block(f"b{i}", {R(i, 1): 0.1, R(i, 2): 0.2})
+                  for i in range(5)]
+        family = BlockFamily.finite(blocks)
+        for n in range(6):
+            exact = (5 - n) * (Fraction(0.1) + Fraction(0.2))
+            assert Fraction(family.tail(n)) >= exact
+        assert family.tail(5) == 0.0

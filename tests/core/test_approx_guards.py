@@ -50,17 +50,22 @@ def test_sampled_strategy_widens_the_enclosure():
         _exists_r(), pdb, epsilon=0.05, strategy="auto")
     sampled = approximate_query_probability(
         _exists_r(), pdb, epsilon=0.05, strategy="sampled")
-    # Exact conditional: no sampling allowance.
+    # Exact conditional: no sampling allowance; the enclosure is
+    # [p − δp, p + δ(1 − p)] widened by the fold-error bound alone.
     assert exact.sampling_error == 0.0
-    assert exact.low == max(0.0, exact.value - exact.epsilon)
+    assert exact.low == pytest.approx(
+        exact.value - exact.tail * exact.value - exact.fold_error)
+    assert exact.high - exact.low <= exact.tail + 3 * exact.fold_error
     # Sampled conditional: a positive Monte-Carlo confidence bound is
-    # surfaced separately and widens the enclosure beyond ±ε.
+    # surfaced separately and widens the enclosure beyond δ.
     assert sampled.sampling_error > 0.0
     assert sampled.epsilon == 0.05
-    assert sampled.low == pytest.approx(
-        max(0.0, sampled.value - 0.05 - sampled.sampling_error))
-    assert sampled.high == pytest.approx(
-        min(1.0, sampled.value + 0.05 + sampled.sampling_error))
+    slack = sampled.fold_error + sampled.sampling_error
+    assert sampled.low == pytest.approx(max(
+        0.0, sampled.value - sampled.tail * sampled.value - slack))
+    assert sampled.high == pytest.approx(min(
+        1.0, sampled.value + sampled.tail * (1 - sampled.value) + slack))
+    assert sampled.high - sampled.low > sampled.tail
     # The honest interval still contains the exact answer.
     assert sampled.contains(exact.value)
     # The attached report carries the same sampling allowance.

@@ -165,3 +165,24 @@ def test_report_cache_counters_match_compile_cache_stats(
     # One compile; the rest are hits.
     assert cache.stats.misses == 1
     assert cache.stats.hits == repeats - 1
+
+
+def test_approximation_report_explains_its_certificate():
+    """n, δ = tail(n), the stopping rule and the fold-error bound are in
+    the report, its JSON and the human --stats text."""
+    from repro.core.approx import STOPPING_RULE
+
+    pdb = _open_pdb()
+    q = BooleanQuery(
+        parse_formula("EXISTS x. R(x)", pdb.schema), pdb.schema)
+    result = approximate_query_probability(q, pdb, epsilon=0.01)
+    report = _report_of(result)
+    assert report.tail == result.tail <= 0.01
+    assert report.stopping_rule == STOPPING_RULE
+    assert report.fold_error == result.fold_error > 0.0
+    payload = report.to_dict()
+    obs.validate_report_dict(payload)
+    assert payload["tail"] == result.tail
+    text = report.render()
+    assert f"truncation n    : {result.truncation}  (tail " in text
+    assert "stopping rule   : union bound" in text

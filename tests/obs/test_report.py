@@ -125,3 +125,21 @@ def test_attached_namedtuple_still_pickles_as_its_values():
     result = ApproximationResult(0.5, 0.01, 8, 0.012, 0.0)
     traced = obs.attach_report(result, obs.EvalReport())
     assert tuple(pickle.loads(pickle.dumps(tuple(traced)))) == tuple(result)
+
+
+def test_report_carries_tail_rule_and_fold_error():
+    with obs.trace() as t:
+        obs.gauge("truncation.n", 12)
+        obs.gauge("truncation.tail", 0.0075)
+        obs.gauge("fold.error", 1e-15)
+        obs.note(stopping_rule="union bound: smallest n with tail(n) <= epsilon")
+    report = obs.EvalReport.from_trace(t)
+    assert report.tail == 0.0075
+    assert report.fold_error == 1e-15
+    assert report.stopping_rule.startswith("union bound")
+    payload = report.to_dict()
+    obs.validate_report_dict(payload)
+    payload["stopping_rule"] = 3
+    with pytest.raises(ValueError):
+        obs.validate_report_dict(payload)
+    assert "tail 0.0075" in report.render()

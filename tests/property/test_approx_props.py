@@ -48,15 +48,12 @@ class TestGuaranteeProperties:
     @given(probabilities, epsilons)
     @settings(max_examples=60, deadline=None)
     def test_truncation_alpha_conditions(self, ps, epsilon):
-        import math
-
+        """The union-bound rule: tail(n) ≤ ε < tail(n − 1)."""
         distribution = TableFactDistribution(
             {R(i + 1): p for i, p in enumerate(ps)})
         n = choose_truncation(distribution, epsilon)
-        alpha = 1.5 * distribution.tail(n)
-        assert math.exp(alpha) <= 1 + epsilon + 1e-9
-        assert math.exp(-alpha) >= 1 - epsilon - 1e-9
-        assert distribution.tail(n) <= 0.49 + 1e-12
+        assert distribution.tail(n) <= epsilon
+        assert n == 0 or distribution.tail(n - 1) > epsilon
 
     @given(probabilities)
     @settings(max_examples=40, deadline=None)

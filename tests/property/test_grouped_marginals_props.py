@@ -11,7 +11,8 @@ oracle (one :func:`query_probability` per grounded tuple):
   within 1e-12, and equal bits on dyadic marginals;
 * the same bits whichever answers share a pass (any partition of the
   answer list);
-* the same bits from a warm ε-sweep as from cold one-shot calls;
+* the same bits from a warm ε-sweep as from cold one-shot calls, for
+  the grouped pass and for compiled (``"bdd"``) fan-outs;
 * through colliding answers (head values equal to query constants,
   repeated head values), disjuncts that omit a head variable, explicit
   ``domain=``, and empty candidate sets;
@@ -237,9 +238,26 @@ class TestSweepsMatchColdOneShots:
         self, backend, data, first, ratio
     ):
         query = data.draw(st.sampled_from([1, 2]).flatmap(free_queries))
-        # The grouped pass only: a compiled fan-out's warm diagram has a
-        # history-dependent variable order, which can move the last bit.
+        # The grouped pass; compiled fan-outs have their own test below.
         assume(has_head_bound_plan(query))
+        self._sweep(backend, query, first, ratio, "auto")
+
+    @given(
+        data=st.data(),
+        first=st.floats(min_value=0.2, max_value=0.6),
+        ratio=st.floats(min_value=0.5, max_value=0.85),
+    )
+    @settings(max_examples=15, **SETTINGS)
+    def test_compiled_sweep_steps_equal_cold_one_shots(
+        self, backend, data, first, ratio
+    ):
+        """``strategy="bdd"``: the warm shared grounding's diagrams order
+        their variables by the truncation's insertion order, so they
+        carry the bits of a cold compile."""
+        query = data.draw(st.sampled_from([1, 2]).flatmap(free_queries))
+        self._sweep(backend, query, first, ratio, "bdd")
+
+    def _sweep(self, backend, query, first, ratio, strategy):
         space = FactSpace(schema, Naturals())
 
         def pdb():
@@ -248,11 +266,12 @@ class TestSweepsMatchColdOneShots:
 
         with forced_backend(backend):
             session = RefinementSession(
-                query, pdb(), compile_cache=CompileCache())
+                query, pdb(), strategy=strategy, compile_cache=CompileCache())
             for epsilon in self.SWEEP:
                 warm = session.refine_marginals(epsilon)
                 cold = RefinementSession(
-                    query, pdb(), compile_cache=CompileCache(),
+                    query, pdb(), strategy=strategy,
+                    compile_cache=CompileCache(),
                 ).refine_marginals(epsilon)
                 assert [(a, r.value, r.truncation) for a, r in warm.items()] \
                     == [(a, r.value, r.truncation) for a, r in cold.items()]

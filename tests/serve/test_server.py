@@ -170,3 +170,35 @@ def test_warm_session_answers_from_memory():
     # the remembered best.
     assert managed.requests == 3
     assert managed.refinements == 1
+
+
+def test_approximation_errors_carry_the_achieved_tail():
+    """An exhausted truncation search comes back as a structured error:
+    the message, the error class and the certified tail it reached."""
+    spec = dict(SPEC, family={"kind": "zeta", "exponent": 1.5,
+                              "scale": 0.5},
+                max_facts=50)
+    create, query, bad = roundtrip([
+        {"op": "create", "session": "z", "spec": spec},
+        {"op": "query", "session": "z", "epsilon": 1e-4, "wait": True},
+        {"op": "query", "session": "missing", "epsilon": 0.1},
+    ])
+    assert create["ok"], create
+    assert not query["ok"]
+    assert query["error_type"] == "ApproximationError"
+    assert query["achieved_tail"] > 1e-4
+    assert "max_facts=50" in query["error"]
+    assert bad["error_type"] == "ServeError" and "achieved_tail" not in bad
+
+
+def test_query_result_carries_the_certificate():
+    create, query = roundtrip([
+        {"op": "create", "session": "s", "spec": SPEC},
+        {"op": "query", "session": "s", "epsilon": 0.1},
+    ])
+    result = query["result"]
+    assert result["tail"] <= 0.1
+    assert result["fold_error"] > 0.0
+    assert result["low"] <= result["value"] <= result["high"]
+    assert result["high"] - result["low"] <= (
+        result["tail"] + 3 * result["fold_error"])

@@ -115,3 +115,26 @@ class TestFloatClose:
 
     def test_distinguishes(self):
         assert not float_close(0.1, 0.2)
+
+
+class TestDirectedRounding:
+    """Upward/downward rounding bounds the exact real result."""
+
+    PAIRS = [(0.1, 0.2), (0.5, 0.25), (1e-20, 1.0), (0.3, 0.7),
+             (2.0**-60, 0.75), (0.0, 0.0)]
+
+    def test_add_up_is_the_smallest_upper_bound(self):
+        from repro.utils.rationals import add_up
+
+        for a, b in self.PAIRS:
+            exact = Fraction(a) + Fraction(b)
+            total = add_up(a, b)
+            assert Fraction(total) >= exact
+            assert Fraction(math.nextafter(total, -math.inf)) < exact \
+                or Fraction(total) == exact
+
+    def test_round_up_steps_by_ulps(self):
+        from repro.utils.rationals import round_up
+
+        assert round_up(1.0, 2) == math.nextafter(math.nextafter(1.0, 2), 2)
+        assert round_up(0.0) == 5e-324
