@@ -102,10 +102,13 @@ class LiftedExecState:
     family owns its plan objects (``_Family.lifted``) for as long as it
     owns this state, and both are dropped together on family eviction.
 
-    * ``node_caches`` — delta-extended binding tables of root-level
-      projects (:class:`repro.finite.lifted._ProjectDeltaCache`): an
-      ε-sweep's next truncation re-executes only the separator values
-      its delta facts touch.
+    * ``node_caches`` — per-plan-node warm state.  Root-level projects
+      keep delta-extended binding tables
+      (:class:`repro.finite.lifted._ProjectDeltaCache`): an ε-sweep's
+      next truncation re-executes only the separator values its delta
+      facts touch.  Bound single-leaf projects keep one fold state per
+      bucket (:class:`repro.finite.lifted._SegmentFolds`): a touched
+      segment folds only the rows it gained.
     * ``annotations`` — the grouped-execution side tables
       (:func:`repro.logic.hierarchy.grouped_plan_info`), one per cached
       plan root.
@@ -188,42 +191,45 @@ class _Family:
         self.grounded_from: Optional[tuple] = None
 
     def grounding_index_for(self, pdb) -> FactIndex:
-        """The family's fact index, grown to ``pdb``'s fact set.
+        """The family's fact index, grown to ``pdb``'s facts and interned
+        in the table's own order: a TI table's insertion order, a BID
+        table's block order.
 
-        A TI table grows in place, appending to its insertion-ordered
-        ``marginals`` and never dropping a fact.  So when ``pdb`` is
-        the table stamped by the last grounding, at that count or more,
-        the index holds exactly the table's insertion-order prefix of
-        the stamped length, and growing it takes just the suffix after
-        it: O(new facts), counted by ``grounding.delta_facts`` (an
-        unchanged table is the empty suffix).  Any other table goes
-        through :meth:`grounding_index`, as does this one after a
-        direct :meth:`grounding_index` call dropped the stamp.
+        Bucket order is then table order, which is the order the lifted
+        executor folds a bound segment in.  A table only appends, so
+        when the index's rows are a prefix of the table's order, growing
+        the index takes just the suffix after them: O(new facts),
+        counted by ``grounding.delta_facts`` (an unchanged table is the
+        empty suffix).  The stamp of the last grounding, ``(table, fact
+        count)``, proves the prefix for the table it names without
+        comparing a fact, as long as the index still has the stamped
+        size; any other table is compared row by row.  An index that is
+        not a prefix, because it holds facts the table lacks or holds
+        them in another order, is rebuilt in the table's order and
+        counted by ``grounding.order_resets``.
         """
-        if isinstance(pdb, TupleIndependentTable):
-            size = len(pdb.marginals)
-            stamp = self.grounded_from
-            index = self.index
-            if (
-                stamp is not None
-                and stamp[0] is pdb
-                and index is not None
-                and len(index) == stamp[1] <= size
-            ):
-                if size > stamp[1]:
-                    suffix = list(itertools.islice(
-                        reversed(pdb.marginals), size - stamp[1]))
-                    suffix.reverse()
-                    added = index.extend(suffix)
-                    if added:
-                        obs.incr("grounding.delta_facts", added)
-                    self.grounded_from = (pdb, size)
-                return index
-            index = self.grounding_index(frozenset(pdb.marginals))
-            self.grounded_from = (pdb, size)
-            return index
-        self.grounded_from = None
-        return self.grounding_index(frozenset(pdb.possible_facts()))
+        order = pdb.possible_facts()
+        size = len(order)
+        index = self.index
+        stamp = self.grounded_from
+        if index is not None and (
+            (stamp is not None and stamp[0] is pdb
+             and len(index) == stamp[1] <= size)
+            or index.is_prefix_of(order)
+        ):
+            known = len(index)
+            if size > known:
+                suffix = list(itertools.islice(reversed(order), size - known))
+                suffix.reverse()
+                added = index.extend(suffix)
+                if added:
+                    obs.incr("grounding.delta_facts", added)
+        else:
+            if index is not None:
+                obs.incr("grounding.order_resets")
+            index = self.index = FactIndex(order)
+        self.grounded_from = (pdb, size)
+        return index
 
     def grounding_index(self, facts_key: FrozenSet[Fact]) -> FactIndex:
         """The family's fact index, grown to exactly ``facts_key``.
@@ -233,8 +239,8 @@ class _Family:
         re-indexed, counted by ``grounding.delta_facts``.  A
         non-superset key rebuilds from scratch.
         """
-        # Any direct grounding (including the compiled path's) may
-        # change the index's fact set: drop the warm same-table stamp,
+        # Any direct grounding (the compiled path's) may change the
+        # index's fact set: drop the warm same-table stamp,
         # grounding_index_for re-establishes it.
         self.grounded_from = None
         if self.index is not None and self.index.fact_set <= facts_key:

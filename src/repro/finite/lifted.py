@@ -96,6 +96,12 @@ LIFTED_GROUP_ROWS = "lifted.group_rows"
 LIFTED_CACHED_GROUPS = "lifted.cached_groups"
 #: Obs counter: scalar-path candidate sets served from the memo.
 LIFTED_CANDIDATE_MEMO_HITS = "lifted.candidate_memo_hits"
+#: Obs counter: bound segments whose fold resumed from its kept state.
+LIFTED_FOLDS_RESUMED = "lifted.folds_resumed"
+#: Obs counter: bound segments folded in full while fold states are
+#: kept — first folds, and folds that could not resume (a tiny marginal,
+#: underflow, or a state that was not clean).
+LIFTED_FOLDS_REFOLDED = "lifted.folds_refolded"
 
 _EXECUTORS = ("auto", "scalar", "batched")
 
@@ -217,6 +223,57 @@ def _scope_atoms(
             yield from cq.atoms
     else:
         yield from scope.atoms
+
+
+def _agreeing_rows(
+    index: FactIndex, rows: Sequence[int], positions: Sequence[int]
+) -> Sequence[int]:
+    """The rows whose facts hold one value at every separator position
+    (all of them when the separator occurs once), in order."""
+    first, rest = positions[0], positions[1:]
+    if not rest:
+        return rows
+    fact_at = index.fact_at
+    kept = []
+    for row in rows:
+        args = fact_at(row).args
+        value = args[first]
+        if all(args[p] == value for p in rest):
+            kept.append(row)
+    return kept
+
+
+def _sorted_by_value(
+    index: FactIndex, rows: Sequence[int], position: int
+) -> List[int]:
+    """An unbound segment's rows in the ``domain_sort_key`` order of
+    their value at ``position``.  Buckets are ascending, so the stable
+    sort leaves any key tie (distinct values that print alike) in row
+    order."""
+    fact_at = index.fact_at
+    return sorted(
+        rows, key=lambda row: domain_sort_key(fact_at(row).args[position]))
+
+
+def _resume_fold(product: float, values: Iterable[float]):
+    """Continue a clean complement fold over ``values``, in order: the
+    new ``(product, zero)`` state, or None where the fold would leave
+    the clean regime (a tiny marginal, or a product under the underflow
+    floor).  A clean fold of ``values`` appended to a segment gives the
+    bits a fold of the whole segment gives, because both multiply the
+    factors strictly left to right
+    (:func:`repro.utils.probability.segmented_fold`)."""
+    for p in values:
+        if p >= 1.0:
+            return product, True
+        if p < TINY_PROBABILITY:
+            if p > 0.0:
+                return None
+            continue
+        product *= 1.0 - p
+    if product < UNDERFLOW_FLOOR:
+        return None
+    return product, False
 
 
 class _PlanEvaluator:
@@ -380,20 +437,25 @@ class _PlanEvaluator:
         marginal column serves the slice, and the fold runs without
         per-candidate binding dicts, fact grounding, or recursion.
 
-        Folds in the same ``domain_sort_key`` candidate order as the
-        generic path, so results stay bit-identical (and deterministic
-        across hash seeds).  Returns None when the leaf's atom has free
-        variables besides the project variable — the generic path
-        handles those.
+        Folds in the batched executor's order, so results stay
+        bit-identical to it: a *bound* segment (the binding fixes a
+        variable of the atom) in row order, which is the table's order
+        because the index interns in it; an unbound one in the
+        ``domain_sort_key`` order of its separator values.  Returns None
+        when the leaf's atom has free variables besides the project
+        variable — the generic path handles those.
         """
         atom = plan.child.atom
         variable = plan.variable
         positions: List[int] = []
+        bound = False
         for i, term in enumerate(atom.terms):
             if term == variable:
                 positions.append(i)
-            elif isinstance(term, Constant) or term in binding:
+            elif isinstance(term, Constant):
                 continue
+            elif term in binding:
+                bound = True
             else:
                 return None
         if not positions:
@@ -403,18 +465,11 @@ class _PlanEvaluator:
         if not rows:
             return 0.0
         column = self.index.marginal_column(self.table)
-        fact_at = self.index.fact_at
-        first, rest = positions[0], positions[1:]
-        pairs = []
-        for row in rows:
-            args = fact_at(row).args
-            value = args[first]
-            if any(args[i] != value for i in rest):
-                continue  # repeated positions disagree: no candidate
-            pairs.append((domain_sort_key(value), row))
-        pairs.sort()
+        rows = _agreeing_rows(self.index, rows, positions)
+        if not bound:
+            rows = _sorted_by_value(self.index, rows, positions[0])
         acc = ComplementAccumulator()
-        for _, row in pairs:
+        for row in rows:
             acc.add(column[row])
             if acc.is_zero:
                 return 1.0
@@ -509,7 +564,8 @@ class _ProjectDeltaCache:
     facts' marginals never change under extension)."""
 
     __slots__ = (
-        "index", "source", "epoch", "values", "probs", "slots", "result",
+        "index", "source", "epoch", "keys", "values", "probs", "slots",
+        "result",
     )
 
     def __init__(self, index, source, epoch, values, probs):
@@ -521,6 +577,9 @@ class _ProjectDeltaCache:
         #: is the right key.
         self.source = source
         self.epoch = epoch
+        #: ``values`` in canonical ``domain_sort_key`` order, each key
+        #: kept beside its value so a new value is placed by bisection.
+        self.keys: List[tuple] = [domain_sort_key(v) for v in values]
         self.values: List[Value] = values
         self.probs: List[float] = probs
         self.slots: Dict[Value, int] = {v: i for i, v in enumerate(values)}
@@ -528,6 +587,25 @@ class _ProjectDeltaCache:
         #: of an unchanged truncation (the serving hot path) returns it
         #: without re-folding.
         self.result: Optional[float] = None
+
+
+class _SegmentFolds:
+    """Fold states of one bound single-leaf project: per bucket key, the
+    ``(epoch, product, zero)`` its segment's last fold ended in, kept
+    only where that fold was clean (zero, or no log residual and a
+    product at or above the underflow floor).  The fold covered the
+    bucket's rows below ``epoch``.  Buckets only append, in table order,
+    so the rows a later step adds are the bucket's rows from ``epoch``
+    on, and folding them onto ``product`` gives a full re-fold's bits
+    (:func:`_resume_fold`).  Stamped, like :class:`_ProjectDeltaCache`,
+    with the index and table the states were computed against."""
+
+    __slots__ = ("index", "source", "states")
+
+    def __init__(self, index, source):
+        self.index = index
+        self.source = source
+        self.states: Dict[tuple, Tuple[int, float, bool]] = {}
 
 
 class _BatchedEvaluator:
@@ -560,7 +638,7 @@ class _BatchedEvaluator:
         index: FactIndex,
         unsafe_fallback: Optional[Callable[[Formula], float]] = None,
         info: Optional[Dict[int, object]] = None,
-        node_caches: Optional[Dict[int, _ProjectDeltaCache]] = None,
+        node_caches: Optional[Dict[int, object]] = None,
     ):
         if isinstance(table, BlockIndependentTable):  # pragma: no cover
             raise EvaluationError(
@@ -720,72 +798,153 @@ class _BatchedEvaluator:
         return self._segmented_disjunction(vector, offsets)
 
     def _project_leaf(self, plan: IndependentProject, groups: _Groups):
-        """Grouped form of the single-leaf project fast path: one
-        ``probe_rows_multi`` sweep yields every group's candidate rows,
-        and the marginal column folds them segment-at-a-time.  Mirrors
-        the scalar ``_project_leaf_fast`` exactly — candidates come from
-        the child atom alone — and bails to the generic path (None) when
-        the leaf has free variables besides the separator."""
+        """Grouped form of the single-leaf project fast path: each
+        group's candidate rows are one bucket of the leaf's signature
+        table, and the marginal column folds them segment-at-a-time.
+        Mirrors the scalar ``_project_leaf_fast`` exactly — candidates
+        come from the child atom alone — and bails to the generic path
+        (None) when the leaf has free variables besides the separator.
+
+        A *bound* segment, whose bucket key holds a value an enclosing
+        separator or a head variable binds, folds in bucket order: the
+        table's order, in which the index interns, so a tightening step
+        only appends to it.  With the family's node caches each bound
+        segment then resumes from its last clean fold state
+        (:class:`_SegmentFolds`) and folds only its new rows; the rest
+        re-fold in full.  An unbound segment (only constants key it)
+        folds in the ``domain_sort_key`` order of its separator values,
+        like the root binding table.
+        """
         leaf: GroupedLeaf = self.info[id(plan.child)]
         variable = plan.variable
         separator_positions: List[int] = []
-        context = []
+        positions: List[int] = []
+        sources = []
+        bound = False
         for position, (kind, payload) in enumerate(leaf.layout):
             if kind == "v" and payload == variable:
                 separator_positions.append(position)
-            elif kind == "c":
-                context.append((position, ("c", payload)))
-            else:
-                column = groups.columns.get(payload)
-                if column is None:
+                continue
+            if kind == "v":
+                payload = groups.columns.get(payload)
+                if payload is None:
                     return None
-                context.append((position, ("v", column)))
+                bound = True
+            positions.append(position)
+            sources.append((kind, payload))
         if not separator_positions:
             return None
-        context.sort()
-        positions = tuple(p for p, _ in context)
-        sources = tuple(s for _, s in context)
-        keys = (
-            tuple(
-                payload if kind == "c" else payload[g]
-                for kind, payload in sources
-            )
-            for g in range(groups.size)
-        )
         index = self.index
-        flat, offsets = index.probe_rows_multi(
-            leaf.relation, positions, keys)
-        # Re-fold every segment in canonical separator-value order
-        # (``domain_sort_key``, as the scalar fast path does): bucket
-        # order is index-interning order, which depends on the shared
-        # index's rebuild/extend history and would make concurrent
-        # sweeps differ from a serial one by float rounding.  The keys
-        # come from the index's sort-key column.  A segment's rows are
-        # distinct facts agreeing off the separator positions, so no
-        # two share a separator value; buckets are ascending, so the
-        # stable sort puts any key tie in row order, as the scalar
-        # path's ``(key, row)`` pairs do.
-        first, rest = separator_positions[0], separator_positions[1:]
-        sort_key = index.sort_key_column(first).__getitem__
-        fact_at = index.fact_at
-        filtered: List[int] = []
-        new_offsets = [0]
-        for g in range(groups.size):
-            segment = flat[offsets[g]:offsets[g + 1]]
-            if rest:
-                kept = []
-                for row in segment:
-                    args = fact_at(row).args
-                    value = args[first]
-                    if all(args[p] == value for p in rest):
-                        kept.append(row)
-                segment = kept
-            segment.sort(key=sort_key)
-            filtered.extend(segment)
-            new_offsets.append(len(filtered))
-        flat, offsets = filtered, new_offsets
-        obs.incr(LIFTED_GROUP_ROWS, len(flat))
-        return self.column.segmented_disjunction(flat, offsets)
+        table = index.signature_table(leaf.relation, tuple(positions))
+        if bound:
+            keys = [
+                tuple(
+                    payload if kind == "c" else payload[g]
+                    for kind, payload in sources
+                )
+                for g in range(groups.size)
+            ]
+            results = self._fold_bound_segments(
+                plan, table, dict.fromkeys(keys), separator_positions)
+            out = [results[key] for key in keys]
+        else:
+            # Constants alone key the bucket: one segment serves every group.
+            bucket = table.get(tuple(payload for _, payload in sources), ())
+            rows = _sorted_by_value(
+                index, _agreeing_rows(index, bucket, separator_positions),
+                separator_positions[0])
+            obs.incr(LIFTED_GROUP_ROWS, len(rows))
+            value = self.column.segmented_disjunction(rows, [0, len(rows)])
+            out = [float(value[0][0])] * groups.size
+        if self.np is not None:
+            return self.np.asarray(out, dtype=self.np.float64)
+        return out
+
+    def _fold_bound_segments(
+        self, plan: IndependentProject, table, keys, positions
+    ) -> Dict[tuple, float]:
+        """The disjunction of every bound segment ``keys`` names, folded
+        in bucket order.  A segment with a clean fold state folds only
+        the rows past the state's epoch onto its product; the others,
+        and those whose resumed fold leaves the clean regime, fold in
+        full through the marginal column's segmented fold, which also
+        yields the state to keep."""
+        index = self.index
+        folds = self._segment_folds(plan)
+        states = folds.states if folds is not None else {}
+        results: Dict[tuple, float] = {}
+        touched = 0
+        refold = []
+        pending = []
+        new_rows: List[int] = []
+        for key in keys:
+            bucket = table.get(key)
+            if not bucket:
+                results[key] = 0.0
+                continue
+            touched += 1
+            state = states.get(key)
+            if state is None:
+                refold.append(key)
+            elif state[2]:
+                results[key] = 1.0  # a factor of 0 absorbs every later row
+            else:
+                pending.append((key, state[1], len(new_rows)))
+                new_rows.extend(_agreeing_rows(
+                    index, bucket[bisect.bisect_left(bucket, state[0]):],
+                    positions))
+        epoch = index.epoch
+        if pending:
+            values = self.column.gather(new_rows)
+            if self.np is not None:
+                values = values.tolist()
+            ends = [start for _, _, start in pending[1:]] + [len(new_rows)]
+            for (key, product, start), end in zip(pending, ends):
+                state = _resume_fold(product, values[start:end])
+                if state is None:
+                    del states[key]
+                    refold.append(key)
+                    continue
+                product, zero = state
+                states[key] = (epoch, product, zero)
+                results[key] = 1.0 if zero else 1.0 - product
+        rows_folded = len(new_rows)
+        if refold:
+            flat: List[int] = []
+            offsets = [0]
+            for key in refold:
+                flat.extend(_agreeing_rows(index, table[key], positions))
+                offsets.append(len(flat))
+            rows_folded += len(flat)
+            folded = self.column.segmented_disjunction(flat, offsets)
+            if self.np is not None:
+                folded = [column.tolist() for column in folded]
+            for key, value, product, residual, zero in zip(refold, *folded):
+                results[key] = value
+                if zero or (residual == 0.0 and product >= UNDERFLOW_FLOOR):
+                    states[key] = (epoch, product, zero)
+        obs.incr(LIFTED_GROUP_ROWS, rows_folded)
+        if folds is not None:
+            if touched > len(refold):
+                obs.incr(LIFTED_FOLDS_RESUMED, touched - len(refold))
+            if refold:
+                obs.incr(LIFTED_FOLDS_REFOLDED, len(refold))
+        return results
+
+    def _segment_folds(self, plan: IndependentProject):
+        """The family's fold states of one bound single-leaf project, or
+        None without node caches (a one-shot run keeps none)."""
+        caches = self.node_caches
+        if caches is None:
+            return None
+        folds = caches.get(id(plan))
+        if (
+            folds is None
+            or folds.index is not self.index
+            or folds.source is not self.table
+        ):
+            folds = caches[id(plan)] = _SegmentFolds(self.index, self.table)
+        return folds
 
     def _project_root_cached(
         self, plan: IndependentProject, info: GroupedProject
@@ -821,31 +980,27 @@ class _BatchedEvaluator:
                 child_groups = _Groups(
                     len(fresh), {info.variable: list(fresh)})
                 vector = self._eval(plan.child, child_groups)
-                inserted = False
+                added = []
                 for value, probability in zip(fresh, vector):
                     slot = cache.slots.get(value)
                     if slot is None:
-                        cache.slots[value] = len(cache.values)
-                        cache.values.append(value)
-                        cache.probs.append(float(probability))
-                        inserted = True
+                        added.append((value, float(probability)))
                     else:
                         cache.probs[slot] = float(probability)
-                if inserted:
-                    # Restore canonical fold order (appends land at the
-                    # end): Timsort on the mostly-sorted pair list is
-                    # ~linear, and a history-independent order keeps
-                    # delta-extended sweeps bit-identical to a fresh
-                    # full evaluation.
-                    pairs = sorted(
-                        zip(cache.values, cache.probs),
-                        key=lambda pair: domain_sort_key(pair[0]),
-                    )
-                    cache.values = [value for value, _ in pairs]
-                    cache.probs = [prob for _, prob in pairs]
-                    cache.slots = {
-                        value: i for i, value in enumerate(cache.values)
-                    }
+                if added:
+                    # Keep the canonical fold order, which makes a
+                    # delta-extended sweep bit-identical to a fresh full
+                    # evaluation: each new value goes after every equal
+                    # key, in ``fresh`` order, where a stable sort of the
+                    # appended values would put it.
+                    keys, values, probs = cache.keys, cache.values, cache.probs
+                    for value, probability in added:
+                        key = domain_sort_key(value)
+                        at = bisect.bisect_right(keys, key)
+                        keys.insert(at, key)
+                        values.insert(at, value)
+                        probs.insert(at, probability)
+                    cache.slots = {value: i for i, value in enumerate(values)}
             cache.epoch = index.epoch
         else:
             obs.incr(LIFTED_CACHED_GROUPS, len(cache.values))
@@ -1000,10 +1155,9 @@ class _BatchedEvaluator:
                             break
                     else:
                         seen.setdefault(value, None)
-            # Canonical per-group candidate order (the scalar path's
-            # ``domain_sort_key``): bucket discovery order depends on
-            # the shared index's history and would leak into the fold's
-            # float rounding.
+            # Canonical per-group candidate order, the scalar path's
+            # ``domain_sort_key``: a generic project folds its child's
+            # values in it.
             flat.extend(sorted(seen, key=domain_sort_key))
             offsets.append(len(flat))
         return flat, offsets
@@ -1187,12 +1341,14 @@ def answer_marginals_lifted(
     root fold, so the plan root yields every answer's marginal at once.
 
     Positive answers are kept, in ``answers`` order.  A row's value
-    depends on its own binding only: leaves read one fact each, and
-    every project folds its own segment in canonical
-    :func:`~repro.relational.facts.domain_sort_key` order.  So an
-    answer's bits do not depend on which answers share its pass (pool
-    workers evaluating contiguous chunks agree with one serial pass),
-    nor on the index's extend history.  As in
+    depends on its own binding only: leaves read one fact each, a
+    project over a bound leaf folds its own segment in the table's
+    order (the index interns in it), and every other project in
+    canonical :func:`~repro.relational.facts.domain_sort_key` order.
+    So an answer's bits do not depend on which answers share its pass
+    (pool workers evaluating contiguous chunks agree with one serial
+    pass), nor on how the index grew.  The pass keeps no fold state,
+    so every segment folds in full.  As in
     :func:`query_probability_lifted`, the family's stripe lock is held
     from grounding through execution.  Each evaluated row counts in
     ``fanout.answers``.
@@ -1234,7 +1390,8 @@ def evaluate_plan(
     """Evaluate a compiled :class:`SafePlan` on a TI (or BID) table.
 
     Builds a fresh :class:`~repro.relational.index.FactIndex` over the
-    table's possible facts; callers evaluating one query family across
+    table's possible facts, in the table's order (which a bound
+    segment folds in); callers evaluating one query family across
     growing truncations should go through
     :func:`query_probability_lifted`, which reuses a delta-extended
     index, caches plans, and keeps warm per-node binding tables.
@@ -1256,7 +1413,7 @@ def evaluate_plan(
         table, (TupleIndependentTable, BlockIndependentTable)
     ):
         raise EvaluationError("lifted evaluation needs a TI or BID table")
-    index = FactIndex(table.facts())
+    index = FactIndex(table.possible_facts())
     return _run_plan(plan, table, index, None, executor)
 
 
@@ -1292,7 +1449,9 @@ def query_probability_lifted(
     forces the grouped pipeline (BID still falls back, counted).  The
     batched executor keeps per-plan-node binding tables in the cache
     family and delta-extends them across a sweep's truncations, so only
-    new separator groups re-execute (``lifted.cached_groups``).
+    new separator groups re-execute (``lifted.cached_groups``), and a
+    bound segment they read folds only its new rows onto its kept fold
+    state (``lifted.folds_resumed``).
 
     >>> from repro.relational import Schema
     >>> from repro.logic.parser import parse_formula

@@ -33,6 +33,7 @@ expansion fallback.
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
 from typing import (
     Dict,
@@ -41,12 +42,11 @@ from typing import (
     KeysView,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
 
-from repro.relational.facts import Fact, Value, domain_sort_key
+from repro.relational.facts import Fact, Value
 from repro.relational.schema import RelationSymbol
 
 #: A bound-column signature: the sorted argument positions a probe fixes.
@@ -123,8 +123,6 @@ class FactIndex:
         "_values",
         "_marginals",
         "_marginal_source",
-        "_sort_keys",
-        "_sort_key_memo",
         "_view_cache",
         "_lock",
     )
@@ -147,11 +145,6 @@ class FactIndex:
         #: :meth:`marginal_column`); dropped from pickles.
         self._marginals = None
         self._marginal_source = None
-        #: Lazily built ``domain_sort_key`` columns, one per argument
-        #: position asked for, aligned to row ids (see
-        #: :meth:`sort_key_column`); dropped from pickles.
-        self._sort_keys: Dict[int, List[Optional[tuple]]] = {}
-        self._sort_key_memo: Dict[Value, tuple] = {}
         #: bucket id → (bucket, view): repeated probes of the same
         #: bucket reuse one lazy fact view instead of allocating a
         #: fresh ``_RowFacts`` per probe.  The strong bucket reference
@@ -194,8 +187,6 @@ class FactIndex:
                     table.setdefault(key, []).append(row)
             if self._marginals is not None:
                 self._sync_marginals()
-            for position, column in self._sort_keys.items():
-                self._sync_sort_keys(position, column)
             return len(row_facts) - start
 
     # -------------------------------------------------------------- queries
@@ -273,28 +264,6 @@ class FactIndex:
                     self._signatures[(relation, positions)] = table
         return table
 
-    def probe_rows_multi(
-        self,
-        relation: RelationSymbol,
-        positions: Signature,
-        keys: Iterable[Tuple[Value, ...]],
-    ) -> Tuple[List[int], List[int]]:
-        """Row ids for many probe keys of one signature at once.
-
-        Returns ``(flat, offsets)``: the concatenated per-key buckets
-        and the ``n_keys + 1`` segment boundaries into them — the group
-        layout the segmented probability kernels consume.
-        """
-        flat: List[int] = []
-        offsets: List[int] = [0]
-        table = self.signature_table(relation, positions)
-        for key in keys:
-            bucket = table.get(key)
-            if bucket:
-                flat.extend(bucket)
-            offsets.append(len(flat))
-        return flat, offsets
-
     def relation_facts(self, relation: RelationSymbol) -> Sequence[Fact]:
         """All possible facts of one relation (insertion order)."""
         rows = self._by_relation.get(relation)
@@ -305,6 +274,25 @@ class FactIndex:
     def fact_at(self, row: int) -> Fact:
         """The interned fact of one row id."""
         return self._row_facts[row]
+
+    def is_prefix_of(self, facts: Sequence[Fact]) -> bool:
+        """Whether the rows, in interning order, are the first
+        ``len(self)`` of ``facts`` — so extending by the rest of
+        ``facts`` interns them all in their order.
+
+        >>> from repro.relational import RelationSymbol
+        >>> R = RelationSymbol("R", 1)
+        >>> index = FactIndex([R(1), R(2)])
+        >>> index.is_prefix_of([R(1), R(2), R(3)])
+        True
+        >>> index.is_prefix_of([R(2), R(1), R(3)])
+        False
+        """
+        rows = self._row_facts
+        return (
+            len(rows) <= len(facts)
+            and list(itertools.islice(facts, len(rows))) == rows
+        )
 
     @property
     def epoch(self) -> int:
@@ -358,57 +346,6 @@ class FactIndex:
             for fact in self._row_facts[len(self._marginals):]
         )
 
-    # ------------------------------------------------------ sort-key column
-    def sort_key_column(self, position: int) -> List[Optional[tuple]]:
-        """``domain_sort_key`` of every row's argument at ``position``,
-        aligned to row ids (None where a row's fact is shorter).
-
-        Built on first use in one pass, then grown by :meth:`extend`
-        with the new rows only, under the index lock.  Sorting row ids
-        into canonical value order is then
-        ``rows.sort(key=column.__getitem__)``, with no key computed per
-        sort.  Keys of ``int`` and ``str`` values are computed once per
-        distinct value and shared; other types (where equal values may
-        print differently, like ``0.0`` and ``-0.0``) get a key per row.
-
-        >>> from repro.relational import RelationSymbol
-        >>> S = RelationSymbol("S", 2)
-        >>> index = FactIndex([S(10, "a"), S(9, "b")])
-        >>> index.sort_key_column(0)
-        [('int', '10'), ('int', '9')]
-        >>> rows = [1, 0]
-        >>> rows.sort(key=index.sort_key_column(0).__getitem__)
-        >>> rows                      # repr order: '10' before '9'
-        [0, 1]
-        """
-        column = self._sort_keys.get(position)
-        if column is None:
-            # Double-checked like signature_table: published once full.
-            with self._lock:
-                column = self._sort_keys.get(position)
-                if column is None:
-                    column = []
-                    self._sync_sort_keys(position, column)
-                    self._sort_keys[position] = column
-        return column
-
-    def _sync_sort_keys(self, position: int, column: list) -> None:
-        memo = self._sort_key_memo
-        for fact in self._row_facts[len(column):]:
-            args = fact.args
-            if position >= len(args):
-                column.append(None)
-                continue
-            value = args[position]
-            kind = type(value)
-            if kind is int or kind is str:
-                key = memo.get(value)
-                if key is None:
-                    key = memo[value] = domain_sort_key(value)
-            else:
-                key = domain_sort_key(value)
-            column.append(key)
-
     # --------------------------------------------------- read-only set protocol
     def __contains__(self, fact: object) -> bool:
         return fact in self._rows
@@ -422,8 +359,8 @@ class FactIndex:
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
         """Drop the columnar caches (signature buckets stay: they are
-        plain row-id dicts); the marginal and sort-key columns are
-        rebuilt lazily on the other side of a process-pool fan-out."""
+        plain row-id dicts); the marginal column is rebuilt lazily on
+        the other side of a process-pool fan-out."""
         return {
             "_rows": self._rows,
             "_row_facts": self._row_facts,
@@ -437,8 +374,6 @@ class FactIndex:
             setattr(self, name, value)
         self._marginals = None
         self._marginal_source = None
-        self._sort_keys = {}
-        self._sort_key_memo = {}
         self._view_cache = {}
         self._lock = threading.RLock()
 

@@ -57,6 +57,7 @@ __all__ = [
     "product_complement",
     "segmented_complement_product",
     "segmented_disjunction",
+    "segmented_fold",
     "segmented_log_complement",
     "vector_complement_product",
     "vector_disjunction",
@@ -424,15 +425,40 @@ def segmented_disjunction(np, values, offsets):
     >>> segmented_disjunction(None, [0.5, 0.5, 0.25], [0, 2, 2, 3])
     [0.75, 0.0, 0.25]
     """
+    return segmented_fold(np, values, offsets)[0]
+
+
+def segmented_fold(np, values, offsets):
+    """:func:`segmented_disjunction` with the state each segment's fold
+    ended in: ``(disjunctions, products, residuals, zeros)``, as lists
+    with ``np=None`` and as arrays otherwise.
+
+    A segment's fold is *clean* when it is zero, or when it has no log
+    residual and its product is at least :data:`UNDERFLOW_FLOOR`; its
+    disjunction is then 1.0 or ``1.0 − product``.  Multiplying further
+    factors ``1 − p`` onto a clean product, in order, gives the bits a
+    fold of the longer segment gives, for as long as no ``p`` is tiny
+    and the product stays above the floor: both backends multiply a
+    segment's factors strictly left to right.
+
+    >>> segmented_fold(None, [0.5, 0.5, 1e-20], [0, 2, 3])
+    ([0.75, 1e-20], [0.25, 1.0], [0.0, -1e-20], [False, False])
+    """
     if np is None:
-        return [acc.disjunction() for acc in _segmented_python(values, offsets)]
+        accs = _segmented_python(values, offsets)
+        return (
+            [acc.disjunction() for acc in accs],
+            [acc.product for acc in accs],
+            [acc.residual_log for acc in accs],
+            [acc.is_zero for acc in accs],
+        )
     products, residual, is_zero = _segmented_state(np, values, offsets)
     if len(products) == 0:
-        return products
+        return products, products, residual, is_zero
     with np.errstate(divide="ignore", invalid="ignore"):
         rescued = -np.expm1(np.log(products) + residual)
     out = np.where(residual == 0.0, 1.0 - products, rescued)
-    return np.where(is_zero, 1.0, out)
+    return np.where(is_zero, 1.0, out), products, residual, is_zero
 
 
 def segmented_log_complement(np, values, offsets):

@@ -1,11 +1,15 @@
 """A tightening step grounds only its new facts, without moving a bit.
 
-The lifted path grows a compile-cache family's fact index by the suffix
-of facts the same table gained since its last grounding; any other
-table, or a compiled grounding of the family in between, falls back to
-the full fact-set path.  Either way every answer equals a cold cache's,
-and the batched executor's fold order (the ``domain_sort_key`` order of
-separator values) matches the scalar interpreter's bit for bit.
+The lifted path interns a compile-cache family's fact index in the
+table's insertion order and grows it by the suffix of facts the table
+gained since the index last matched it.  Another table, or a compiled
+grounding of the family in between, keeps that suffix path while the
+index's rows are still a prefix of the table's order; otherwise the
+index is rebuilt in the table's order (``grounding.order_resets``).
+Either way every answer equals a cold cache's, and the batched
+executor's fold order (bound segments in table order, root-level
+values in ``domain_sort_key`` order) matches the scalar interpreter's
+bit for bit.
 """
 
 import random
@@ -88,9 +92,12 @@ class TestSuffixGrounding:
 
 class TestFallback:
     """Another table, or a compiled grounding of the same family,
-    between two steps: the next step regrounds the whole fact set."""
+    between two steps.  While the index's rows are a prefix of the
+    table's order, the next step extends it by the table's suffix;
+    otherwise it rebuilds the index in the table's order and counts one
+    ``grounding.order_resets``."""
 
-    def step_after(self, interleave, extend_calls):
+    def step_after(self, interleave, extend_calls, rebuilt):
         pdb = geometric_pdb()
         q = query(CHAIN, pdb.schema)
         cache = CompileCache()
@@ -98,29 +105,45 @@ class TestFallback:
         assert query_probability_lifted(
             q, table, plan_cache=cache) == cold(q, table)
         interleave(pdb, q, cache, table)
+        before = len(table)
         pdb.extend_truncation(table, 45)
+        order = list(table.possible_facts())
+        extend_calls.clear()
+        with obs.trace() as t:
+            value = query_probability_lifted(q, table, plan_cache=cache)
+        assert extend_calls == [order if rebuilt else order[before:]]
+        assert t.counters.get("grounding.order_resets", 0) == int(rebuilt)
+        assert value == cold(q, table)
+        _, index = cache.lifted(q.formula, table)
+        assert list(index) == order
+        pdb.extend_truncation(table, 50)
         extend_calls.clear()
         value = query_probability_lifted(q, table, plan_cache=cache)
-        assert [len(call) for call in extend_calls] == [len(table)]
-        assert value == cold(q, table)
-        pdb.extend_truncation(table, 50)
-        value = query_probability_lifted(q, table, plan_cache=cache)
+        assert extend_calls == [list(table.possible_facts())[len(order):]]
         assert value == cold(q, table)
 
-    @pytest.mark.parametrize("extra", [0, 40], ids=["same-size", "larger"])
-    def test_second_table(self, extra, extend_calls):
+    @pytest.mark.parametrize(
+        "extra, rebuilt", [(0, False), (40, True)], ids=["same-size", "larger"])
+    def test_second_table(self, extra, rebuilt, extend_calls):
         def interleave(pdb, q, cache, table):
             other = pdb.truncate(len(table) + extra)
             value = query_probability_lifted(q, other, plan_cache=cache)
             assert value == cold(q, other)
 
-        self.step_after(interleave, extend_calls)
+        self.step_after(interleave, extend_calls, rebuilt)
 
     def test_compiled_grounding_of_the_family(self, extend_calls):
         def interleave(pdb, q, cache, table):
             query_probability(q, table, strategy="bdd", compile_cache=cache)
 
-        self.step_after(interleave, extend_calls)
+        self.step_after(interleave, extend_calls, rebuilt=False)
+
+    def test_compiled_grounding_of_a_larger_table(self, extend_calls):
+        def interleave(pdb, q, cache, table):
+            other = pdb.truncate(len(table) + 40)
+            query_probability(q, other, strategy="bdd", compile_cache=cache)
+
+        self.step_after(interleave, extend_calls, rebuilt=True)
 
 
 class TestMixedSeparatorValues:

@@ -106,30 +106,39 @@ class TestBatchedMatchesScalarAndBDD:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestDeltaReuseIsExact:
-    @given(marginals=marginal_maps, delta=marginal_maps)
+    @given(
+        marginals=marginal_maps,
+        deltas=st.lists(marginal_maps, min_size=1, max_size=4),
+    )
     @settings(
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_grown_table_matches_fresh_evaluation(
-        self, backend, marginals, delta
+        self, backend, marginals, deltas
     ):
-        """Re-running after an append-only extension (the binding-table
-        delta path) is bit-identical to a cold evaluation of the grown
-        table."""
+        """Re-running after each of several append-only extensions (the
+        binding-table delta path, and the bound segments' resumed folds)
+        is bit-identical to a cold evaluation of the grown table and to
+        the scalar executor."""
         query = boolean_query(SHAPES["chain"])
-        growth = {
-            fact: p for fact, p in delta.items() if fact not in marginals
-        }
         with forced_backend(backend):
             table = TupleIndependentTable(schema, marginals)
             cache = CompileCache()
             query_probability_lifted(query, table, plan_cache=cache)
-            table.extend(growth)
-            warm = query_probability_lifted(query, table, plan_cache=cache)
-            cold = query_probability_lifted(
-                query, table, plan_cache=CompileCache())
-        assert warm == cold
+            for delta in deltas:
+                table.extend({
+                    fact: p for fact, p in delta.items()
+                    if fact not in table.marginals
+                })
+                warm = query_probability_lifted(
+                    query, table, plan_cache=cache)
+                cold = query_probability_lifted(
+                    query, table, plan_cache=CompileCache())
+                scalar = query_probability_lifted(
+                    query, table, plan_cache=CompileCache(),
+                    executor="scalar")
+                assert warm == cold == scalar
 
 
 class TestRefinementSweepDeltaParity:

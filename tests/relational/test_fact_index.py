@@ -1,10 +1,7 @@
-"""FactIndex: signature probes, delta extension, set protocol, sort-key
-columns."""
-
-import pickle
+"""FactIndex: signature probes, delta extension, set protocol, and the
+prefix test that decides whether a table's order extends the rows."""
 
 from repro.relational import FactIndex, RelationSymbol
-from repro.relational.facts import domain_sort_key
 
 
 R = RelationSymbol("R", 1)
@@ -86,46 +83,18 @@ class TestSetProtocol:
         assert len(index) == 6
 
 
-class TestSortKeyColumn:
-    #: Values whose keys a per-value memo could confuse: equal values
-    #: that print differently (1, 1.0, True; 0.0, -0.0; (1,), (1.0,)),
-    #: and repr order against numeric order (9, 10).
-    VALUES = [9, 10, "9", "a", 1, 1.0, True, 0.0, -0.0, (1,), (1.0,),
-              2.5, None, ("t", 1)]
+class TestIsPrefixOf:
+    def test_rows_must_open_the_order_in_interning_order(self):
+        index = FactIndex([R(1), S(1, 2)])
+        assert index.is_prefix_of([R(1), S(1, 2), R(3)])
+        assert index.is_prefix_of([R(1), S(1, 2)])
+        assert not index.is_prefix_of([S(1, 2), R(1), R(3)])
+        assert not index.is_prefix_of([R(1)])
+        assert FactIndex().is_prefix_of([])
 
-    def expected(self, index, position):
-        return [
-            domain_sort_key(fact.args[position])
-            if position < len(fact.args) else None
-            for fact in (index.fact_at(row) for row in range(index.epoch))
-        ]
-
-    def make_index(self):
-        return FactIndex([R(v) for v in self.VALUES[:5]]
-                         + [S(v, i) for i, v in enumerate(self.VALUES[:5])])
-
-    def test_column_matches_domain_sort_key_after_extends(self):
-        index = self.make_index()
-        assert index.sort_key_column(0) == self.expected(index, 0)
-        assert index.sort_key_column(1) == self.expected(index, 1)
-        for i, value in enumerate(self.VALUES):
-            index.extend([R(value), S(value, 100 + i), S(1000 + i, value)])
-        assert index.sort_key_column(0) == self.expected(index, 0)
-        assert index.sort_key_column(1) == self.expected(index, 1)
-        assert len(index.sort_key_column(1)) == len(index)
-
-    def test_column_is_owned_by_the_index_and_grows_in_place(self):
-        index = self.make_index()
-        column = index.sort_key_column(0)
-        index.extend([R(77)])
-        assert index.sort_key_column(0) is column
-        assert column[-1] == domain_sort_key(77)
-
-    def test_pickle_drops_and_rebuilds_the_column(self):
-        index = self.make_index()
-        index.sort_key_column(0)
-        assert "_sort_keys" not in index.__getstate__()
-        copy = pickle.loads(pickle.dumps(index))
-        copy.extend([S(-0.0, 1.0)])
-        assert copy.sort_key_column(0) == self.expected(copy, 0)
-        assert copy.sort_key_column(1) == self.expected(copy, 1)
+    def test_extension_keeps_the_prefix(self):
+        order = [R(1), S(1, 2), R(2), S(2, 2)]
+        index = FactIndex(order[:2])
+        index.extend(order[2:])
+        assert index.is_prefix_of(order)
+        assert list(index) == order

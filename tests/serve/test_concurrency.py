@@ -291,53 +291,6 @@ def test_concurrent_signature_materialization():
     assert index.signature_count() == serial.signature_count()
 
 
-def test_concurrent_sort_key_columns_and_extension():
-    """Lazy sort-key column builds racing delta extensions: every key a
-    reader sees is its row's key, and the final columns hold exactly one
-    key per row — no append lost or doubled."""
-    import sys
-
-    from repro.relational.facts import domain_sort_key
-
-    S = RelationSymbol("S", 2)
-    batches = [
-        [S(i, j if j % 2 else str(j)) for j in range(24)]
-        for i in range(N_THREADS)
-    ]
-    index = FactIndex(batches[0])
-
-    def expected(position):
-        return [domain_sort_key(index.fact_at(row).args[position])
-                for row in range(index.epoch)]
-
-    def extender(batch):
-        def run():
-            for start in range(0, len(batch), 4):
-                index.extend(batch[start:start + 4])
-        return run
-
-    def reader(position):
-        def run():
-            for _ in range(200):
-                column = index.sort_key_column(position)
-                for row, key in enumerate(list(column)):
-                    assert key == domain_sort_key(
-                        index.fact_at(row).args[position])
-        return run
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        run_threads(
-            [extender(b) for b in batches[1:]]
-            + [reader(i % 2) for i in range(N_THREADS)])
-    finally:
-        sys.setswitchinterval(interval)
-    assert index.epoch == N_THREADS * 24
-    assert index.sort_key_column(0) == expected(0)
-    assert index.sort_key_column(1) == expected(1)
-
-
 # ------------------------------------------------------------ shard pool
 def test_concurrent_marginal_sweeps_one_shared_shard_pool():
     """The serve pattern for compiled answer fan-out: N request threads,

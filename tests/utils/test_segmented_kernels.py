@@ -20,6 +20,7 @@ from repro.utils.probability import (
     numpy_or_none,
     segmented_complement_product,
     segmented_disjunction,
+    segmented_fold,
     segmented_log_complement,
 )
 
@@ -167,3 +168,49 @@ class TestNumpyLegMatchesPython:
                 assert math.isinf(got) and got < 0
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+#: Probabilities that fold by plain multiplication: never tiny, never 1.
+ordinary = st.floats(min_value=1e-16, max_value=0.999999, allow_nan=False)
+LEGS = ["python"] + (["numpy"] if numpy is not None else [])
+
+
+class TestFoldState:
+    """``segmented_fold``'s per-segment state, which the lifted
+    executor keeps to resume bound-segment folds: on the Python leg it
+    is the accumulator's, and on both legs a clean product continued
+    factor by factor gives the bits of the longer segment's fold."""
+
+    @given(segments_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_python_leg_state_is_the_accumulators(self, segments):
+        values, offsets = segments_to_layout(segments)
+        disjunctions, products, residuals, zeros = segmented_fold(
+            None, values, offsets)
+        assert disjunctions == segmented_disjunction(None, values, offsets)
+        accs = [accumulate(s) for s in segments]
+        assert zeros == [acc.is_zero for acc in accs]
+        # A zero state absorbs every factor, whatever its product.
+        assert [
+            (product, residual)
+            for product, residual, zero in zip(products, residuals, zeros)
+            if not zero
+        ] == [(acc.product, acc.residual_log) for acc in accs
+              if not acc.is_zero]
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @given(head=st.lists(ordinary, max_size=40),
+           tail=st.lists(ordinary, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_clean_product_continues_to_the_longer_fold(self, leg, head, tail):
+        np = numpy if leg == "numpy" else None
+        whole = head + tail
+        _, (product,), _, _ = segmented_fold(np, head, [0, len(head)])
+        disjunctions, (full,), (residual,), _ = segmented_fold(
+            np, whole, [0, len(whole)])
+        product = float(product)
+        for p in tail:
+            product *= 1.0 - p
+        if residual == 0.0:  # the longer fold stayed clean
+            assert float(full) == product
+            assert float(disjunctions[0]) == 1.0 - product
