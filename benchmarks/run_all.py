@@ -7,8 +7,8 @@ so a perf record is always traceable to the code that produced it —
 and an artifact nobody regenerated keeps its old stamp.
 
     python benchmarks/run_all.py                         # run all, stamp all
-    python benchmarks/run_all.py lifted_vec              # run + stamp these
-    python benchmarks/run_all.py --stamp-only lifted_vec # only stamp these
+    python benchmarks/run_all.py lifted                  # run + stamp these
+    python benchmarks/run_all.py --stamp-only lifted     # only stamp these
     python benchmarks/run_all.py --stamp-only            # only stamp all
 
 A module failing its acceptance bar stops the run (its exit code is
@@ -34,7 +34,6 @@ ARTIFACT_MODULES = {
     "fanout": "bench_fanout.py",
     "grounding": "bench_grounding.py",
     "lifted": "bench_lifted.py",
-    "lifted_vec": "bench_lifted_vec.py",
     "refinement": "bench_refinement.py",
     "sampling_kernels": "bench_sampling_kernels.py",
     "serve": "bench_serve.py",

@@ -96,7 +96,7 @@ class CompiledQuery:
 
 
 class LiftedExecState:
-    """Per-family runtime state of the batched lifted executor.
+    """Per-family runtime state of the lifted executor.
 
     Everything here is keyed by plan-node ``id`` — sound because the
     family owns its plan objects (``_Family.lifted``) for as long as it
@@ -108,19 +108,18 @@ class LiftedExecState:
       next truncation re-executes only the separator values its delta
       facts touch.  Bound single-leaf projects keep one fold state per
       bucket (:class:`repro.finite.lifted._SegmentFolds`): a touched
-      segment folds only the rows it gained.
+      segment folds only the rows it gained.  Only TI runs keep any:
+      a BID run's block checks span every value of a project.
     * ``annotations`` — the grouped-execution side tables
       (:func:`repro.logic.hierarchy.grouped_plan_info`), one per cached
       plan root.
-    * ``candidate_memo`` — the scalar path's per-(node, epoch)
-      separator-candidate memo.
-    * ``lock`` — held across a whole batched run, *including* the
-      grounding step.  When the state belongs to a compile-cache family
-      this is the family's own stripe lock: the batched executor's
-      binding tables and marginal columns assume the shared index holds
-      exactly the evaluated table's facts, and another session of the
-      same family grounding a different truncation mid-run would
-      silently break that (the index would gain rows whose marginal is
+    * ``lock`` — held across a whole lifted run, *including* the
+      grounding step, on TI and BID tables alike.  When the state
+      belongs to a compile-cache family this is the family's own stripe
+      lock: the executor's binding tables and marginal column assume
+      the shared index holds exactly the evaluated table's facts, and
+      another session of the same family grounding a different
+      truncation mid-run would silently break that (the index would gain rows whose marginal is
       still 0.0 in *this* table, poisoning the caches once the table
       catches up).
 
@@ -128,13 +127,12 @@ class LiftedExecState:
     restore (snapshots re-warm in one run).
     """
 
-    __slots__ = ("lock", "node_caches", "annotations", "candidate_memo")
+    __slots__ = ("lock", "node_caches", "annotations")
 
     def __init__(self, lock: Optional[threading.RLock] = None) -> None:
         self.lock = lock if lock is not None else threading.RLock()
         self.node_caches: Dict[int, object] = {}
         self.annotations: Dict[int, Dict[int, object]] = {}
-        self.candidate_memo: Dict[object, tuple] = {}
 
     def annotations_for(self, plan) -> Dict[int, object]:
         """The grouped-execution side table of one cached plan root,
@@ -178,9 +176,9 @@ class _Family:
         #: and plan building for *this* query, so distinct queries still
         #: compile concurrently.
         self.lock = threading.RLock()
-        #: Batched-executor state for this family's plans (binding
-        #: tables, annotations, candidate memo).  Shares the stripe
-        #: lock so a batched run can atomically ground *and* execute.
+        #: Lifted-executor state for this family's plans (binding
+        #: tables, fold states, annotations).  Shares the stripe lock
+        #: so a lifted run can atomically ground *and* execute.
         self.exec_state = LiftedExecState(self.lock)
         #: ``(table, fact count)`` of the last grounding: the index
         #: then holds exactly that table's first ``fact count`` facts.
@@ -457,10 +455,10 @@ class CompileCache:
             return hybrid[1], _grounded(family, pdb)
 
     def lifted_state(self, formula: Formula) -> LiftedExecState:
-        """The batched-executor state of ``formula``'s family — binding
-        tables delta-extended across truncations, plan annotations, and
-        the scalar candidate memo.  Same lifetime as the family's
-        cached plans (evicted together)."""
+        """The lifted-executor state of ``formula``'s family — binding
+        tables and fold states delta-extended across truncations, and
+        plan annotations.  Same lifetime as the family's cached plans
+        (evicted together)."""
         return self._family(formula).exec_state
 
     def clear(self) -> None:

@@ -85,7 +85,6 @@ def query_probability(
     pdb: PDBLike,
     strategy: str = "auto",
     compile_cache=None,
-    lifted_executor: str = "auto",
 ) -> float:
     """Exact probability of a Boolean query on a finite PDB.
 
@@ -118,14 +117,6 @@ def query_probability(
     compiled (``"bdd"``) path — refinement sessions pass their own so
     warm diagrams stay bound to the session.
 
-    ``lifted_executor`` picks the safe-plan interpreter for the
-    ``"lifted"`` (and ``"auto"``) strategies: ``"auto"`` runs the
-    batched set-at-a-time executor on TI tables and the scalar one on
-    BID tables, ``"scalar"`` forces the candidate-at-a-time
-    interpreter, ``"batched"`` forces the grouped pipeline (BID tables
-    still fall back to scalar, counted in
-    ``lifted.scalar_fallbacks``).
-
     The returned value is a plain ``float`` carrying an
     :class:`~repro.obs.EvalReport` as ``.report`` — the strategy that
     actually fired, compile-cache and sampling telemetry, and per-phase
@@ -134,7 +125,7 @@ def query_probability(
     with obs.trace() as t:
         with obs.phase("evaluate"):
             value, resolved = _dispatch_query_probability(
-                query, pdb, strategy, compile_cache, lifted_executor)
+                query, pdb, strategy, compile_cache)
         obs.note(strategy=resolved)
         report = obs.EvalReport.from_trace(t)
     return obs.attach_report(value, report)
@@ -145,7 +136,6 @@ def _dispatch_query_probability(
     pdb: PDBLike,
     strategy: str,
     compile_cache=None,
-    lifted_executor: str = "auto",
 ) -> Tuple[float, str]:
     """Evaluate and return ``(value, resolved strategy name)`` — the
     concrete engine ``"auto"`` settled on, for the report."""
@@ -174,9 +164,7 @@ def _dispatch_query_probability(
         ):
             raise EvaluationError("lifted evaluation needs a TI or BID table")
         return (
-            query_probability_lifted(
-                query, pdb, plan_cache=compile_cache,
-                executor=lifted_executor),
+            query_probability_lifted(query, pdb, plan_cache=compile_cache),
             "lifted",
         )
     if strategy != "auto":
@@ -210,7 +198,6 @@ def _dispatch_query_probability(
             value = query_probability_lifted(
                 query, pdb, plan_cache=compile_cache,
                 partial=True, unsafe_fallback=unsafe_residue,
-                executor=lifted_executor,
             )
             return value, "lifted"
         except UnsafeQueryError as exc:

@@ -4,22 +4,23 @@ Evaluates safe Boolean UCQs in polynomial time on finite
 tuple-independent and block-independent tables — the efficient
 "traditional closed-world evaluation algorithm" plugged into the
 Proposition 6.1 truncation pipeline.  Plans come from the Dalvi–Suciu
-solver in :mod:`repro.logic.hierarchy`; this module interprets them
-against a table through a binding environment:
+solver in :mod:`repro.logic.hierarchy`; one set-at-a-time executor runs
+them against the table's :class:`~repro.relational.index.FactIndex`,
+visiting each plan node once over a group table of bindings:
 
-* ``FactLeaf`` grounds its atom with the current binding and reads the
-  fact's marginal;
-* ``IndependentProject`` discovers candidate values for its separator
-  variable by probing the :class:`~repro.relational.index.FactIndex`
-  hash indexes (bound-column signatures — no per-atom scans) and folds
-  ``1 − Π_a (1 − P(child[x↦a]))``;
+* ``FactLeaf`` grounds its atom for every group row in one sweep of a
+  signature table and reads the marginal column;
+* ``IndependentProject`` gathers every row's candidate values for its
+  separator variable from the index's hash buckets (bound-column
+  signatures — no per-atom scans), evaluates its child once over all of
+  them, and folds ``1 − Π_a (1 − P(child[x↦a]))`` per row;
 * ``IndependentJoin`` / ``IndependentUnion`` multiply / co-multiply;
 * ``InclusionExclusion`` sums signed term probabilities;
 * ``UnsafeLeaf`` (partial plans only) delegates its residue formula to a
   caller-supplied intensional fallback.
 
 On BID tables the independence every multiplicative node assumes is
-re-checked against the block partition at evaluation time: nodes whose
+re-checked per group row against the block partition: operands whose
 subtrees touch disjoint block sets evaluate as on TI tables, same-block
 alternatives combine by the disjoint-union rule
 ``P = 1 − Π_blocks (1 − Σ_alternatives p)``, and anything else raises
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
     Union,
@@ -38,7 +40,7 @@ from typing import (
 
 from repro import obs
 from repro.errors import EvaluationError, UnsafeQueryError
-from repro.finite.bid import BlockIndependentTable
+from repro.finite.bid import Block, BlockIndependentTable
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.hierarchy import (
     FactLeaf,
@@ -60,7 +62,7 @@ from repro.logic.normalform import (
 )
 from repro.logic.queries import BooleanQuery, Query
 from repro.logic.syntax import Atom, Constant, Formula, Variable
-from repro.relational.facts import Fact, Value, domain_sort_key
+from repro.relational.facts import Value, domain_sort_key
 from repro.relational.index import FactIndex
 from repro.utils.probability import (
     TINY_PROBABILITY,
@@ -82,20 +84,16 @@ __all__ = [
 
 LiftedTable = Union[TupleIndependentTable, BlockIndependentTable]
 
-Binding = Dict[Variable, Value]
-
 #: Obs counter: plan nodes evaluated as one grouped columnar pass.
 LIFTED_VECTORIZED_NODES = "lifted.vectorized_nodes"
-#: Obs counter: grouped evaluations that fell back to the scalar path
-#: (per-group unsafe residue, or a whole-plan BID fallback).
+#: Obs counter: group rows an unsafe residue's intensional fallback
+#: answers (partial plans only).
 LIFTED_SCALAR_FALLBACKS = "lifted.scalar_fallbacks"
 #: Obs counter: index rows flowing through grouped probe/fold passes.
 LIFTED_GROUP_ROWS = "lifted.group_rows"
 #: Obs counter: separator groups served from a delta-extended
 #: per-plan-node binding cache instead of re-executing the child.
 LIFTED_CACHED_GROUPS = "lifted.cached_groups"
-#: Obs counter: scalar-path candidate sets served from the memo.
-LIFTED_CANDIDATE_MEMO_HITS = "lifted.candidate_memo_hits"
 #: Obs counter: bound segments whose fold resumed from its kept state.
 LIFTED_FOLDS_RESUMED = "lifted.folds_resumed"
 #: Obs counter: bound segments folded in full while fold states are
@@ -103,96 +101,8 @@ LIFTED_FOLDS_RESUMED = "lifted.folds_resumed"
 #: underflow, or a state that was not clean).
 LIFTED_FOLDS_REFOLDED = "lifted.folds_refolded"
 
-_EXECUTORS = ("auto", "scalar", "batched")
-
 #: Placeholder for the separator value in a probe-key layout.
 _SEPARATOR = object()
-
-
-def _ground_fact(atom: Atom, binding: Binding) -> Fact:
-    args: List[Value] = []
-    for term in atom.terms:
-        if isinstance(term, Constant):
-            args.append(term.value)
-        elif term in binding:
-            args.append(binding[term])
-        else:
-            raise EvaluationError(
-                f"unbound variable {term} at plan leaf {atom}"
-            )
-    return Fact(atom.relation, tuple(args))
-
-
-def _probe_pattern(atom: Atom, binding: Binding) -> Dict[int, Value]:
-    """The bound-column pattern an atom fixes under ``binding``:
-    constants plus already-bound variables."""
-    bound: Dict[int, Value] = {}
-    for i, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            bound[i] = term.value
-        elif term in binding:
-            bound[i] = binding[term]
-    return bound
-
-
-def _atom_candidates(
-    atom: Atom,
-    variable: Variable,
-    index: FactIndex,
-    binding: Binding,
-) -> Set[Value]:
-    """Values the index supports for ``variable`` in one atom: probe the
-    atom's bound columns, read the variable's positions off the matching
-    facts (requiring repeated positions to agree)."""
-    positions = [i for i, term in enumerate(atom.terms) if term == variable]
-    bound = _probe_pattern(atom, binding)
-    values: Set[Value] = set()
-    for fact in index.probe(atom.relation, bound):
-        position_values = {fact.args[i] for i in positions}
-        if len(position_values) == 1:
-            values.add(position_values.pop())
-    return values
-
-
-def _candidate_values(
-    subquery: Union[ConjunctiveQuery, UnionOfConjunctiveQueries],
-    variable: Variable,
-    index: FactIndex,
-    binding: Binding,
-) -> List[Value]:
-    """Values worth grounding ``variable`` with, in the shared
-    :func:`~repro.relational.facts.domain_sort_key` order (consistent
-    with the join grounder, so lifted grounding is reproducible across
-    backends).  For a CQ the sets from each atom containing the variable
-    intersect (the separator occurs in all of them); for a UCQ the
-    per-disjunct candidates union.  Values outside give subquery
-    probability 0 and contribute nothing to the independent project."""
-    if isinstance(subquery, UnionOfConjunctiveQueries):
-        union: Set[Value] = set()
-        for cq in subquery.disjuncts:
-            union |= _cq_candidates(cq, variable, index, binding)
-        return sorted(union, key=domain_sort_key)
-    return sorted(
-        _cq_candidates(subquery, variable, index, binding),
-        key=domain_sort_key,
-    )
-
-
-def _cq_candidates(
-    cq: ConjunctiveQuery,
-    variable: Variable,
-    index: FactIndex,
-    binding: Binding,
-) -> Set[Value]:
-    candidate_sets: List[Set[Value]] = []
-    for atom in cq.atoms:
-        if variable not in {t for t in atom.terms if isinstance(t, Variable)}:
-            continue
-        candidate_sets.append(
-            _atom_candidates(atom, variable, index, binding))
-    if not candidate_sets:
-        return set()
-    return set.intersection(*candidate_sets)
 
 
 def _plan_atoms(plan: SafePlan) -> Iterator[Atom]:
@@ -276,276 +186,31 @@ def _resume_fold(product: float, values: Iterable[float]):
     return product, False
 
 
-class _PlanEvaluator:
-    """Interprets a safe plan against one table via a binding
-    environment; all data access goes through the table's
-    :class:`~repro.relational.index.FactIndex`."""
+def _blocks_disjoint(operands: Iterable[Set[Block]]) -> bool:
+    """Whether no block is read by two of the operands."""
+    seen: Set[Block] = set()
+    for blocks in operands:
+        if not seen.isdisjoint(blocks):
+            return False
+        seen |= blocks
+    return True
 
-    __slots__ = (
-        "table", "index", "is_bid", "unsafe_fallback", "candidate_memo")
 
-    def __init__(
-        self,
-        table: LiftedTable,
-        index: FactIndex,
-        unsafe_fallback: Optional[Callable[[Formula], float]] = None,
-        candidate_memo: Optional[Dict[object, tuple]] = None,
-    ):
-        self.table = table
-        self.index = index
-        self.is_bid = isinstance(table, BlockIndependentTable)
-        self.unsafe_fallback = unsafe_fallback
-        #: Separator-candidate memo, keyed by plan-node id — pass the
-        #: compile-cache family's persistent dict to keep hits across
-        #: runs of one ε-sweep; entries carry the (index, epoch) they
-        #: were computed at, so truncation growth invalidates them.
-        self.candidate_memo = candidate_memo if candidate_memo is not None else {}
-
-    def run(self, plan: SafePlan) -> float:
-        return self._eval(plan, {})
-
-    def _candidates(
-        self, plan: IndependentProject, binding: Binding
-    ) -> List[Value]:
-        """Separator candidates of one project node, memoized per
-        (plan node, truncation epoch).
-
-        The candidate set depends on the binding only through scope
-        variables other than the separator; when none of those is bound
-        (the root-level visit, and every re-visit of the same node at
-        the same truncation) the set is a pure function of (node, index
-        state) and the memo serves repeats without re-probing."""
-        memo = self.candidate_memo
-        key = id(plan)
-        scope = memo.get(("scope", key))
-        if scope is None:
-            scope = frozenset(
-                term
-                for atom in _scope_atoms(plan.subquery)
-                for term in atom.terms
-                if isinstance(term, Variable) and term != plan.variable
-            )
-            memo[("scope", key)] = scope
-        if binding and not scope.isdisjoint(binding):
-            return _candidate_values(
-                plan.subquery, plan.variable, self.index, binding)
-        index = self.index
-        entry = memo.get(key)
-        if (
-            entry is not None
-            and entry[0] is index
-            and entry[1] == index.epoch
-        ):
-            obs.incr(LIFTED_CANDIDATE_MEMO_HITS)
-            return entry[2]
-        values = _candidate_values(
-            plan.subquery, plan.variable, index, binding)
-        memo[key] = (index, index.epoch, values)
-        return values
-
-    # ------------------------------------------------------------- dispatch
-    def _eval(self, plan: SafePlan, binding: Binding) -> float:
-        if isinstance(plan, FactLeaf):
-            return self.table.marginal(_ground_fact(plan.atom, binding))
-        if isinstance(plan, IndependentJoin):
-            return self._eval_join(plan, binding)
-        if isinstance(plan, IndependentUnion):
-            return self._eval_union(plan, binding)
-        if isinstance(plan, IndependentProject):
-            return self._eval_project(plan, binding)
-        if isinstance(plan, InclusionExclusion):
-            return sum(
-                coefficient * self._eval(term, binding)
-                for coefficient, term in plan.terms
-            )
-        if isinstance(plan, UnsafeLeaf):
-            if self.unsafe_fallback is None:
-                raise UnsafeQueryError(
-                    f"plan contains an unsafe residue: {plan.subquery!r}",
-                    subquery=plan.subquery,
-                )
-            return float(self.unsafe_fallback(plan.formula()))
-        raise EvaluationError(f"unknown plan node {plan!r}")
-
-    # ------------------------------------------------------------ operators
-    def _eval_join(self, plan: IndependentJoin, binding: Binding) -> float:
-        if self.is_bid:
-            self._require_disjoint_blocks(
-                plan.children, binding, "independent join"
-            )
-        probability = 1.0
-        for child in plan.children:
-            probability *= self._eval(child, binding)
-            if probability == 0.0:
-                return 0.0
-        return probability
-
-    def _eval_union(self, plan: IndependentUnion, binding: Binding) -> float:
-        if self.is_bid and not self._blocks_disjoint(plan.children, binding):
-            if all(isinstance(c, FactLeaf) for c in plan.children):
-                facts = [
-                    _ground_fact(c.atom, binding) for c in plan.children
-                ]
-                return self._disjoint_union(facts)
-            raise UnsafeQueryError(
-                "BID blocks overlap across union branches; the "
-                "independent-union rule does not apply"
-            )
-        # Log-space complement accumulation (utils.probability): the
-        # naive ``complement *= 1.0 - p`` loop silently drops children
-        # below one ulp of 0 and underflows past ~1e-308.
-        acc = ComplementAccumulator()
-        for child in plan.children:
-            acc.add(self._eval(child, binding))
-            if acc.is_zero:
-                return 1.0
-        return acc.disjunction()
-
-    def _eval_project(
-        self, plan: IndependentProject, binding: Binding
-    ) -> float:
-        if not self.is_bid and isinstance(plan.child, FactLeaf):
-            fast = self._project_leaf_fast(plan, binding)
-            if fast is not None:
-                return fast
-        values = self._candidates(plan, binding)
-        bindings = [
-            {**binding, plan.variable: value} for value in values
-        ]
-        if self.is_bid and not self._bindings_disjoint(plan.child, bindings):
-            if isinstance(plan.child, FactLeaf):
-                facts = [
-                    _ground_fact(plan.child.atom, b) for b in bindings
-                ]
-                return self._disjoint_union(facts)
-            raise UnsafeQueryError(
-                "BID blocks overlap across project values; the "
-                "independent-project rule does not apply"
-            )
-        acc = ComplementAccumulator()
-        for child_binding in bindings:
-            acc.add(self._eval(plan.child, child_binding))
-            if acc.is_zero:
-                return 1.0
-        return acc.disjunction()
-
-    def _project_leaf_fast(
-        self, plan: IndependentProject, binding: Binding
-    ) -> Optional[float]:
-        """Columnar independent project over a single-atom leaf (TI
-        tables): one index probe returns the matching row ids, the
-        marginal column serves the slice, and the fold runs without
-        per-candidate binding dicts, fact grounding, or recursion.
-
-        Folds in the batched executor's order, so results stay
-        bit-identical to it: a *bound* segment (the binding fixes a
-        variable of the atom) in row order, which is the table's order
-        because the index interns in it; an unbound one in the
-        ``domain_sort_key`` order of its separator values.  Returns None
-        when the leaf's atom has free variables besides the project
-        variable — the generic path handles those.
-        """
-        atom = plan.child.atom
-        variable = plan.variable
-        positions: List[int] = []
-        bound = False
-        for i, term in enumerate(atom.terms):
-            if term == variable:
-                positions.append(i)
-            elif isinstance(term, Constant):
-                continue
-            elif term in binding:
-                bound = True
-            else:
-                return None
-        if not positions:
-            return None
-        rows = self.index.probe_rows(
-            atom.relation, _probe_pattern(atom, binding))
-        if not rows:
-            return 0.0
-        column = self.index.marginal_column(self.table)
-        rows = _agreeing_rows(self.index, rows, positions)
-        if not bound:
-            rows = _sorted_by_value(self.index, rows, positions[0])
-        acc = ComplementAccumulator()
-        for row in rows:
-            acc.add(column[row])
-            if acc.is_zero:
-                return 1.0
-        return acc.disjunction()
-
-    # ------------------------------------------------------- BID machinery
-    def _touched_blocks(self, plan: SafePlan, binding: Binding) -> Set[str]:
-        """Names of every block a subtree can read under ``binding`` —
-        a superset, derived by probing each reachable atom's bound
-        columns."""
-        names: Set[str] = set()
-        assert isinstance(self.table, BlockIndependentTable)
-        for atom in _plan_atoms(plan):
-            bound = _probe_pattern(atom, binding)
-            for fact in self.index.probe(atom.relation, bound):
-                block = self.table.block_of(fact)
-                if block is not None:
-                    names.add(block.name)
-        return names
-
-    def _blocks_disjoint(self, children, binding: Binding) -> bool:
-        seen: Set[str] = set()
-        for child in children:
-            touched = self._touched_blocks(child, binding)
-            if touched & seen:
-                return False
-            seen |= touched
-        return True
-
-    def _bindings_disjoint(self, child: SafePlan, bindings) -> bool:
-        seen: Set[str] = set()
-        for child_binding in bindings:
-            touched = self._touched_blocks(child, child_binding)
-            if touched & seen:
-                return False
-            seen |= touched
-        return True
-
-    def _require_disjoint_blocks(
-        self, children, binding: Binding, rule: str
-    ) -> None:
-        if not self._blocks_disjoint(children, binding):
-            raise UnsafeQueryError(
-                f"BID blocks overlap across {rule} operands; the plan's "
-                "independence assumption fails on this table"
-            )
-
-    def _disjoint_union(self, facts) -> float:
-        """``P(∨ facts)`` when the facts may share blocks: within a
-        block alternatives are mutually exclusive (masses add), across
-        blocks independent."""
-        assert isinstance(self.table, BlockIndependentTable)
-        per_block: Dict[str, float] = {}
-        seen: Set[Fact] = set()
-        for fact in facts:
-            if fact in seen:
-                continue
-            seen.add(fact)
-            block = self.table.block_of(fact)
-            if block is None:
-                continue  # impossible fact: contributes 0
-            mass = per_block.get(block.name, 0.0) + block.probability(fact)
-            per_block[block.name] = mass
-        acc = ComplementAccumulator()
-        for mass in per_block.values():
-            acc.add(min(1.0, mass))
-            if acc.is_zero:
-                return 1.0
-        return acc.disjunction()
+def _reaches_nan(values: Iterable[float]) -> bool:
+    """Whether a disjunction folding ``values`` in order meets a NaN (a
+    row whose block check failed) before a value of 1.0 settles it."""
+    for p in values:
+        if p >= 1.0:
+            return False
+        if p != p:
+            return True
+    return False
 
 
 class _Groups:
     """A group table: ``size`` separator-binding rows, one value column
-    per bound variable.  The batched evaluator threads one of these
-    through the plan instead of a per-candidate binding dict — node
-    evaluation returns one probability per group row."""
+    per bound variable.  The evaluator threads one of these through the
+    plan, and node evaluation returns one probability per group row."""
 
     __slots__ = ("size", "columns")
 
@@ -609,27 +274,30 @@ class _SegmentFolds:
 
 
 class _BatchedEvaluator:
-    """Set-at-a-time plan interpreter over the columnar layer (TI
-    tables).
+    """Set-at-a-time plan interpreter over the columnar layer.
 
-    Where :class:`_PlanEvaluator` recurses once per separator candidate,
-    this evaluator visits each plan node **once per node**: a project
-    materializes all its separator bindings as a group table, the child
-    subplan evaluates for every group in one pass, and the fold back to
+    Each plan node is visited **once per run**: a project materializes
+    all its separator bindings as a group table, the child subplan
+    evaluates for every group in one pass, and the fold back to
     per-parent-group probabilities is a segmented hybrid log-space
     reduction (:func:`repro.utils.probability.segmented_disjunction`).
     Numerically it applies the exact per-element policy of
     :class:`~repro.utils.probability.ComplementAccumulator`, so dyadic
-    marginals stay bit-exact against the scalar path and the other
-    exact strategies.
+    marginals stay bit-exact against the other exact strategies.
 
-    BID tables keep the scalar path: their disjoint-union rule needs
-    per-binding block inspection (see ``_run_plan``).
+    On a BID table (``blocks`` holds each index row's block) a join, a
+    union and a project check per group row that their operands read
+    disjoint blocks (:meth:`_touched`).  Leaf operands of a union or
+    project that share one take the disjoint-union rule; any other
+    shared block makes the row NaN.  Operands are read in order: a join
+    stops at a zero product and a fold at a value of 1.0, so a NaN past
+    either never counts, and any other NaN reaches the root, which
+    raises :class:`UnsafeQueryError`.  BID runs keep no node caches.
     """
 
     __slots__ = (
         "table", "index", "unsafe_fallback", "info", "node_caches",
-        "column", "np", "marginals",
+        "column", "np", "marginals", "blocks",
     )
 
     def __init__(
@@ -640,9 +308,6 @@ class _BatchedEvaluator:
         info: Optional[Dict[int, object]] = None,
         node_caches: Optional[Dict[int, object]] = None,
     ):
-        if isinstance(table, BlockIndependentTable):  # pragma: no cover
-            raise EvaluationError(
-                "the batched executor evaluates TI tables only")
         self.table = table
         self.index = index
         self.unsafe_fallback = unsafe_fallback
@@ -657,9 +322,23 @@ class _BatchedEvaluator:
             self.np = None
         #: Zero-copy marginal values aligned to row ids (list or array).
         self.marginals = self.column.view()
+        #: Each index row's block on a BID table; None on a TI table.
+        self.blocks: Optional[List[Block]] = None
+        if isinstance(table, BlockIndependentTable):
+            self.blocks = [
+                table.block_of(index.fact_at(row))
+                for row in range(index.epoch)
+            ]
 
     def run(self, plan: SafePlan) -> float:
-        return float(self.run_groups(plan, _Groups(1, {}))[0])
+        value = float(self.run_groups(plan, _Groups(1, {}))[0])
+        if math.isnan(value):
+            raise UnsafeQueryError(
+                "BID blocks overlap across the operands of a join, union "
+                "or project; the plan's independence assumption fails on "
+                "this table"
+            )
+        return value
 
     def run_groups(self, plan: SafePlan, groups: _Groups):
         """Evaluate ``plan`` over a caller-built group table: one
@@ -685,10 +364,10 @@ class _BatchedEvaluator:
         raise EvaluationError(f"unknown plan node {plan!r}")
 
     # ------------------------------------------------------------ operators
-    def _eval_leaf(self, plan: FactLeaf, groups: _Groups):
+    def _leaf_rows(self, plan: FactLeaf, groups: _Groups) -> List[int]:
         """Ground every group's binding of the leaf atom in one sweep of
-        the full-arity signature table; absent facts contribute 0."""
-        obs.incr(LIFTED_VECTORIZED_NODES)
+        the full-arity signature table: one index row per group, -1
+        where the fact is absent."""
         leaf: GroupedLeaf = self.info[id(plan)]
         columns = []
         for kind, payload in leaf.layout:
@@ -712,6 +391,13 @@ class _BatchedEvaluator:
         for key in keys:
             bucket = lookup(key)
             rows.append(bucket[0] if bucket else -1)
+        return rows
+
+    def _eval_leaf(self, plan: FactLeaf, groups: _Groups):
+        """Each group's marginal of the leaf fact; absent facts
+        contribute 0."""
+        obs.incr(LIFTED_VECTORIZED_NODES)
+        rows = self._leaf_rows(plan, groups)
         obs.incr(LIFTED_GROUP_ROWS, groups.size)
         np = self.np
         if np is None:
@@ -725,6 +411,8 @@ class _BatchedEvaluator:
         return out
 
     def _eval_join(self, plan: IndependentJoin, groups: _Groups):
+        """Elementwise product; a zero product ends a row, so a NaN
+        operand after it never counts."""
         obs.incr(LIFTED_VECTORIZED_NODES)
         np = self.np
         if np is None:
@@ -732,17 +420,34 @@ class _BatchedEvaluator:
             for child in plan.children:
                 vector = self._eval(child, groups)
                 for g, p in enumerate(vector):
-                    totals[g] *= p
-            return totals
-        out = np.ones(groups.size, dtype=np.float64)
-        for child in plan.children:
-            out = out * np.asarray(self._eval(child, groups))
-        return out
+                    if totals[g] != 0.0:
+                        totals[g] *= p
+        else:
+            totals = np.ones(groups.size, dtype=np.float64)
+            for child in plan.children:
+                product = totals * np.asarray(self._eval(child, groups))
+                totals = np.where(totals == 0.0, 0.0, product)
+        if self.blocks is not None:
+            operands = zip(*(self._touched(c, groups) for c in plan.children))
+            for g, touched in enumerate(operands):
+                if not _blocks_disjoint(touched):
+                    totals[g] = math.nan
+        return totals
 
     def _eval_union(self, plan: IndependentUnion, groups: _Groups):
         obs.incr(LIFTED_VECTORIZED_NODES)
         vectors = [self._eval(child, groups) for child in plan.children]
-        return self._fold_disjunction(vectors, groups.size)
+        out = self._fold_disjunction(vectors, groups.size)
+        if self.blocks is not None:
+            leaves = all(isinstance(c, FactLeaf) for c in plan.children)
+            self._apply_block_rules(
+                out,
+                zip(*(self._touched(c, groups) for c in plan.children)),
+                zip(*vectors),
+                zip(*(self._leaf_rows(c, groups) for c in plan.children))
+                if leaves else None,
+            )
+        return out
 
     def _eval_inclusion_exclusion(
         self, plan: InclusionExclusion, groups: _Groups
@@ -788,22 +493,93 @@ class _BatchedEvaluator:
             and not groups.columns
         ):
             return self._project_root_cached(plan, info)
-        if isinstance(plan.child, FactLeaf):
+        if self.blocks is None and isinstance(plan.child, FactLeaf):
             fast = self._project_leaf(plan, groups)
             if fast is not None:
                 return fast
         values, offsets = self._candidate_groups(info, groups)
         child_groups = self._expand(groups, info.variable, values, offsets)
         vector = self._eval(plan.child, child_groups)
-        return self._segmented_disjunction(vector, offsets)
+        out = self._segmented_disjunction(vector, offsets)
+        if self.blocks is not None:
+            segments = [slice(*ends) for ends in zip(offsets, offsets[1:])]
+            touched = self._touched(plan.child, child_groups)
+            rows = (
+                self._leaf_rows(plan.child, child_groups)
+                if isinstance(plan.child, FactLeaf) else None
+            )
+            self._apply_block_rules(
+                out,
+                (touched[segment] for segment in segments),
+                (vector[segment] for segment in segments),
+                None if rows is None else (rows[s] for s in segments),
+            )
+        return out
+
+    # ------------------------------------------------------------ BID rules
+    def _touched(self, plan: SafePlan, groups: _Groups) -> List[Set[Block]]:
+        """Per group row, every block ``plan`` can read under the row's
+        binding — a superset, from probing each atom the subtree can
+        reach (:func:`_plan_atoms`) on its constants and bound columns."""
+        blocks = self.blocks
+        touched: List[Set[Block]] = [set() for _ in range(groups.size)]
+        for atom in _plan_atoms(plan):
+            positions: List[int] = []
+            columns = []
+            for position, term in enumerate(atom.terms):
+                if isinstance(term, Constant):
+                    columns.append(itertools.repeat(term.value, groups.size))
+                elif term in groups.columns:
+                    columns.append(groups.columns[term])
+                else:
+                    continue
+                positions.append(position)
+            table = self.index.signature_table(atom.relation, tuple(positions))
+            keys = (
+                zip(*columns) if columns
+                else itertools.repeat((), groups.size)
+            )
+            for seen, key in zip(touched, keys):
+                seen.update(blocks[row] for row in table.get(key, ()))
+        return touched
+
+    def _apply_block_rules(self, out, touched, values, leaf_rows) -> None:
+        """Apply the BID rules to a disjunction's results in place.  Per
+        result, ``touched``, ``values`` and ``leaf_rows`` give its
+        operands' block sets, values and leaf rows in fold order
+        (``leaf_rows`` is None unless every operand is a leaf).  Operands
+        that share a block take the disjoint-union rule when they are
+        leaves and make the result NaN otherwise; a NaN operand the fold
+        reaches makes it NaN too."""
+        leaf_rows = itertools.repeat(None) if leaf_rows is None else leaf_rows
+        for i, (blocks, operands, rows) in enumerate(
+                zip(touched, values, leaf_rows)):
+            if not _blocks_disjoint(blocks):
+                out[i] = math.nan if rows is None else self._disjoint_union(rows)
+            elif _reaches_nan(operands):
+                out[i] = math.nan
+
+    def _disjoint_union(self, rows: Iterable[int]) -> float:
+        """``P(∨ facts)`` over leaf rows (-1: absent fact) whose facts
+        may share blocks: within a block alternatives are mutually
+        exclusive (masses add), across blocks independent."""
+        masses: Dict[Block, float] = {}
+        for row in dict.fromkeys(rows):
+            if row >= 0:
+                block = self.blocks[row]
+                masses[block] = masses.get(block, 0.0) + float(
+                    self.marginals[row])
+        acc = ComplementAccumulator()
+        for mass in masses.values():
+            acc.add(min(1.0, mass))
+        return acc.disjunction()
 
     def _project_leaf(self, plan: IndependentProject, groups: _Groups):
-        """Grouped form of the single-leaf project fast path: each
-        group's candidate rows are one bucket of the leaf's signature
-        table, and the marginal column folds them segment-at-a-time.
-        Mirrors the scalar ``_project_leaf_fast`` exactly — candidates
-        come from the child atom alone — and bails to the generic path
-        (None) when the leaf has free variables besides the separator.
+        """Single-leaf project fast path (TI tables): each group's
+        candidate rows are one bucket of the leaf's signature table, and
+        the marginal column folds them segment-at-a-time.  Candidates
+        come from the child atom alone; bails to the generic path (None)
+        when the leaf has free variables besides the separator.
 
         A *bound* segment, whose bucket key holds a value an enclosing
         separator or a head variable binds, folds in bucket order: the
@@ -1081,9 +857,9 @@ class _BatchedEvaluator:
     def _candidate_groups(self, info: GroupedProject, groups: _Groups):
         """Separator candidates of every group in one pass: per group,
         the ordered union over disjuncts of (base-atom bucket values
-        filtered by membership in the disjunct's other atoms) — the
-        grouped form of the scalar per-atom-set intersection.  Returns
-        ``(values, offsets)`` in the segment layout."""
+        filtered by membership in the disjunct's other atoms), i.e. the
+        values that every separator atom of some disjunct supports.
+        Returns ``(values, offsets)`` in the segment layout."""
         index = self.index
         prepared = []
         for atoms in info.per_disjunct:
@@ -1155,9 +931,8 @@ class _BatchedEvaluator:
                             break
                     else:
                         seen.setdefault(value, None)
-            # Canonical per-group candidate order, the scalar path's
-            # ``domain_sort_key``: a generic project folds its child's
-            # values in it.
+            # Canonical per-group candidate order, ``domain_sort_key``:
+            # a generic project folds its child's values in it.
             flat.extend(sorted(seen, key=domain_sort_key))
             offsets.append(len(flat))
         return flat, offsets
@@ -1276,44 +1051,29 @@ def _run_plan(
     table: LiftedTable,
     index: FactIndex,
     unsafe_fallback: Optional[Callable[[Formula], float]],
-    executor: str,
     state=None,
 ) -> float:
-    """Dispatch one plan run to the batched or scalar executor.
-
-    ``executor="auto"`` routes TI tables to the batched set-at-a-time
-    executor and BID tables to the scalar one (the disjoint-union rule
-    needs per-binding block inspection); ``"scalar"`` forces the legacy
-    candidate-at-a-time interpreter; ``"batched"`` forces the grouped
-    pipeline where it applies, counting a ``lifted.scalar_fallbacks``
-    when a BID table sends it back to the scalar path anyway.
+    """Run one plan in the batched executor.
 
     ``state`` is a compile-cache family's
     :class:`~repro.finite.compile_cache.LiftedExecState`: it carries the
-    persistent per-plan-node binding tables (delta-extended across
-    ε-sweep truncations), the plan-annotation side tables, and the
-    scalar path's candidate memo.
+    plan-annotation side tables and, for TI tables, the persistent
+    per-plan-node binding tables and fold states (delta-extended across
+    ε-sweep truncations).  BID runs keep no node caches: a project's
+    block check spans every one of its values, not only the values a
+    delta touches.
     """
-    if executor not in _EXECUTORS:
-        raise EvaluationError(
-            f"unknown lifted executor {executor!r}; "
-            f"expected one of {_EXECUTORS}"
-        )
     record_fold_error(plan_error_bound(plan, len(table.possible_facts())))
-    is_bid = isinstance(table, BlockIndependentTable)
-    if executor != "scalar" and not is_bid:
-        if state is not None:
-            with state.lock:
-                evaluator = _BatchedEvaluator(
-                    table, index, unsafe_fallback,
-                    state.annotations_for(plan), state.node_caches)
-                return evaluator.run(plan)
+    if state is None:
         return _BatchedEvaluator(table, index, unsafe_fallback).run(plan)
-    if executor == "batched" and is_bid:
-        obs.incr(LIFTED_SCALAR_FALLBACKS)
-    memo = state.candidate_memo if state is not None else None
-    return _PlanEvaluator(
-        table, index, unsafe_fallback, candidate_memo=memo).run(plan)
+    caches = (
+        None if isinstance(table, BlockIndependentTable)
+        else state.node_caches
+    )
+    with state.lock:
+        return _BatchedEvaluator(
+            table, index, unsafe_fallback, state.annotations_for(plan),
+            caches).run(plan)
 
 
 #: Answer rows per grouped pass.  A row's value depends only on its own
@@ -1384,9 +1144,7 @@ def answer_marginals_lifted(
                     results[answer] = float(probability)
 
 
-def evaluate_plan(
-    plan: SafePlan, table: LiftedTable, executor: str = "auto"
-) -> float:
+def evaluate_plan(plan: SafePlan, table: LiftedTable) -> float:
     """Evaluate a compiled :class:`SafePlan` on a TI (or BID) table.
 
     Builds a fresh :class:`~repro.relational.index.FactIndex` over the
@@ -1395,10 +1153,6 @@ def evaluate_plan(
     growing truncations should go through
     :func:`query_probability_lifted`, which reuses a delta-extended
     index, caches plans, and keeps warm per-node binding tables.
-
-    ``executor`` picks the interpreter: ``"auto"`` (batched
-    set-at-a-time on TI tables, scalar on BID), ``"scalar"``, or
-    ``"batched"``.
 
     >>> from repro.relational import Schema
     >>> from repro.logic.syntax import Atom, Variable
@@ -1414,7 +1168,7 @@ def evaluate_plan(
     ):
         raise EvaluationError("lifted evaluation needs a TI or BID table")
     index = FactIndex(table.possible_facts())
-    return _run_plan(plan, table, index, None, executor)
+    return _run_plan(plan, table, index, None)
 
 
 def query_probability_lifted(
@@ -1423,14 +1177,14 @@ def query_probability_lifted(
     plan_cache=None,
     partial: bool = False,
     unsafe_fallback: Optional[Callable[[Formula], float]] = None,
-    executor: str = "auto",
 ) -> float:
     """Exact ``P(Q)`` via safe plans, or :class:`UnsafeQueryError`.
 
     The query must be (equivalent to) a Boolean UCQ with a safe plan
     under the Dalvi–Suciu rules of :mod:`repro.logic.hierarchy` — the
     error of an unsafe query carries the minimal offending subquery as
-    ``exc.subquery``.
+    ``exc.subquery``.  On a BID table it also raises where the plan's
+    operands share a block the disjoint-union rule does not cover.
 
     ``plan_cache`` is a :class:`~repro.finite.compile_cache.CompileCache`
     (defaulting to the process-wide one): plans are compiled once per
@@ -1443,15 +1197,12 @@ def query_probability_lifted(
     delegated to ``unsafe_fallback(formula)`` (required in that case by
     evaluation time); a wholly unsafe query raises even in partial mode.
 
-    ``executor`` picks the plan interpreter — ``"auto"`` runs the
-    batched set-at-a-time executor on TI tables (scalar on BID),
-    ``"scalar"`` forces the candidate-at-a-time path, ``"batched"``
-    forces the grouped pipeline (BID still falls back, counted).  The
-    batched executor keeps per-plan-node binding tables in the cache
-    family and delta-extends them across a sweep's truncations, so only
-    new separator groups re-execute (``lifted.cached_groups``), and a
-    bound segment they read folds only its new rows onto its kept fold
-    state (``lifted.folds_resumed``).
+    The plan runs in the batched set-at-a-time executor.  On TI tables
+    it keeps per-plan-node binding tables in the cache family and
+    delta-extends them across a sweep's truncations, so only new
+    separator groups re-execute (``lifted.cached_groups``), and a bound
+    segment they read folds only its new rows onto its kept fold state
+    (``lifted.folds_resumed``).
 
     >>> from repro.relational import Schema
     >>> from repro.logic.parser import parse_formula
@@ -1469,25 +1220,16 @@ def query_probability_lifted(
     from repro.finite.compile_cache import DEFAULT_COMPILE_CACHE
 
     cache = plan_cache if plan_cache is not None else DEFAULT_COMPILE_CACHE
-    state_of = getattr(cache, "lifted_state", None)
-    state = state_of(query.formula) if state_of is not None else None
-    if (
-        state is not None
-        and executor != "scalar"
-        and not isinstance(table, BlockIndependentTable)
-    ):
-        # Batched execution over a shared family: hold the family
-        # stripe lock (== ``state.lock``, reentrant) from grounding
-        # through execution, so the shared index holds *exactly* this
-        # table's facts for the whole run.  Another session of the same
-        # family grounding a different truncation in between would
-        # extend the index with facts this table does not have yet —
-        # their marginals would sync as 0.0 and the binding-table
-        # epochs would cover facts never actually folded in, silently
-        # corrupting later delta reuse once this table catches up.
-        with state.lock:
-            plan, index = cache.lifted(query.formula, table, partial=partial)
-            return _run_plan(
-                plan, table, index, unsafe_fallback, executor, state)
-    plan, index = cache.lifted(query.formula, table, partial=partial)
-    return _run_plan(plan, table, index, unsafe_fallback, executor, state)
+    state = cache.lifted_state(query.formula)
+    # Hold the family stripe lock (== ``state.lock``, reentrant) from
+    # grounding through execution, so the shared index holds *exactly*
+    # this table's facts for the whole run.  Another session of the same
+    # family grounding a different truncation in between would extend
+    # the index with facts this table does not have yet — their
+    # marginals would sync as 0.0 into the column the executor reads,
+    # and the binding-table epochs would cover facts never actually
+    # folded in, silently corrupting later delta reuse once this table
+    # catches up.
+    with state.lock:
+        plan, index = cache.lifted(query.formula, table, partial=partial)
+        return _run_plan(plan, table, index, unsafe_fallback, state)

@@ -7,9 +7,9 @@ each segment's clean fold state ``(epoch, product, zero)`` and the next
 step multiplies just the segment's new rows onto the product.  Every
 case runs on both columnar backends and checks:
 
-* sweeps equal a cold evaluation and the scalar executor bit for bit,
-  resume folds, and do no more fold work than their new rows plus the
-  segments they fold in full;
+* sweeps equal a cold evaluation bit for bit, resume folds, and do no
+  more fold work than their new rows plus the segments they fold in
+  full;
 * a tiny marginal, an underflowing product and a marginal of 1.0 still
   give the cold bits, the first two through a counted re-fold;
 * two insertion orders of one fact set each get their own cold bits,
@@ -89,11 +89,6 @@ def cold(q, table):
     return query_probability_lifted(q, table, plan_cache=CompileCache())
 
 
-def scalar(q, table):
-    return query_probability_lifted(
-        q, table, plan_cache=CompileCache(), executor="scalar")
-
-
 def run(q, table, cache):
     """One warm evaluation and its counters."""
     with obs.trace() as t:
@@ -103,7 +98,7 @@ def run(q, table, cache):
 
 class TestSweeps:
     @pytest.mark.parametrize("text", [CHAIN, STAR], ids=["chain", "star"])
-    def test_each_step_is_cold_and_scalar_and_folds_only_new_rows(
+    def test_each_step_is_cold_and_folds_only_new_rows(
             self, backend, text, full_fold_rows):
         q = query(text)
         pdb = geometric_pdb()
@@ -116,7 +111,7 @@ class TestSweeps:
                 new = n - pdb.extend_truncation(table, n)
                 full_fold_rows.clear()
                 value, counters = run(q, table, cache)
-                assert value == cold(q, table) == scalar(q, table)
+                assert value == cold(q, table)
                 assert counters.get("lifted.group_rows", 0) <= (
                     LEAVES[text] * new + sum(full_fold_rows))
                 resumed += counters.get("lifted.folds_resumed", 0)
@@ -152,7 +147,7 @@ class TestSweeps:
             run(q, table, cache)
             table.extend({S(1, 100): 0.3})
             value, counters = run(q, table, cache)
-            assert value == cold(q, table) == scalar(q, table)
+            assert value == cold(q, table)
         # One fresh root value read by the R leaf, one new S row folded.
         assert counters["lifted.group_rows"] == 2
         assert counters["lifted.folds_resumed"] == 1
@@ -215,7 +210,7 @@ class TestConflictingOrders:
             resets = []
             for table in (first, second, first, second):
                 value, counters = run(q, table, cache)
-                assert value == cold(q, table) == scalar(q, table)
+                assert value == cold(q, table)
                 resets.append(counters.get("grounding.order_resets", 0))
         assert resets == [0, 1, 1, 1]
 
@@ -236,4 +231,3 @@ class TestEvaluatePlan:
             plan, _ = cache.lifted(q.formula, table)
             lifted = query_probability_lifted(q, table, plan_cache=cache)
             assert evaluate_plan(plan, table) == lifted
-            assert evaluate_plan(plan, table, executor="scalar") == lifted

@@ -1,19 +1,11 @@
-"""The batched set-at-a-time lifted executor: knob routing, BID
-fallback, differential agreement with the scalar interpreter, the
-executor's obs counters, the fact index's probe-view cache, and the
-scalar path's candidate memo."""
-
-import pytest
+"""The batched set-at-a-time lifted executor: its obs counters, warm
+reruns over delta-extended binding tables, and the fact index's
+probe-view cache."""
 
 from repro import obs
-from repro.errors import EvaluationError
-from repro.finite import TupleIndependentTable, query_probability
-from repro.finite.bid import Block, BlockIndependentTable
+from repro.finite import TupleIndependentTable
 from repro.finite.compile_cache import CompileCache
-from repro.finite.lifted import (
-    evaluate_plan,
-    query_probability_lifted,
-)
+from repro.finite.lifted import query_probability_lifted
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
 from repro.relational.index import FactIndex
@@ -34,105 +26,13 @@ def query(text):
     return BooleanQuery(parse_formula(text, schema), schema)
 
 
-#: Safe shapes spanning the plan constructors: single project, chain
-#: join (separator project over a join), star join, shattered
-#: constants, a union (inclusion–exclusion at the root), and a
-#: UCQ-separator project.
-SAFE_QUERIES = [
-    "EXISTS x. R(x)",
-    "EXISTS x. EXISTS y. R(x) AND S(x, y)",
-    "EXISTS x. EXISTS y. R(x) AND S(x, y) AND T(x)",
-    "EXISTS y. S(1, y)",
-    "(EXISTS x. R(x)) OR (EXISTS y. T(y))",
-    "(EXISTS x. EXISTS y. S(x, y) AND R(x)) OR (EXISTS z. T(z))",
-]
-
-
-class TestExecutorKnob:
-    @pytest.mark.parametrize("text", SAFE_QUERIES)
-    def test_executors_agree(self, text):
-        table = make_table()
-        scalar = query_probability_lifted(
-            query(text), table, plan_cache=CompileCache(),
-            executor="scalar")
-        batched = query_probability_lifted(
-            query(text), table, plan_cache=CompileCache(),
-            executor="batched")
-        auto = query_probability_lifted(
-            query(text), table, plan_cache=CompileCache(),
-            executor="auto")
-        assert batched == pytest.approx(scalar, abs=1e-12)
-        assert auto == batched
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(EvaluationError, match="unknown lifted executor"):
-            query_probability_lifted(
-                query("EXISTS x. R(x)"), make_table(),
-                plan_cache=CompileCache(), executor="bogus")
-
-    def test_query_probability_passes_executor_through(self):
-        table = make_table()
-        values = {
-            executor: float(query_probability(
-                query("EXISTS x. EXISTS y. R(x) AND S(x, y)"), table,
-                compile_cache=CompileCache(), lifted_executor=executor))
-            for executor in ("auto", "scalar", "batched")
-        }
-        assert values["auto"] == values["batched"]
-        assert values["scalar"] == pytest.approx(
-            values["batched"], abs=1e-12)
-        with pytest.raises(EvaluationError, match="unknown lifted executor"):
-            query_probability(
-                query("EXISTS x. R(x)"), table, lifted_executor="bogus")
-
-    def test_evaluate_plan_knob(self):
-        from repro.logic.hierarchy import safe_plan_ucq
-        from repro.logic.normalform import extract_ucq
-
-        table = make_table()
-        plan = safe_plan_ucq(
-            extract_ucq(query("EXISTS x. EXISTS y. R(x) AND S(x, y)").formula))
-        assert evaluate_plan(plan, table, executor="batched") == (
-            evaluate_plan(plan, table, executor="auto"))
-        assert evaluate_plan(plan, table, executor="scalar") == (
-            pytest.approx(evaluate_plan(plan, table), abs=1e-12))
-
-
-class TestBIDFallback:
-    def make_bid(self):
-        return BlockIndependentTable(schema, [
-            Block("k1", {R(1): 0.5, R(2): 0.3}),
-            Block("k2", {R(3): 0.4}),
-        ])
-
-    def test_batched_on_bid_falls_back_and_counts(self):
-        table = self.make_bid()
-        q = query("EXISTS x. R(x)")
-        with obs.trace() as t:
-            forced = query_probability_lifted(
-                q, table, plan_cache=CompileCache(), executor="batched")
-        assert t.counters.get("lifted.scalar_fallbacks", 0) >= 1
-        scalar = query_probability_lifted(
-            q, table, plan_cache=CompileCache(), executor="scalar")
-        assert forced == scalar
-
-    def test_auto_on_bid_takes_scalar_silently(self):
-        table = self.make_bid()
-        q = query("EXISTS x. R(x)")
-        with obs.trace() as t:
-            query_probability_lifted(
-                q, table, plan_cache=CompileCache(), executor="auto")
-        assert t.counters.get("lifted.scalar_fallbacks", 0) == 0
-        assert t.counters.get("lifted.vectorized_nodes", 0) == 0
-
-
 class TestCounters:
     def test_batched_run_reports_vectorized_nodes_and_group_rows(self):
         table = make_table()
         with obs.trace() as t:
             query_probability_lifted(
                 query("EXISTS x. EXISTS y. R(x) AND S(x, y)"), table,
-                plan_cache=CompileCache(), executor="batched")
+                plan_cache=CompileCache())
         assert t.counters.get("lifted.vectorized_nodes", 0) > 0
         assert t.counters.get("lifted.group_rows", 0) > 0
         assert t.counters.get("lifted.scalar_fallbacks", 0) == 0
@@ -174,25 +74,3 @@ class TestViewCache:
         after = index.probe(R, {})
         assert R(7) in set(after)
         assert len(after) == len(before)  # same live bucket object
-
-
-class TestScalarCandidateMemo:
-    def test_memo_hits_and_epoch_invalidation(self):
-        cache = CompileCache()
-        table = make_table()
-        q = query("EXISTS x. EXISTS y. R(x) AND S(x, y)")
-        query_probability_lifted(
-            q, table, plan_cache=cache, executor="scalar")
-        with obs.trace() as t:
-            warm = query_probability_lifted(
-                q, table, plan_cache=cache, executor="scalar")
-        assert t.counters.get("lifted.candidate_memo_hits", 0) > 0
-        # A grown truncation changes the index epoch: the memo entry
-        # must be recomputed, not served stale.
-        table.extend({R(4): 0.5, S(4, 1): 0.9})
-        grown = query_probability_lifted(
-            q, table, plan_cache=cache, executor="scalar")
-        fresh = query_probability_lifted(
-            q, table, plan_cache=CompileCache(), executor="scalar")
-        assert grown == fresh
-        assert grown > warm

@@ -3,10 +3,9 @@
 Over random tables and the plan shapes that exercise every grouped
 constructor (chain joins, star joins, shattered constants, unions with
 UCQ separators), the batched set-at-a-time executor must agree with the
-scalar interpreter and the compiled-BDD strategy to 1e-12 on *both*
-columnar backends — and a refinement sweep's delta-extended re-runs
-must be bit-identical to fresh full evaluations at the same
-truncations.
+compiled-BDD strategy to 1e-12 on *both* columnar backends — and a
+refinement sweep's delta-extended re-runs must be bit-identical to
+fresh full evaluations at the same truncations.
 """
 
 from contextlib import contextmanager
@@ -81,7 +80,7 @@ def boolean_query(text):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-class TestBatchedMatchesScalarAndBDD:
+class TestBatchedMatchesBDD:
     @given(marginals=marginal_maps)
     @settings(
         max_examples=25, deadline=None,
@@ -92,15 +91,10 @@ class TestBatchedMatchesScalarAndBDD:
         with forced_backend(backend):
             table = TupleIndependentTable(schema, marginals)
             batched = query_probability_lifted(
-                query, table, plan_cache=CompileCache(),
-                executor="batched")
-            scalar = query_probability_lifted(
-                query, table, plan_cache=CompileCache(),
-                executor="scalar")
+                query, table, plan_cache=CompileCache())
             bdd = query_probability(
                 query, table, strategy="bdd",
                 compile_cache=CompileCache())
-        assert batched == pytest.approx(scalar, abs=1e-12)
         assert batched == pytest.approx(float(bdd), abs=1e-12)
 
 
@@ -119,8 +113,7 @@ class TestDeltaReuseIsExact:
     ):
         """Re-running after each of several append-only extensions (the
         binding-table delta path, and the bound segments' resumed folds)
-        is bit-identical to a cold evaluation of the grown table and to
-        the scalar executor."""
+        is bit-identical to a cold evaluation of the grown table."""
         query = boolean_query(SHAPES["chain"])
         with forced_backend(backend):
             table = TupleIndependentTable(schema, marginals)
@@ -135,10 +128,7 @@ class TestDeltaReuseIsExact:
                     query, table, plan_cache=cache)
                 cold = query_probability_lifted(
                     query, table, plan_cache=CompileCache())
-                scalar = query_probability_lifted(
-                    query, table, plan_cache=CompileCache(),
-                    executor="scalar")
-                assert warm == cold == scalar
+                assert warm == cold
 
 
 class TestRefinementSweepDeltaParity:
