@@ -31,7 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT_MODULES = {
     "columnar": "bench_columnar.py",
     "compiled_eval": "bench_compiled_eval.py",
-    "fanout": "bench_fanout.py",
     "grounding": "bench_grounding.py",
     "lifted": "bench_lifted.py",
     "refinement": "bench_refinement.py",

@@ -10,13 +10,10 @@ world enumeration).
 from __future__ import annotations
 
 import itertools
-import pickle
-import traceback
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.errors import EvaluationError, UnsafeQueryError
-from repro.parallel.pool import ShardError
 from repro.finite.bid import BlockIndependentTable
 from repro.finite.lineage_eval import query_probability_by_lineage
 from repro.finite.lifted import (
@@ -25,13 +22,11 @@ from repro.finite.lifted import (
 )
 from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
-from repro.logic.analysis import constants_of, free_variables
+from repro.logic.analysis import constants_of
 from repro.logic.queries import BooleanQuery, Query
 from repro.logic.normalform import substitute
-from repro.logic.semantics import evaluate
 from repro.logic.syntax import Formula
 from repro.relational.facts import Value, domain_sort_key
-from repro.relational.instance import Instance
 from repro.utils.probability import record_fold_error, worlds_error_bound
 
 PDBLike = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
@@ -170,12 +165,9 @@ def _dispatch_query_probability(
     if strategy != "auto":
         raise EvaluationError(f"unknown strategy {strategy!r}")
     if isinstance(pdb, (TupleIndependentTable, BlockIndependentTable)):
-        fact_count = (
-            len(pdb) if isinstance(pdb, TupleIndependentTable)
-            else len(pdb.facts())
-        )
         residue_strategy = (
-            "bdd" if fact_count >= BDD_AUTO_THRESHOLD else "lineage"
+            "bdd" if len(pdb.possible_facts()) >= BDD_AUTO_THRESHOLD
+            else "lineage"
         )
 
         def unsafe_residue(formula: Formula) -> float:
@@ -234,20 +226,6 @@ def _candidate_values(
     return sorted(values, key=domain_sort_key)
 
 
-def _iter_answers(
-    candidates: List[Value],
-    arity: int,
-    offset: int = 0,
-    stride: int = 1,
-) -> Iterator[Tuple[Value, ...]]:
-    """Lazily enumerate ``candidates^arity`` (optionally a strided slice
-    for process-pool sharding) — never materialized up front."""
-    product = itertools.product(candidates, repeat=arity)
-    if offset or stride != 1:
-        return itertools.islice(product, offset, None, stride)
-    return product
-
-
 def _grounding_is_safe(query: Query, candidates: List[Value]) -> bool:
     """Whether grounded instances of ``query`` admit a lifted safe plan.
 
@@ -293,20 +271,71 @@ def _shared_grounding(query: Query, pdb: PDBLike):
     return SharedGrounding(query.formula, pdb, base)
 
 
+def _shares_grounding(
+    query: Query,
+    pdb: PDBLike,
+    candidates: List[Value],
+    strategy: str,
+) -> bool:
+    """Whether one compiled grounding serves every answer of the
+    fan-out: always under ``"bdd"``; under ``"auto"`` on a BID table
+    (one compile rather than a gamble on per-answer block disjointness)
+    or on a TI table whose grounded instances have no safe plan.
+
+    Strategy, table kind and grounded safety are all stable across
+    truncation growth, so pool workers decide once per query family."""
+    if not isinstance(pdb, (TupleIndependentTable, BlockIndependentTable)):
+        return False
+    if strategy == "bdd":
+        return True
+    return strategy == "auto" and (
+        isinstance(pdb, BlockIndependentTable)
+        or not _grounding_is_safe(query, candidates)
+    )
+
+
+def _score_answers(
+    query: Query,
+    pdb: PDBLike,
+    answers: Iterable[Tuple[Value, ...]],
+    strategy: str,
+    shared=None,
+    compile_cache=None,
+) -> Dict[Tuple[Value, ...], float]:
+    """``Pr(ā ∈ Q)`` for each answer tuple, in order, keeping the
+    positive ones.
+
+    With a ``shared`` grounding each answer is restricted from it;
+    otherwise each answer grounds its own Boolean query and runs one
+    :func:`query_probability` (``compile_cache`` passed through).  The
+    serial fan-out and pool workers both score answers here."""
+    results: Dict[Tuple[Value, ...], float] = {}
+    for answer in answers:
+        obs.incr("fanout.answers")
+        if shared is not None:
+            probability = shared.answer_probability(query.variables, answer)
+        else:
+            binding = dict(zip(query.variables, answer))
+            grounded = substitute(query.formula, binding)
+            boolean = BooleanQuery(
+                grounded, query.schema, name=f"{query.name}{answer}")
+            probability = query_probability(
+                boolean, pdb, strategy=strategy, compile_cache=compile_cache)
+        if probability > 0:
+            results[answer] = float(probability)
+    return results
+
+
 def _evaluate_answers(
     query: Query,
     pdb: PDBLike,
     candidates: List[Value],
     strategy: str,
     grounding_factory=None,
-    offset: int = 0,
-    stride: int = 1,
 ) -> Dict[Tuple[Value, ...], float]:
-    """Evaluate ``Pr(ā ∈ Q)`` over the candidate answer tuples —
-    ``offset``/``stride`` select one process-pool shard of them.
+    """Evaluate ``Pr(ā ∈ Q)`` over the candidate answer tuples.
 
-    For the compiled strategies ("bdd" always; "auto" on TI/BID tables
-    whose grounded instances have no safe plan) every answer shares one
+    When :func:`_shares_grounding` says so, every answer shares one
     lineage/BDD context: one hash-consed node store and one scoring memo
     serve the whole fan-out instead of recompiling per answer.  On that
     path the candidate tuples come from the grounding engine's join
@@ -319,120 +348,15 @@ def _evaluate_answers(
     previous truncation's grounding.
     """
     shared = None
-    if isinstance(pdb, (TupleIndependentTable, BlockIndependentTable)):
-        factory = grounding_factory or (
-            lambda: _shared_grounding(query, pdb))
-        if strategy == "bdd":
-            shared = factory()
-        elif strategy == "auto" and (
-            isinstance(pdb, BlockIndependentTable)
-            or not _grounding_is_safe(query, candidates)
-        ):
-            # No per-answer safe plan (BID fan-outs share one compile
-            # rather than gambling on per-answer block disjointness):
-            # compile once, restrict per answer.
-            shared = factory()
     answers: Optional[Iterable[Tuple[Value, ...]]] = None
-    if shared is not None:
-        support = shared.answer_support(query.variables, candidates)
-        if support is not None:
-            # Sharding a deterministic support list partitions it just
-            # as sharding the product enumeration would.
-            answers = support[offset::stride] if stride != 1 else support
+    if _shares_grounding(query, pdb, candidates, strategy):
+        shared = (
+            grounding_factory() if grounding_factory is not None
+            else _shared_grounding(query, pdb))
+        answers = shared.answer_support(query.variables, candidates)
     if answers is None:
-        answers = _iter_answers(candidates, query.arity, offset, stride)
-    results: Dict[Tuple[Value, ...], float] = {}
-    for answer in answers:
-        obs.incr("fanout.answers")
-        if shared is not None:
-            probability = shared.answer_probability(query.variables, answer)
-        else:
-            binding = dict(zip(query.variables, answer))
-            grounded = substitute(query.formula, binding)
-            boolean = BooleanQuery(
-                grounded, query.schema, name=f"{query.name}{answer}")
-            probability = query_probability(boolean, pdb, strategy=strategy)
-        if probability > 0:
-            results[answer] = probability
-    return results
-
-
-def _answer_chunk_worker(payload):
-    """Legacy per-call process-pool entry point: evaluate one strided
-    shard of the answer space.  Module-level (picklable); each worker
-    builds its own shared grounding, so diagrams never cross process
-    boundaries.  The live fan-out path runs on the persistent
-    :mod:`repro.parallel` shard pool instead; this worker (and
-    :func:`_pooled_answer_shards`) remain as the cold-executor baseline
-    of ``benchmarks/bench_fanout.py``.
-
-    Returns ``("ok", shard_dict)`` or ``("error", exception,
-    formatted_traceback)`` — exceptions travel back explicitly so the
-    parent can re-raise them with the worker-side traceback attached.
-    """
-    (formula, schema, variables, name, pdb, candidates, offset, stride,
-     strategy) = payload
-    try:
-        query = Query(formula, schema, variables=variables, name=name)
-        shard = _evaluate_answers(
-            query, pdb, candidates, strategy, offset=offset, stride=stride)
-        return ("ok", dict(shard))
-    except Exception as exc:
-        return ("error", exc, traceback.format_exc())
-
-
-def _pool_pickle_error(payload) -> Optional[str]:
-    """Why ``payload`` cannot cross a (spawn) process boundary, or None.
-
-    ``concurrent.futures`` pickles every payload regardless of start
-    method; probing up front lets the fan-out degrade gracefully to the
-    serial path instead of dying inside the pool machinery.
-    """
-    try:
-        pickle.dumps(payload)
-        return None
-    except Exception as exc:  # PicklingError, TypeError, AttributeError, …
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _pooled_answer_shards(
-    payloads: List[tuple],
-    workers: int,
-) -> List[Dict[Tuple[Value, ...], float]]:
-    """Run the shard payloads on a process pool.
-
-    Shard exceptions are re-raised in the parent with the worker's
-    original traceback attached (as a :class:`ShardError` cause);
-    ``KeyboardInterrupt`` cancels outstanding shards and shuts the pool
-    down without waiting for them.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = [
-            pool.submit(_answer_chunk_worker, payload) for payload in payloads
-        ]
-        shards = []
-        for future in futures:
-            outcome = future.result()
-            if outcome[0] == "error":
-                _, exc, remote_traceback = outcome
-                raise exc from ShardError(
-                    "answer-marginal shard failed in worker process; "
-                    f"original traceback:\n{remote_traceback}"
-                )
-            shards.append(outcome[1])
-        pool.shutdown(wait=True)
-        return shards
-    except KeyboardInterrupt:
-        # Don't block on still-running shards after Ctrl-C: cancel what
-        # hasn't started and let the executor reap workers on exit.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    except BaseException:
-        pool.shutdown(wait=True, cancel_futures=True)
-        raise
+        answers = itertools.product(candidates, repeat=query.arity)
+    return _score_answers(query, pdb, answers, strategy, shared)
 
 
 def marginal_answer_probabilities(
@@ -443,7 +367,6 @@ def marginal_answer_probabilities(
     workers: Optional[int] = None,
     grounding_factory=None,
     pool=None,
-    schedule: str = "dynamic",
     compile_cache=None,
 ) -> Dict[Tuple[Value, ...], float]:
     """Per-tuple marginals ``Pr(ā ∈ Q(D))`` for a non-Boolean query
@@ -463,8 +386,8 @@ def marginal_answer_probabilities(
     process-wide :data:`~repro.finite.compile_cache.DEFAULT_COMPILE_CACHE`)
     and every candidate answer is one row of a single group table, so a
     fan-out costs one plan evaluation instead of one per answer.
-    ``workers=``/``pool=``/``schedule=`` do not apply there: nothing is
-    shipped, and the report's strategy is ``"lifted"``.
+    ``workers=``/``pool=`` do not apply there: nothing is shipped, and
+    the report's strategy is ``"lifted"``.
 
     **Compiled fan-outs** (``"bdd"``; ``"auto"`` without a head-bound
     plan; BID tables) score answer tuples one by one, sharing one
@@ -476,8 +399,9 @@ def marginal_answer_probabilities(
     on a grown truncation ship only the appended delta), and keep their
     own shared diagrams, which extend across sweep steps exactly like
     the parent's.  The answer space is streamed to idle workers in
-    latency-adaptive chunks (``schedule="dynamic"``; ``"static"`` keeps
-    the legacy one-strided-shard-per-worker split).  Pass ``pool=`` (a
+    latency-adaptive contiguous chunks, which workers route and score
+    with the serial path's own helpers, so the merged dict equals the
+    serial one, entry order included.  Pass ``pool=`` (a
     :class:`~repro.parallel.pool.ShardPool`) to pin the call to a
     specific pool — refinement sessions and the serve layer share one
     across all their calls.
@@ -500,7 +424,7 @@ def marginal_answer_probabilities(
     with obs.trace() as t:
         results = _marginal_answer_probabilities_traced(
             query, pdb, domain, strategy, workers, grounding_factory,
-            pool, schedule, compile_cache)
+            pool, compile_cache)
         report = obs.EvalReport.from_trace(t)
     return obs.attach_report(results, report)
 
@@ -513,7 +437,6 @@ def _pooled_answer_marginals(
     workers: Optional[int],
     domain: Optional[Iterable[Value]],
     pool,
-    schedule: str,
 ) -> Optional[Dict[Tuple[Value, ...], float]]:
     """Run the fan-out on the persistent shard pool; None means the
     pool cannot take this payload and the caller should run serially
@@ -531,9 +454,7 @@ def _pooled_answer_marginals(
         obs.note(strategy=strategy)
         with obs.phase("fanout"):
             return pooled_answer_marginals(
-                pool, query, pdb, candidates, strategy,
-                domain=domain, schedule=schedule,
-            )
+                pool, query, pdb, candidates, strategy, domain=domain)
     except (ShipError, PoolUnavailableError) as exc:
         # Infrastructure failures (unpicklable table, dead pool) degrade
         # gracefully; genuine evaluation errors propagate above.
@@ -550,7 +471,6 @@ def _marginal_answer_probabilities_traced(
     workers: Optional[int],
     grounding_factory=None,
     pool=None,
-    schedule: str = "dynamic",
     compile_cache=None,
 ) -> Dict[Tuple[Value, ...], float]:
     if query.is_boolean:
@@ -562,15 +482,14 @@ def _marginal_answer_probabilities_traced(
     if strategy in GROUPED_STRATEGIES:
         with obs.phase("fanout"):
             grouped = answer_marginals_lifted(
-                query, pdb, _iter_answers(candidates, query.arity),
+                query, pdb, itertools.product(candidates, repeat=query.arity),
                 plan_cache=compile_cache)
         if grouped is not None:
             obs.note(strategy="lifted")
             return grouped
     if pool is not None or (workers is not None and workers > 1):
         results = _pooled_answer_marginals(
-            query, pdb, candidates, strategy, workers, domain,
-            pool, schedule)
+            query, pdb, candidates, strategy, workers, domain, pool)
         if results is not None:
             return results
     obs.note(strategy=strategy)

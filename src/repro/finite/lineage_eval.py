@@ -207,7 +207,7 @@ def query_probability_by_lineage(
     if isinstance(pdb, FinitePDB):
         record_fold_error(worlds_error_bound(len(pdb.worlds), len(pdb.facts())))
         return pdb.probability(query.holds_in)
-    possible = set(pdb.facts())
+    possible = set(pdb.possible_facts())
     expr = lineage_of(query.formula, possible)
     record_fold_error(wmc_error_bound(len(possible)))
     if isinstance(pdb, TupleIndependentTable):

@@ -1,15 +1,20 @@
-"""Persistent shard pool for answer-marginal fan-out.
+"""Persistent shard pool for compiled answer-marginal fan-outs.
 
 Long-lived worker processes (:mod:`repro.parallel.pool`) created once
 and kept warm across calls, refinement-session sweep steps, and serve
 sessions; O(delta) table shipping plus worker-side compiled-diagram
-state (:mod:`repro.parallel.shipping`); dynamic, latency-adaptive chunk
-scheduling of the answer space (:mod:`repro.parallel.schedule`).
+state (:mod:`repro.parallel.shipping`); latency-adaptive contiguous
+chunks of the answer space (:mod:`repro.parallel.schedule`).  Workers
+route and score each chunk with the serial fan-out's own helpers, so a
+pooled result equals the serial one, entry order included.  Safe
+queries on TI tables never reach the pool: the evaluation layer answers
+them with one in-process grouped lifted pass.
 
 Entry points most callers want:
 
 * ``marginal_answer_probabilities(..., workers=k)`` — the evaluation
-  layer routes through :func:`get_shared_pool` automatically;
+  layer routes compiled fan-outs through :func:`get_shared_pool`
+  automatically;
 * :func:`get_shared_pool` / :class:`ShardPool` — explicit pool handles
   for sessions and the serve layer;
 * :func:`pooled_answer_marginals` — the orchestrator, for callers that
@@ -24,7 +29,7 @@ from repro.parallel.pool import (
     get_shared_pool,
     shutdown_shared_pools,
 )
-from repro.parallel.schedule import ChunkScheduler, StaticStrideScheduler
+from repro.parallel.schedule import ChunkScheduler
 from repro.parallel.shipping import (
     ShipError,
     TableShipper,
@@ -39,7 +44,6 @@ __all__ = [
     "ShardError",
     "ShardPool",
     "ShipError",
-    "StaticStrideScheduler",
     "TableShipper",
     "get_shared_pool",
     "pooled_answer_marginals",

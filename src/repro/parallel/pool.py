@@ -1,14 +1,13 @@
 """Persistent shard pool: long-lived worker processes for answer fan-out.
 
 The relaxed open-world semantics (paper §3.1/§6) makes per-answer
-marginals embarrassingly parallel, but a ``concurrent.futures``
-process pool paid a full spawn plus a complete pickle of the PDB on
-*every* call.  A :class:`ShardPool` is created once and stays warm for
-its lifetime: workers are spawned eagerly at construction, survive
-across calls, sessions, and ε-sweep steps, and hold worker-side state
-(cached tables, extended compile diagrams — see
-:mod:`repro.parallel.shipping`) that the parent refreshes with
-O(delta)-sized messages instead of re-shipping whole tables.
+marginals embarrassingly parallel.  A :class:`ShardPool` is created
+once and stays warm for its lifetime, so no call pays a process spawn:
+workers are spawned eagerly at construction, survive across calls,
+sessions, and ε-sweep steps, and hold worker-side state (cached
+tables, extended compile diagrams — see :mod:`repro.parallel.shipping`)
+that the parent refreshes with O(delta)-sized messages instead of
+re-shipping whole tables.
 
 The pool is a deliberately small primitive:
 
@@ -25,12 +24,12 @@ The pool is a deliberately small primitive:
   the call still returns bit-identical results.
 * Worker exceptions re-raise in the parent as the *original* exception
   type with the worker's traceback attached as a :class:`ShardError`
-  cause (the contract of the old per-call fan-out, preserved).
+  cause.
 
 Failures of the pool *infrastructure* (a task that cannot be pickled,
 workers that cannot be spawned) raise :class:`PoolUnavailableError`;
 the evaluation layer catches it and degrades to the serial path with a
-``fanout.serial_fallback`` trace event, exactly as before.
+``fanout.serial_fallback`` trace event.
 
 Process-wide sharing: :func:`get_shared_pool` keeps one pool per
 worker count, created on first use and reused by every later call —
@@ -154,8 +153,7 @@ class ShardPool:
     (:mod:`repro.parallel.shipping`) possible at all.
 
     ``mp_context`` selects the multiprocessing start method (default:
-    the platform default — fork on Linux, matching the old
-    ``ProcessPoolExecutor`` fan-out); ``timeout`` is the default
+    the platform default — fork on Linux); ``timeout`` is the default
     per-shard timeout in seconds (None = unbounded).
 
     Calls serialize on an internal lock: one fan-out runs at a time,

@@ -1,10 +1,8 @@
 """Content-keyed PDB shipping and the pooled fan-out orchestrator.
 
-The old fan-out pickled the *entire* table into every worker on every
-call — twice, in fact: once as a pre-flight picklability probe and once
-inside ``concurrent.futures``.  For the anytime workloads this module
-exists for (ε-sweeps over growing truncations), consecutive calls ship
-tables that differ only by an append-only suffix: TI tables grow by
+For the anytime workloads this module exists for (ε-sweeps over growing
+truncations), consecutive fan-outs ship tables that differ only by an
+append-only suffix: TI tables grow by
 :meth:`~repro.finite.tuple_independent.TupleIndependentTable.extend`
 (dict insertion order *is* append order, and changing an existing
 marginal is rejected) and BID tables by appending blocks.  So a warm
@@ -27,28 +25,27 @@ evaluation layer degrades to the serial path with the usual
 
 Worker side, each process keeps the received tables plus one query
 runtime per ``(table key, query)``: the parsed query, its candidate
-values, the pruned answer support, and — for compiled strategies — a
-:class:`~repro.finite.compile_cache.SharedGrounding` that *extends*
-across sweep steps (same hash-consed node store, same scoring memo,
-delta-updated fact index, and a variable order that appends the
+values, the pruned answer support, and — when the fan-out shares one
+grounding — a :class:`~repro.finite.compile_cache.SharedGrounding` that
+*extends* across sweep steps (same hash-consed node store, same scoring
+memo, delta-updated fact index, and a variable order that appends the
 shipped delta in the table's insertion order, so workers compile the
 diagrams the parent's serial path compiles), plus a worker-local
-:class:`~repro.finite.compile_cache.CompileCache` for the safe-plan
-and per-answer BDD paths.  Compiled diagrams therefore survive
-worker-side exactly as they do in the parent's serial sessions.
+:class:`~repro.finite.compile_cache.CompileCache` for per-answer
+evaluations.  Compiled diagrams therefore survive worker-side exactly
+as they do in the parent's serial sessions.
 
-The evaluation layer keeps safe queries on TI tables in-process (one
-grouped lifted pass needs no pool), so only compiled fan-outs reach the
-pool through it.  A safe query shipped here by a direct
-:func:`pooled_answer_marginals` call evaluates each chunk with the same
-grouped helper, :func:`~repro.finite.lifted.answer_marginals_lifted`.
+The evaluation layer answers safe queries on TI tables in-process with
+one grouped lifted pass, so only compiled fan-outs reach the pool
+through it.  Workers route a family and score its chunks with the
+serial path's helpers, :func:`~repro.finite.evaluation._shares_grounding`
+and :func:`~repro.finite.evaluation._score_answers`.
 
-Bit-identity: workers evaluate index ranges of the *same* canonical
-answer enumeration the serial path uses (the deterministic support list,
-or the ``candidates^arity`` product), with the same per-answer
-evaluation — a grouped pass's per-row values do not depend on which
-rows share it; merging contiguous ranges in order reproduces the serial
-result dict exactly, entry order included.
+Bit-identity: workers evaluate contiguous index ranges of the *same*
+canonical answer enumeration the serial path uses (the deterministic
+support list, or the ``candidates^arity`` product), with the same
+per-answer evaluation; merging the ranges in order reproduces the
+serial result dict exactly, entry order included.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from __future__ import annotations
 import itertools
 import pickle
 import threading
-import time
 import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -65,7 +61,7 @@ from repro.errors import EvaluationError
 from repro.finite.bid import BlockIndependentTable
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.parallel.pool import PoolUnavailableError, ShardPool
-from repro.parallel.schedule import ChunkScheduler, StaticStrideScheduler
+from repro.parallel.schedule import ChunkScheduler
 
 SHIP_FULL_BYTES = "fanout.ship_full_bytes"
 SHIP_DELTA_BYTES = "fanout.ship_delta_bytes"
@@ -98,7 +94,6 @@ def _table_count(table) -> int:
 _TABLES: Dict[str, list] = {}
 _RUNTIMES: Dict[Tuple[str, str], "_QueryRuntime"] = {}
 _COMPILE_CACHE = None  # worker-local CompileCache, built lazily
-_PERF = {"cpu_s": 0.0, "chunks": 0, "answers": 0}
 
 
 def _worker_compile_cache():
@@ -113,11 +108,12 @@ def _worker_compile_cache():
 class _QueryRuntime:
     """One query family's warm state inside a worker: candidates,
     answer support, and the shared grounding, all refreshed lazily when
-    the underlying table's version moves."""
+    the underlying table's version moves.  Routing and scoring are the
+    serial path's own helpers."""
 
     __slots__ = (
         "key", "query", "strategy", "domain", "version",
-        "candidates", "answers", "grounding", "share", "grouped", "seen",
+        "candidates", "answers", "grounding", "share", "seen",
     )
 
     def __init__(self, key: str, query, strategy: str, domain):
@@ -130,16 +126,10 @@ class _QueryRuntime:
         self.answers: Optional[List] = None  # pruned support, or None
         self.grounding = None
         self.share: Optional[bool] = None
-        self.grouped = False  # one grouped lifted pass per chunk
         self.seen = 0  # facts already in the grounding
 
     def refresh(self, entry: list) -> None:
-        from repro.finite.evaluation import (
-            GROUPED_STRATEGIES,
-            _candidate_values,
-            _grounding_is_safe,
-        )
-        from repro.finite.lifted import answer_marginals_lifted
+        from repro.finite.evaluation import _candidate_values, _shares_grounding
         from repro.logic.analysis import constants_of
 
         table, version, arg_values, fact_list = entry
@@ -148,27 +138,9 @@ class _QueryRuntime:
         query = self.query
         candidates = _candidate_values(query, table, self.domain)
         if self.share is None:
-            # Strategy, table kind, and plan/grounded safety are all
-            # stable across truncation growth — decide once per family,
-            # in the parent's order: grouped pass first.  An empty
-            # grouped pass returns None unless the query has a
-            # head-bound plan, and warms the plan and index for chunks.
-            self.grouped = (
-                self.strategy in GROUPED_STRATEGIES
-                and answer_marginals_lifted(
-                    query, table, (), plan_cache=_worker_compile_cache())
-                is not None
-            )
-            self.share = not self.grouped and (
-                self.strategy == "bdd"
-                or (
-                    self.strategy == "auto"
-                    and (
-                        isinstance(table, BlockIndependentTable)
-                        or not _grounding_is_safe(query, candidates)
-                    )
-                )
-            )
+            # Stable across truncation growth: decide once per family.
+            self.share = _shares_grounding(
+                query, table, candidates, self.strategy)
         if self.share:
             # The grounding's base domain: query constants plus every
             # fact argument.  The arg set is maintained incrementally by
@@ -196,43 +168,19 @@ class _QueryRuntime:
             return len(self.answers)
         return len(self.candidates) ** self.query.arity
 
-    def eval_range(self, start: int, stop: Optional[int], step: int) -> Dict:
-        from repro.finite.evaluation import query_probability
-        from repro.finite.lifted import answer_marginals_lifted
-        from repro.logic.normalform import substitute
-        from repro.logic.queries import BooleanQuery
+    def eval_range(self, start: int, stop: int) -> Dict:
+        from repro.finite.evaluation import _score_answers
 
-        query = self.query
         if self.answers is not None:
-            answers: Iterable = self.answers[slice(start, stop, step)]
+            answers: Iterable = self.answers[start:stop]
         else:
             answers = itertools.islice(
-                itertools.product(self.candidates, repeat=query.arity),
-                start, stop, step,
+                itertools.product(self.candidates, repeat=self.query.arity),
+                start, stop,
             )
-        if self.grouped:
-            answers = list(answers)
-            _PERF["answers"] += len(answers)
-            return answer_marginals_lifted(
-                query, _TABLES[self.key][0], answers,
-                plan_cache=_worker_compile_cache())
-        results: Dict = {}
-        for answer in answers:
-            _PERF["answers"] += 1
-            if self.grounding is not None:
-                probability = self.grounding.answer_probability(
-                    query.variables, answer)
-            else:
-                binding = dict(zip(query.variables, answer))
-                grounded = substitute(query.formula, binding)
-                boolean = BooleanQuery(
-                    grounded, query.schema, name=f"{query.name}{answer}")
-                probability = query_probability(
-                    boolean, _TABLES[self.key][0], strategy=self.strategy,
-                    compile_cache=_worker_compile_cache())
-            if probability > 0:
-                results[answer] = float(probability)
-        return results
+        return _score_answers(
+            self.query, _TABLES[self.key][0], answers, self.strategy,
+            self.grounding, _worker_compile_cache())
 
 
 def _fact_args(facts) -> set:
@@ -292,26 +240,10 @@ def _worker_prepare(key: str, qid: str) -> Tuple[int, str]:
     return runtime.total(), mode
 
 
-def _worker_eval_chunk(
-    key: str, qid: str, start: int, stop: Optional[int], step: int
-) -> Dict:
-    began = time.process_time()
+def _worker_eval_chunk(key: str, qid: str, start: int, stop: int) -> Dict:
     runtime = _RUNTIMES[(key, qid)]
     runtime.refresh(_TABLES[key])
-    results = runtime.eval_range(start, stop, step)
-    _PERF["cpu_s"] += time.process_time() - began
-    _PERF["chunks"] += 1
-    return results
-
-
-def _worker_perf(reset: bool = False) -> Dict:
-    """This worker's cumulative evaluation CPU-time counters (the
-    fan-out benchmark reads these to compute contention-free makespans
-    on machines with fewer cores than workers)."""
-    snapshot = dict(_PERF)
-    if reset:
-        _PERF.update(cpu_s=0.0, chunks=0, answers=0)
-    return snapshot
+    return runtime.eval_range(start, stop)
 
 
 # =============================================================== parent side
@@ -477,7 +409,6 @@ def pooled_answer_marginals(
     candidates: List,
     strategy: str,
     domain=None,
-    schedule: str = "dynamic",
 ) -> Dict:
     """Run one answer-marginal fan-out on a warm pool.
 
@@ -486,7 +417,10 @@ def pooled_answer_marginals(
     adaptively sized chunks through
     :meth:`~repro.parallel.pool.ShardPool.map_shards`; every worker
     evaluates ranges of the same canonical enumeration, and merging the
-    contiguous ranges in order reproduces the serial result exactly.
+    contiguous ranges in order reproduces the serial
+    :func:`~repro.finite.evaluation._evaluate_answers` result exactly.
+    So a safe query passed here directly is scored one answer at a
+    time, not by the grouped lifted pass.
 
     Raises :class:`ShipError` /
     :class:`~repro.parallel.pool.PoolUnavailableError` when the pool
@@ -521,15 +455,10 @@ def pooled_answer_marginals(
             obs.event(
                 "fanout.pool", workers=pool.workers, shards=0, mode=mode)
             return {}
-        if schedule == "static":
-            scheduler = StaticStrideScheduler(total, pool.workers)
-        elif schedule == "dynamic":
-            scheduler = ChunkScheduler(total, pool.workers)
-        else:
-            raise EvaluationError(f"unknown fan-out schedule {schedule!r}")
+        scheduler = ChunkScheduler(total, pool.workers)
         tasks = (
-            (_worker_eval_chunk, (key, qid, start, stop, step))
-            for (start, stop, step) in scheduler.chunks()
+            (_worker_eval_chunk, (key, qid, start, stop))
+            for (start, stop) in scheduler.chunks()
         )
 
         def observe(args: tuple, result, seconds: float) -> None:
@@ -538,18 +467,8 @@ def pooled_answer_marginals(
         chunks = pool.map_shards(tasks, prepare=prepare, observe=observe)
         obs.event(
             "fanout.pool", workers=pool.workers, shards=len(chunks),
-            mode=mode, schedule=schedule,
-        )
+            mode=mode)
         results: Dict = {}
-        if schedule == "static":
-            # Strided shards interleave; restore enumeration order by
-            # candidate position (== the canonical order in both modes).
-            for chunk in chunks:
-                results.update(chunk)
-            position = {value: i for i, value in enumerate(candidates)}
-            ordered = sorted(
-                results, key=lambda t: tuple(position[v] for v in t))
-            return {a: results[a] for a in ordered}
         for chunk in chunks:
             results.update(chunk)
         return results

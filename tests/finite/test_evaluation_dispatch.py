@@ -55,6 +55,30 @@ class TestDispatch:
         assert query_probability(q("EXISTS x. R(x)"), bid) == pytest.approx(1.0)
         assert query_probability(q("R(1) AND T(1)"), bid) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("strategy", ["auto", "lineage"])
+    def test_bid_evaluation_does_not_sort_the_facts(self, strategy, monkeypatch):
+        """Counting a BID table's facts ("auto" picks the residue engine
+        by size) and collecting them (lineage) read the unsorted fact
+        view: with ``facts()`` disabled both return the same values."""
+        bid = BlockIndependentTable(schema, [
+            *(Block(f"r{i}", {R(i): 0.3 + 0.05 * i}) for i in range(1, 7)),
+            *(Block(f"s{i}", {S(i, i): 0.2, S(i, i + 1): 0.3, S(i, i + 2): 0.1})
+              for i in range(1, 7)),
+            Block("t", {T(2): 0.4, T(3): 0.5}),
+        ])
+        queries = [
+            q("EXISTS x, y. R(x) AND S(x, y)"),
+            q("EXISTS x, y. R(x) AND S(x, y) AND T(y)"),
+        ]
+        before = [query_probability(query, bid, strategy=strategy) for query in queries]
+
+        def no_sort(self):
+            raise AssertionError("BlockIndependentTable.facts() sorts every fact")
+
+        monkeypatch.setattr(BlockIndependentTable, "facts", no_sort)
+        after = [query_probability(query, bid, strategy=strategy) for query in queries]
+        assert after == before
+
     def test_explicit_pdb_auto(self):
         pdb = FinitePDB(schema, {
             Instance([R(1), T(1)]): 0.5,   # correlated

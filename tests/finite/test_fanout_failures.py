@@ -7,18 +7,16 @@ Only compiled fan-outs reach the pool — a safe query on a TI table is
 answered by one in-process grouped lifted pass whatever ``workers=``
 says — so the pool tests run ``R(x)`` under ``strategy="bdd"``."""
 
+import pickle
+
 import pytest
 
 from repro.errors import UnsafeQueryError
-from repro.finite.evaluation import (
-    ShardError,
-    _pool_pickle_error,
-    marginal_answer_probabilities,
-)
+from repro.finite.evaluation import marginal_answer_probabilities
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.parser import parse_formula
 from repro.logic.queries import Query
-from repro.parallel.pool import ShardPool
+from repro.parallel.pool import ShardError, ShardPool
 from repro.relational import Schema
 
 schema = Schema.of(R=1, S=2)
@@ -71,7 +69,8 @@ def test_unpicklable_payload_degrades_to_serial_with_event():
     table = _table()
     table.not_picklable = lambda: None  # closures cannot cross the pool
     query = _r_query()
-    assert _pool_pickle_error((table,)) is not None
+    with pytest.raises(Exception):
+        pickle.dumps(table)
     answers = marginal_answer_probabilities(
         query, table, workers=2, strategy="bdd")
     assert dict(answers) == dict(
@@ -83,16 +82,10 @@ def test_unpicklable_payload_degrades_to_serial_with_event():
     assert "fanout.pool" not in events
 
 
-def test_pool_pickle_error_passes_clean_payloads():
-    assert _pool_pickle_error((_table(), [R(1)], 0, 2, "auto")) is None
-
-
 def test_fanout_does_not_ship_columnar_arrays():
     """A table with a warm columnar mirror fans out without shipping it
     (the pickled state carries ``_columns=None``), and the pooled
     answers still match the serial path bit-for-bit."""
-    import pickle
-
     query, table = _r_query(), _table()
     table.columns  # warm the columnar mirror before the fan-out
     state = pickle.loads(pickle.dumps(table)).__dict__

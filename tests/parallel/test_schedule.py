@@ -1,12 +1,8 @@
-"""Chunk schedulers: adaptive chunks tile the answer space exactly,
-sizes track observed latency, and the static baseline reproduces the
-legacy one-strided-shard-per-worker split."""
+"""The chunk scheduler: adaptive contiguous chunks tile the answer
+space exactly once, in order, and their sizes track observed latency
+while the tail still splits across the workers."""
 
-from repro.parallel.schedule import (
-    TARGET_CHUNK_SECONDS,
-    ChunkScheduler,
-    StaticStrideScheduler,
-)
+from repro.parallel.schedule import TARGET_CHUNK_SECONDS, ChunkScheduler
 
 
 def _materialize(scheduler):
@@ -17,8 +13,7 @@ def test_chunks_tile_the_range_exactly_once():
     scheduler = ChunkScheduler(total=101, workers=4)
     chunks = _materialize(scheduler)
     covered = []
-    for start, stop, step in chunks:
-        assert step == 1
+    for start, stop in chunks:
         assert stop > start
         covered.extend(range(start, stop))
     assert covered == list(range(101))
@@ -26,15 +21,15 @@ def test_chunks_tile_the_range_exactly_once():
 
 
 def test_initial_chunks_oversubscribe_the_workers():
-    scheduler = ChunkScheduler(total=160, workers=4, oversubscribe=4)
-    assert scheduler.initial == 10  # total / (workers * oversubscribe)
+    scheduler = ChunkScheduler(total=160, workers=4)
+    assert scheduler.initial == 10  # total / (workers * OVERSUBSCRIBE)
     first = next(scheduler.chunks())
-    assert first == (0, 10, 1)
+    assert first == (0, 10)
 
 
 def test_tiny_totals_still_yield_whole_chunks():
     assert _materialize(ChunkScheduler(total=3, workers=4)) == [
-        (0, 1, 1), (1, 2, 1), (2, 3, 1)]
+        (0, 1), (1, 2), (2, 3)]
     assert _materialize(ChunkScheduler(total=0, workers=4)) == []
 
 
@@ -44,14 +39,14 @@ def test_observed_rate_scales_chunk_size():
     chunk = next(gen)
     # 1000 answers/second observed -> next chunk targets rate * target
     fast.observe(chunk, (chunk[1] - chunk[0]) / 1000.0)
-    start, stop, _ = next(gen)
+    start, stop = next(gen)
     assert stop - start == int(1000 * TARGET_CHUNK_SECONDS)
 
     slow = ChunkScheduler(total=10_000, workers=2)
     gen = iter(slow.chunks())
     chunk = next(gen)
     slow.observe(chunk, (chunk[1] - chunk[0]) / 10.0)  # 10 answers/second
-    start, stop, _ = next(gen)
+    start, stop = next(gen)
     assert stop - start == max(1, int(10 * TARGET_CHUNK_SECONDS))
 
 
@@ -62,25 +57,6 @@ def test_tail_is_split_across_workers():
     gen = iter(scheduler.chunks())
     chunk = next(gen)
     scheduler.observe(chunk, 1e-9)  # absurdly fast -> huge target size
-    start, stop, _ = next(gen)
+    start, stop = next(gen)
     remaining = 100 - start
     assert stop - start == -(-remaining // 4)
-
-
-def test_static_scheduler_reproduces_legacy_strides():
-    chunks = _materialize(StaticStrideScheduler(total=10, workers=4))
-    assert chunks == [(0, None, 4), (1, None, 4), (2, None, 4), (3, None, 4)]
-    indices = sorted(
-        i for offset, _, stride in chunks for i in range(offset, 10, stride))
-    assert indices == list(range(10))
-
-
-def test_static_scheduler_caps_shards_at_total():
-    assert _materialize(StaticStrideScheduler(total=2, workers=8)) == [
-        (0, None, 2), (1, None, 2)]
-    assert _materialize(StaticStrideScheduler(total=0, workers=8)) == []
-
-
-def test_static_observe_is_a_noop():
-    scheduler = StaticStrideScheduler(total=10, workers=2)
-    scheduler.observe((0, None, 2), 1.0)  # must not raise

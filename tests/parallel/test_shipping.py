@@ -55,11 +55,10 @@ def _pooled(pool, query, table, **kwargs):
 
 
 # ------------------------------------------------------------- bit-identity
-@pytest.mark.parametrize("schedule", ["dynamic", "static"])
-def test_pooled_matches_serial_order_included(pool, schedule):
+def test_pooled_matches_serial_order_included(pool):
     query, table = _query(), _table()
     serial = marginal_answer_probabilities(query, table)
-    pooled = _pooled(pool, query, table, schedule=schedule)
+    pooled = _pooled(pool, query, table)
     assert dict(pooled) == dict(serial)
     assert list(pooled) == list(serial)
 
@@ -145,6 +144,39 @@ def test_grown_bid_table_ships_block_delta(pool):
     assert t.counters.get(SHIP_DELTA_BYTES, 0) > 0
     serial = marginal_answer_probabilities(query, table)
     assert dict(pooled) == dict(serial)
+
+
+def test_growing_sweep_ships_deltas_far_below_full_tables(pool):
+    """A sweep-shaped workload: the queried ``S`` slice rides on open-world
+    ballast (``T`` facts the query never reads), and each step grows the
+    table in place by a small delta.  Every step's pooled dict equals the
+    serial one, and after the cold first step only deltas are shipped."""
+    sweep = Schema.of(S=2, T=1)
+    s, t = sweep["S"], sweep["T"]
+    query = Query(parse_formula("EXISTS y. S(x, y)", sweep), sweep)
+    domain = range(4)
+    table = TupleIndependentTable(sweep, {
+        **{s(i % 4, 100 + i): 0.5 + 0.01 * i for i in range(12)},
+        **{t(1_000 + i): 0.5 for i in range(2_000)},
+    })
+    full = delta = 0
+    for step in range(4):
+        if step:
+            table.extend({
+                **{s(step, 200 + 10 * step + j): 0.3 for j in range(2)},
+                **{t(10_000 + 100 * step + j): 0.5 for j in range(40)},
+            })
+        serial = marginal_answer_probabilities(
+            query, table, domain=domain, strategy="bdd")
+        with obs.trace() as trace:
+            pooled = marginal_answer_probabilities(
+                query, table, domain=domain, strategy="bdd", pool=pool)
+        assert "fanout.pool" in {e["name"] for e in pooled.report.events}
+        assert list(pooled.items()) == list(serial.items()), step
+        full += trace.counters.get(SHIP_FULL_BYTES, 0)
+        delta += trace.counters.get(SHIP_DELTA_BYTES, 0)
+    assert delta > 0
+    assert full >= 10 * delta
 
 
 # ---------------------------------------------------- single serialization

@@ -8,7 +8,7 @@ import pytest
 
 from benchmarks import run_all
 
-NAMES = ("fanout", "lifted", "serve")
+NAMES = ("grounding", "lifted", "serve")
 OLD = {"git_sha": "old", "stamped_unix": 1, "value": 42}
 
 
@@ -34,7 +34,7 @@ def test_run_stamps_only_the_modules_that_ran(root, monkeypatch):
         run_all, "run_module", lambda module: ran.append(module) or 0)
     assert run_all.main(["lifted"], root=root) == 0
     assert ran == [run_all.ARTIFACT_MODULES["lifted"]]
-    assert stamps(root) == {"fanout": "old", "lifted": "new", "serve": "old"}
+    assert stamps(root) == {"grounding": "old", "lifted": "new", "serve": "old"}
     payload = json.loads(run_all.artifact_path("lifted", root).read_text())
     assert payload["value"] == 42 and payload["stamped_unix"] > 1
 
@@ -46,8 +46,8 @@ def test_failed_module_stamps_nothing(root, monkeypatch):
 
 
 def test_stamp_only_named_artifacts(root):
-    assert run_all.main(["--stamp-only", "fanout", "serve"], root=root) == 0
-    assert stamps(root) == {"fanout": "new", "lifted": "old", "serve": "new"}
+    assert run_all.main(["--stamp-only", "grounding", "serve"], root=root) == 0
+    assert stamps(root) == {"grounding": "new", "lifted": "old", "serve": "new"}
 
 
 def test_stamp_only_without_names_stamps_everything(root):
