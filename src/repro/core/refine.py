@@ -14,7 +14,8 @@ table, recompile the lineage.  A :class:`RefinementSession` binds one
   are reused, counted in the ``refine.reused_facts`` trace counter;
 * evaluation warm-starts: Boolean queries run through a
   :class:`~repro.finite.compile_cache.CompileCache` whose per-query
-  plan, fact index and manager extend across truncations; safe answer
+  plan and manager extend across truncations, over the table's own
+  fact index, which grows with the table; safe answer
   fan-outs reuse one head-bound plan from the same cache, and compiled
   ones chain
   :meth:`~repro.finite.compile_cache.SharedGrounding.extended`
@@ -247,11 +248,10 @@ class RefinementSession:
 
         A safe query on a TI truncation (``strategy`` ``"auto"`` or
         ``"lifted"``) gets every answer's marginal from one grouped
-        lifted pass, in-process: the head-bound plan and the family's
-        delta-extended fact index live in the session's
-        ``compile_cache``, so each step of a sweep reuses the plan and
-        only indexes the new facts.  ``workers=``/``pool=`` are ignored
-        there.
+        lifted pass, in-process: the head-bound plan lives in the
+        session's ``compile_cache`` and the fact index in the session's
+        table, so each step of a sweep reuses the plan and only indexes
+        the new facts.  ``workers=``/``pool=`` are ignored there.
 
         Compiled fan-outs (``"bdd"``, unsafe queries, BID tables) chain
         one warm :class:`~repro.finite.compile_cache.SharedGrounding`,
@@ -353,9 +353,7 @@ class RefinementSession:
         def factory():
             from repro.finite.compile_cache import SharedGrounding
 
-            base = set(constants_of(query.formula))
-            for fact in table.possible_facts():
-                base.update(fact.args)
+            base = table.index.values | constants_of(query.formula)
             if self._grounding is None:
                 self._grounding = SharedGrounding(query.formula, table, base)
             else:

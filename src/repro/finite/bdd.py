@@ -189,7 +189,8 @@ class BDDManager:
         nodes, and repeated builds reuse the manager's apply cache.
         """
         with self._lock:
-            self.extend_order(sorted(expr.facts() - set(self.order)))
+            self.extend_order(sorted(
+                fact for fact in expr.facts() if fact not in self._level))
             return _build(self, expr.node)
 
     # ------------------------------------------------------------------ apply

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 from typing import (
     Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro import obs
 from repro.errors import ProbabilityError, SchemaError
 from repro.finite.pdb import FinitePDB
 from repro.relational.facts import Fact
+from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.utils.rationals import is_probability, probability_error
@@ -104,6 +107,9 @@ class BlockIndependentTable:
         #: Lazy columnar mirror (facts, marginals, block ordinals);
         #: kept in sync by :meth:`extend` once built, not pickled.
         self._columns = None
+        #: The fact index (see :attr:`index`), likewise.
+        self._index: Optional[FactIndex] = None
+        self._index_lock = threading.Lock()
         for block in self.blocks:
             for fact in block.alternatives:
                 if fact.relation not in schema:
@@ -134,7 +140,10 @@ class BlockIndependentTable:
                         f"fact {fact} appears in two blocks"
                     )
                 added[fact] = block
-        self._block_of.update(added)
+        with self._index_lock:
+            self._block_of.update(added)
+            if self._index is not None and added:
+                obs.incr("grounding.delta_facts", self._index.extend(added))
         if self._columns is not None:
             # O(delta): new blocks append below the existing rows.
             base = len(self.blocks)
@@ -142,6 +151,20 @@ class BlockIndependentTable:
                 self._columns.extend_items(
                     block.alternatives.items(), block=ordinal)
         self.blocks = self.blocks + new_blocks
+
+    @property
+    def index(self) -> FactIndex:
+        """The table's :class:`~repro.relational.index.FactIndex`, rows
+        in block order; built, grown and pickled like
+        :attr:`TupleIndependentTable.index
+        <repro.finite.tuple_independent.TupleIndependentTable.index>`."""
+        index = self._index
+        if index is None:
+            with self._index_lock:
+                index = self._index
+                if index is None:
+                    index = self._index = FactIndex(self._block_of)
+        return index
 
     @property
     def columns(self):
@@ -159,11 +182,17 @@ class BlockIndependentTable:
         return self._columns
 
     def __getstate__(self):
-        """Drop the columnar mirror from pickles (fan-out payloads
-        rebuild it lazily in the worker)."""
+        """Drop the columnar mirror and the index from pickles (fan-out
+        payloads rebuild them lazily in the worker)."""
         state = dict(self.__dict__)
         state["_columns"] = None
+        del state["_index"], state["_index_lock"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._index = None
+        self._index_lock = threading.Lock()
 
     # ------------------------------------------------------------------ basics
     def facts(self) -> List[Fact]:

@@ -7,14 +7,15 @@ shrinking ε grow the truncation monotonically, and answer-marginal
 fan-outs ground one formula over many answer tuples.  Knowledge
 compilation turns each of these into *compile once, score linearly*:
 
-* :class:`CompileCache` memoizes compiled diagrams keyed by
-  ``(query fingerprint, possible-fact-set fingerprint)``.  Each query
-  owns one :class:`~repro.finite.bdd.BDDManager` whose variable order is
-  the table's insertion order; a larger truncation Ω_m ⊇ Ω_n appends
-  its suffix to that order and recompiles against the already
-  hash-consed node store and apply cache instead of starting cold.  A
-  table whose order does not extend the manager's gets a fresh manager,
-  so a diagram never depends on which tables the family saw before.
+* :class:`CompileCache` memoizes compiled diagrams keyed by the query
+  and the table's facts in the table's order.  Each query owns one
+  :class:`~repro.finite.bdd.BDDManager` whose variable order is the
+  table's order; a larger truncation Ω_m ⊇ Ω_n appends its suffix to
+  that order and recompiles against the already hash-consed node store
+  and apply cache instead of starting cold.  A table whose order does
+  not extend the manager's gets a fresh manager, so a diagram never
+  depends on which tables the family saw before.  Grounding reads the
+  table's own :class:`~repro.relational.index.FactIndex`.
   Re-scoring a cached diagram under new marginals is a single linear
   weighted-model-counting pass.
 * :class:`SharedGrounding` serves non-Boolean fan-outs: every answer
@@ -29,17 +30,14 @@ compilation turns each of these into *compile once, score linearly*:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import OrderedDict
 from typing import (
-    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
     Iterable,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -113,15 +111,14 @@ class LiftedExecState:
     * ``annotations`` — the grouped-execution side tables
       (:func:`repro.logic.hierarchy.grouped_plan_info`), one per cached
       plan root.
-    * ``lock`` — held across a whole lifted run, *including* the
-      grounding step, on TI and BID tables alike.  When the state
-      belongs to a compile-cache family this is the family's own stripe
-      lock: the executor's binding tables and marginal column assume
-      the shared index holds exactly the evaluated table's facts, and
-      another session of the same family grounding a different
-      truncation mid-run would silently break that (the index would gain rows whose marginal is
-      still 0.0 in *this* table, poisoning the caches once the table
-      catches up).
+    * ``lock`` — held across a whole lifted run, on TI and BID tables
+      alike.  When the state belongs to a compile-cache family this is
+      the family's own stripe lock: every table the family runs on
+      shares the node caches and annotations above, so two runs of one
+      family must not interleave.  Each table's index is its own
+      (:attr:`TupleIndependentTable.index
+      <repro.finite.tuple_independent.TupleIndependentTable.index>`)
+      and needs no guard here.
 
     Runtime-only: excluded from family pickles and rebuilt empty on
     restore (snapshots re-warm in one run).
@@ -148,16 +145,10 @@ class LiftedExecState:
 
 class _Family:
     """All diagrams compiled for one query: the current manager, one
-    ``(manager, root)`` per compiled table (keyed by its facts in
-    insertion order, or by the fact set for callers that give no
-    order), and one shared :class:`~repro.relational.index.FactIndex`
-    the grounding engine delta-extends as the family's fact sets grow
-    across truncations."""
+    ``(manager, root)`` per compiled table (keyed by its facts in table
+    order), the query's safe plans, and the lifted executor's state."""
 
-    __slots__ = (
-        "manager", "roots", "index", "lifted", "exec_state", "lock",
-        "grounded_from",
-    )
+    __slots__ = ("manager", "roots", "lifted", "exec_state", "lock")
 
     def __init__(self) -> None:
         self.manager = BDDManager([])
@@ -166,7 +157,6 @@ class _Family:
         #: the roots of the old one stay valid for their own tables.
         self.roots: "OrderedDict[object, Tuple[BDDManager, BDDRef]]" = (
             OrderedDict())
-        self.index: Optional[FactIndex] = None
         #: Safe-plan solver results, keyed ``"strict"`` / ``"partial"``:
         #: ``("plan", plan, ucq)`` or ``("error", exc, ucq)``.  Plans are
         #: data-independent, so one entry serves every truncation of the
@@ -178,76 +168,8 @@ class _Family:
         self.lock = threading.RLock()
         #: Lifted-executor state for this family's plans (binding
         #: tables, fold states, annotations).  Shares the stripe lock
-        #: so a lifted run can atomically ground *and* execute.
+        #: so a lifted run holds the family for its whole run.
         self.exec_state = LiftedExecState(self.lock)
-        #: ``(table, fact count)`` of the last grounding: the index
-        #: then holds exactly that table's first ``fact count`` facts.
-        #: The next grounding of the same table (an ε-sweep step, or a
-        #: warm re-evaluation) passes the index only the facts added
-        #: since.  Runtime-only, dropped from pickles with the rest of
-        #: the executor state.
-        self.grounded_from: Optional[tuple] = None
-
-    def grounding_index_for(self, pdb) -> FactIndex:
-        """The family's fact index, grown to ``pdb``'s facts and interned
-        in the table's own order: a TI table's insertion order, a BID
-        table's block order.
-
-        Bucket order is then table order, which is the order the lifted
-        executor folds a bound segment in.  A table only appends, so
-        when the index's rows are a prefix of the table's order, growing
-        the index takes just the suffix after them: O(new facts),
-        counted by ``grounding.delta_facts`` (an unchanged table is the
-        empty suffix).  The stamp of the last grounding, ``(table, fact
-        count)``, proves the prefix for the table it names without
-        comparing a fact, as long as the index still has the stamped
-        size; any other table is compared row by row.  An index that is
-        not a prefix, because it holds facts the table lacks or holds
-        them in another order, is rebuilt in the table's order and
-        counted by ``grounding.order_resets``.
-        """
-        order = pdb.possible_facts()
-        size = len(order)
-        index = self.index
-        stamp = self.grounded_from
-        if index is not None and (
-            (stamp is not None and stamp[0] is pdb
-             and len(index) == stamp[1] <= size)
-            or index.is_prefix_of(order)
-        ):
-            known = len(index)
-            if size > known:
-                suffix = list(itertools.islice(reversed(order), size - known))
-                suffix.reverse()
-                added = index.extend(suffix)
-                if added:
-                    obs.incr("grounding.delta_facts", added)
-        else:
-            if index is not None:
-                obs.incr("grounding.order_resets")
-            index = self.index = FactIndex(order)
-        self.grounded_from = (pdb, size)
-        return index
-
-    def grounding_index(self, facts_key: FrozenSet[Fact]) -> FactIndex:
-        """The family's fact index, grown to exactly ``facts_key``.
-
-        A superset key (the usual case: a monotone truncation sweep)
-        extends the existing index in place — only the delta facts are
-        re-indexed, counted by ``grounding.delta_facts``.  A
-        non-superset key rebuilds from scratch.
-        """
-        # Any direct grounding (the compiled path's) may change the
-        # index's fact set: drop the warm same-table stamp,
-        # grounding_index_for re-establishes it.
-        self.grounded_from = None
-        if self.index is not None and self.index.fact_set <= facts_key:
-            added = self.index.extend(facts_key)
-            if added:
-                obs.incr("grounding.delta_facts", added)
-        else:
-            self.index = FactIndex(facts_key)
-        return self.index
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
@@ -259,7 +181,6 @@ class _Family:
                 (key, manager, BDDManager._id(root))
                 for key, (manager, root) in self.roots.items()
             ],
-            "index": self.index,
             "lifted": self.lifted,
         }
 
@@ -272,27 +193,25 @@ class _Family:
             if by_id is None:
                 by_id = resolvers[id(manager)] = manager.nodes_by_id()
             self.roots[key] = (manager, by_id[root_id])
-        self.index = state["index"]
         self.lifted = state["lifted"]
         self.lock = threading.RLock()
         self.exec_state = LiftedExecState(self.lock)
-        self.grounded_from = None
 
 
 class CompileCache:
-    """LRU cache of compiled query diagrams.
+    """LRU cache of compiled query diagrams and safe plans, one family
+    per query.
 
-    Keys are ``(formula, frozenset(possible facts))`` — both hashable by
-    structure, so syntactically equal queries over equal truncations hit
-    the same diagram.  The variable order cannot come from that key; it
-    comes from the table (``order=``, its facts in insertion order).
-    Within a query family, a grown truncation compiles into the same
-    manager: its new facts are appended *below* the existing order, and
-    the manager's unique table and apply cache carry over, so shared
-    substructure is reused rather than rebuilt.  A table whose order
-    does not extend the manager's starts a fresh one.  Callers that pass
-    only a fact set (no ``order``) get new facts appended in canonical
-    order.
+    A diagram is keyed by the formula and the table's facts in table
+    order (TI insertion order, BID block order) — hashable by structure,
+    so syntactically equal queries over equal tables hit the same
+    diagram.  Within a query family, a grown truncation compiles into
+    the same manager: its new facts are appended *below* the existing
+    order, and the manager's unique table and apply cache carry over, so
+    shared substructure is reused rather than rebuilt.  A table whose
+    order does not extend the manager's starts a fresh one.  Grounding
+    and lifted runs read the table's own fact index; a family keeps no
+    index of its own.
 
     >>> from repro.relational import Schema
     >>> from repro.logic import parse_formula
@@ -300,13 +219,15 @@ class CompileCache:
     >>> R = schema["R"]
     >>> cache = CompileCache()
     >>> formula = parse_formula("EXISTS x. R(x)", schema)
-    >>> small = cache.compiled(formula, frozenset({R(1)}))
-    >>> large = cache.compiled(formula, frozenset({R(1), R(2)}))
+    >>> table = TupleIndependentTable(schema, {R(1): 0.5})
+    >>> small = cache.compiled(formula, table)
+    >>> table.extend({R(2): 0.5})
+    >>> large = cache.compiled(formula, table)
     >>> small.manager is large.manager
     True
     >>> cache.stats.misses, cache.stats.hits
     (2, 0)
-    >>> _ = cache.compiled(formula, frozenset({R(1), R(2)}))
+    >>> _ = cache.compiled(formula, table)
     >>> cache.stats.hits
     1
     """
@@ -322,23 +243,17 @@ class CompileCache:
         #: queries never serialize behind each other's compiles.
         self._lock = threading.RLock()
 
-    def compiled(
-        self,
-        formula: Formula,
-        possible_facts: AbstractSet[Fact],
-        order: Optional[Sequence[Fact]] = None,
-    ) -> CompiledQuery:
-        """The compiled diagram of ``formula`` over ``possible_facts``.
+    def compiled(self, formula: Formula, table) -> CompiledQuery:
+        """The compiled diagram of ``formula`` over a TI or BID table.
 
-        ``order`` lists the same facts in the table's insertion order;
-        the diagram then tests them in that order, whatever the family
-        compiled before (:meth:`BDDManager.aligned_to
-        <repro.finite.bdd.BDDManager.aligned_to>`), and is cached under
-        that order.  Without it the diagram is cached under the fact
-        set and new facts join the manager's order canonically sorted.
+        The diagram tests the table's facts in the table's order,
+        whatever the family compiled before (:meth:`BDDManager.aligned_to
+        <repro.finite.bdd.BDDManager.aligned_to>`), is grounded through
+        the table's :attr:`~TupleIndependentTable.index`, and is cached
+        under that order.
         """
-        facts_key = frozenset(possible_facts)
-        key = facts_key if order is None else tuple(order)
+        index = table.index
+        key = tuple(index)
         family = self._family(formula)
         with family.lock:
             entry = family.roots.get(key)
@@ -355,13 +270,9 @@ class CompileCache:
             obs.incr("cache.miss")
             if family.roots:
                 obs.incr("cache.extension")
-            if order is not None:
-                family.manager = family.manager.aligned_to(order)
-            manager = family.manager
+            manager = family.manager = family.manager.aligned_to(key)
             with obs.phase("compile"):
-                expr = lineage_of(
-                    formula, facts_key,
-                    index=family.grounding_index(facts_key))
+                expr = lineage_of(formula, index, index=index)
                 root = manager.build(expr)
             obs.gauge("bdd.nodes", manager.count_nodes(root))
             family.roots[key] = (manager, root)
@@ -386,13 +297,13 @@ class CompileCache:
     def lifted(
         self, formula: Formula, pdb, partial: bool = False
     ) -> Tuple[object, FactIndex]:
-        """The safe plan of ``formula`` plus the family's fact index,
-        grown to ``pdb``'s possible facts.
+        """The safe plan of ``formula`` plus ``pdb``'s own fact index
+        (:attr:`~TupleIndependentTable.index`).
 
         The plan (strict, or a hybrid one containing
         :class:`~repro.logic.hierarchy.UnsafeLeaf` residue when
         ``partial=True``) is compiled once per query family and reused
-        across truncations — a plan is data-independent, only the index
+        across truncations — a plan is data-independent, only the table
         grows.  A formula with free variables gets its head-bound plan
         (see :func:`~repro.logic.hierarchy.safe_plan_ucq`), cached under
         the free formula's own family.  Builds count in the
@@ -434,7 +345,7 @@ class CompileCache:
                 obs.incr("lifted.plan_cache_hits")
             kind, payload, ucq = entry
             if kind == "plan":
-                return payload, _grounded(family, pdb)
+                return payload, _grounded(pdb)
             if not partial:
                 raise payload
             hybrid = family.lifted.get("partial")
@@ -452,13 +363,13 @@ class CompileCache:
                 family.lifted["partial"] = hybrid
             if hybrid[0] == "error":
                 raise hybrid[1]
-            return hybrid[1], _grounded(family, pdb)
+            return hybrid[1], _grounded(pdb)
 
     def lifted_state(self, formula: Formula) -> LiftedExecState:
         """The lifted-executor state of ``formula``'s family — binding
-        tables and fold states delta-extended across truncations, and
-        plan annotations.  Same lifetime as the family's cached plans
-        (evicted together)."""
+        tables and fold states delta-extended across a table's
+        truncations, and plan annotations.  Same lifetime as the
+        family's cached plans (evicted together)."""
         return self._family(formula).exec_state
 
     def clear(self) -> None:
@@ -491,12 +402,12 @@ class CompileCache:
         self._lock = threading.RLock()
 
 
-def _grounded(family: _Family, pdb) -> FactIndex:
-    """``family``'s index grown to ``pdb``, timed as the ``ground``
-    phase — so ``--stats`` splits a lifted evaluation into index growth
-    and plan execution."""
+def _grounded(pdb) -> FactIndex:
+    """``pdb``'s fact index, timed as the ``ground`` phase — so
+    ``--stats`` splits a lifted evaluation into the table's first index
+    build and plan execution."""
     with obs.phase("ground"):
-        return family.grounding_index_for(pdb)
+        return pdb.index
 
 
 class CacheStats:
@@ -594,9 +505,8 @@ def query_probability_by_bdd_cached(
     if cache is None:
         cache = DEFAULT_COMPILE_CACHE
     if isinstance(pdb, (TupleIndependentTable, BlockIndependentTable)):
-        order = list(pdb.possible_facts())
-        compiled = cache.compiled(query.formula, order, order=order)
-        record_fold_error(wmc_error_bound(len(order)))
+        compiled = cache.compiled(query.formula, pdb)
+        record_fold_error(wmc_error_bound(len(pdb.index)))
         if isinstance(pdb, TupleIndependentTable):
             return compiled.probability(pdb.marginal)
         return bid_bdd_probability(compiled.manager, compiled.root, pdb)
@@ -613,9 +523,10 @@ class SharedGrounding:
     memo (TI) or block-branching memo (BID) serve every answer tuple:
     grounding ``Q(ā)`` and ``Q(b̄)`` typically yields heavily overlapping
     lineages, and their shared sub-diagrams are compiled and scored once.
-    The manager orders variables by the table's insertion order, every
-    table fact included, so :meth:`extended` and :meth:`extended_by`
-    only ever append the truncation's new facts to it.
+    Every answer grounds through the table's own fact index
+    (:attr:`~TupleIndependentTable.index`).  The manager orders
+    variables by the table's order, every table fact included, so
+    :meth:`extended` only ever appends the truncation's new facts to it.
     """
 
     def __init__(
@@ -625,8 +536,6 @@ class SharedGrounding:
         base_domain: Iterable[Value],
         manager: Optional[BDDManager] = None,
         score_cache: Optional[Dict[int, float]] = None,
-        index: Optional[FactIndex] = None,
-        possible: Optional[FrozenSet[Fact]] = None,
     ):
         if not isinstance(
             pdb, (TupleIndependentTable, BlockIndependentTable)
@@ -634,80 +543,50 @@ class SharedGrounding:
             raise EvaluationError("shared grounding needs a TI or BID table")
         self.formula = formula
         self.pdb = pdb
-        self.possible: FrozenSet[Fact] = (
-            frozenset(pdb.possible_facts()) if possible is None
-            else possible)
         #: Quantifier domain shared by every answer: the active domain
         #: plus the formula's own constants.  Each answer adds its own
         #: values — matching what per-answer grounding would use.
         self.base_domain: FrozenSet[Value] = frozenset(base_domain)
+        index = pdb.index
         if manager is None:
-            manager, score_cache = BDDManager(list(pdb.possible_facts())), None
+            manager, score_cache = BDDManager(list(index)), None
         self.manager = manager
         self._score_cache: Dict[int, float] = (
             {} if score_cache is None else score_cache)
-        #: One fact index serves every answer's grounding (and, via
-        #: :meth:`extended`, every later truncation's — delta-updated).
-        if index is None or len(index) != len(self.possible):
-            index = FactIndex(self.possible)
-        self.index = index
+        #: The table's size when this grounding was made: a manager
+        #: whose order has exactly this many facts holds the table's
+        #: first ``_rows`` index rows, in order.
+        self._rows = len(index)
+
+    @property
+    def index(self) -> FactIndex:
+        """The table's fact index, which every answer grounds through."""
+        return self.pdb.index
 
     def extended(self, pdb, base_domain: Iterable[Value]) -> "SharedGrounding":
         """A grounding over a *grown truncation* of the same query,
         warm-started from this one: the manager (hash-consed node store,
-        apply cache), the probability memo, and the fact index carry
-        over — the index is extended with only the truncation's delta
-        facts.  Sound because growing a truncation never changes the
-        marginal of an existing fact, and a node's weighted-model-count
-        depends only on the facts in its cone — new variables cannot
-        alter it.  A table whose insertion order does not extend the
-        manager's gets a fresh manager and memo instead."""
-        order = list(pdb.possible_facts())
-        new_possible = frozenset(order)
-        index = self.index
-        if self.possible <= new_possible:
-            added = index.extend(order)
-            if added:
-                obs.incr("grounding.delta_facts", added)
-        else:
-            index = None  # shrunk truncation: rebuild in the constructor
-        return self._with_manager(
-            self.manager.aligned_to(order), pdb, base_domain, index,
-            new_possible)
+        apply cache) and the probability memo carry over.  Sound because
+        growing a truncation never changes the marginal of an existing
+        fact, and a node's weighted-model-count depends only on the
+        facts in its cone — new variables cannot alter it.
 
-    def _with_manager(self, manager, pdb, base_domain, index, possible):
-        """The grounding of ``pdb`` on ``manager``; the scoring memo
-        carries over only when the manager does."""
+        When ``pdb`` is this grounding's own table, grown in place, the
+        manager's order gains just the table's new index rows.  Any
+        other table realigns the manager (:meth:`BDDManager.aligned_to
+        <repro.finite.bdd.BDDManager.aligned_to>`); one whose order does
+        not extend the manager's gets a fresh manager and memo."""
+        index = pdb.index
+        manager = self.manager
+        if pdb is self.pdb and len(manager.order) == self._rows:
+            manager.extend_order(
+                [index.fact_at(row) for row in range(self._rows, len(index))])
+        else:
+            manager = manager.aligned_to(list(index))
         score_cache = self._score_cache if manager is self.manager else None
         return SharedGrounding(
             self.formula, pdb, base_domain,
-            manager=manager, score_cache=score_cache,
-            index=index, possible=possible,
-        )
-
-    def extended_by(
-        self, pdb, base_domain: Iterable[Value], delta_facts: Iterable[Fact]
-    ) -> "SharedGrounding":
-        """Like :meth:`extended`, for callers that already *know* the
-        truncation's append-only delta, in insertion order (the
-        shard-pool shipping layer does): the possible-fact set, the
-        index and the variable order are patched with just the delta
-        facts instead of rescanning the whole table — the rescan is what
-        dominates a refresh once the table dwarfs its per-step growth.
-        A manager that does not hold exactly the previous table's facts
-        is realigned to the whole table instead."""
-        delta = list(delta_facts)
-        added = self.index.extend(delta)
-        if added:
-            obs.incr("grounding.delta_facts", added)
-        manager = self.manager
-        if len(manager.order) == len(self.possible):
-            manager.extend_order(delta)
-        else:
-            manager = manager.aligned_to(list(pdb.possible_facts()))
-        return self._with_manager(
-            manager, pdb, base_domain, self.index,
-            self.possible.union(delta))
+            manager=manager, score_cache=score_cache)
 
     def answer_probability(
         self,
@@ -715,15 +594,16 @@ class SharedGrounding:
         answer: Tuple[Value, ...],
     ) -> float:
         """``Pr(ā ∈ Q)`` for one answer tuple, via the shared manager."""
+        index = self.pdb.index
         expr = lineage_of(
             self.formula,
-            self.possible,
+            index,
             domain=self.base_domain.union(answer),
             assignment=dict(zip(variables, answer)),
-            index=self.index,
+            index=index,
         )
         root = self.manager.build(expr)
-        record_fold_error(wmc_error_bound(len(self.possible)))
+        record_fold_error(wmc_error_bound(len(index)))
         if isinstance(self.pdb, TupleIndependentTable):
             return self.manager.probability(
                 root, self.pdb.marginal, self._score_cache)
@@ -763,7 +643,7 @@ class SharedGrounding:
         domain = self.base_domain.union(candidates)
         if not domain:
             return None
-        engine = GroundingEngine(self.index, frozenset(domain))
+        engine = GroundingEngine(self.pdb.index, frozenset(domain))
         rows = engine.relation(self.formula)
         if engine.probes:
             obs.incr("grounding.probes", engine.probes)

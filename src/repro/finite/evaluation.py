@@ -213,7 +213,9 @@ def _candidate_values(
     domain: Optional[Iterable[Value]],
 ) -> List[Value]:
     """Candidate answer values: the PDB's active domain plus the query's
-    constants (Fact 2.1), or an explicit ``domain``."""
+    constants (Fact 2.1), or an explicit ``domain``.  A TI or BID
+    table's active domain is its index's value set, kept as the table
+    grows."""
     if domain is not None:
         return sorted(set(domain), key=domain_sort_key)
     values = set(constants_of(query.formula))
@@ -221,8 +223,7 @@ def _candidate_values(
         for instance in pdb.instances():
             values |= instance.active_domain()
     else:
-        for fact in pdb.possible_facts():
-            values.update(fact.args)
+        values |= pdb.index.values
     return sorted(values, key=domain_sort_key)
 
 
@@ -265,9 +266,7 @@ def _shared_grounding(query: Query, pdb: PDBLike):
     values on top — identical to what per-answer grounding would use."""
     from repro.finite.compile_cache import SharedGrounding
 
-    base = set(constants_of(query.formula))
-    for fact in pdb.possible_facts():
-        base.update(fact.args)
+    base = pdb.index.values | constants_of(query.formula)
     return SharedGrounding(query.formula, pdb, base)
 
 
@@ -332,6 +331,7 @@ def _evaluate_answers(
     candidates: List[Value],
     strategy: str,
     grounding_factory=None,
+    compile_cache=None,
 ) -> Dict[Tuple[Value, ...], float]:
     """Evaluate ``Pr(ā ∈ Q)`` over the candidate answer tuples.
 
@@ -345,7 +345,8 @@ def _evaluate_answers(
     back to the full product when the formula is outside the engine's
     fragment.  ``grounding_factory`` overrides how the shared context is
     built — a refinement session passes one that warm-starts from the
-    previous truncation's grounding.
+    previous truncation's grounding.  Answers scored one at a time plan
+    and compile in ``compile_cache``.
     """
     shared = None
     answers: Optional[Iterable[Tuple[Value, ...]]] = None
@@ -356,7 +357,8 @@ def _evaluate_answers(
         answers = shared.answer_support(query.variables, candidates)
     if answers is None:
         answers = itertools.product(candidates, repeat=query.arity)
-    return _score_answers(query, pdb, answers, strategy, shared)
+    return _score_answers(
+        query, pdb, answers, strategy, shared, compile_cache)
 
 
 def marginal_answer_probabilities(
@@ -475,7 +477,8 @@ def _marginal_answer_probabilities_traced(
 ) -> Dict[Tuple[Value, ...], float]:
     if query.is_boolean:
         boolean = BooleanQuery(query.formula, query.schema, name=query.name)
-        return {(): float(query_probability(boolean, pdb, strategy=strategy))}
+        return {(): float(query_probability(
+            boolean, pdb, strategy=strategy, compile_cache=compile_cache))}
     candidates = _candidate_values(query, pdb, domain)
     if not candidates:
         return {}
@@ -495,4 +498,5 @@ def _marginal_answer_probabilities_traced(
     obs.note(strategy=strategy)
     with obs.phase("fanout"):
         return _evaluate_answers(
-            query, pdb, candidates, strategy, grounding_factory)
+            query, pdb, candidates, strategy, grounding_factory,
+            compile_cache)

@@ -222,25 +222,20 @@ class _Groups:
 class _ProjectDeltaCache:
     """Per-plan-node binding table of a root-level project: the
     separator values discovered so far with their child probabilities,
-    stamped with the index state they were computed at.  An ε-sweep's
-    next truncation re-executes only the values its delta facts touch —
-    sound because the separator occurs in every scope atom, so a new
-    fact can only perturb the candidate value it mentions (and existing
-    facts' marginals never change under extension)."""
+    stamped with the table's index and the epoch they were computed at.
+    An ε-sweep's next truncation re-executes only the values its delta
+    facts touch — sound because the separator occurs in every scope
+    atom, so a new fact can only perturb the candidate value it mentions
+    (and existing facts' marginals never change under extension)."""
 
     __slots__ = (
-        "index", "source", "epoch", "keys", "values", "probs", "slots",
-        "result",
+        "index", "epoch", "keys", "values", "probs", "slots", "result",
     )
 
-    def __init__(self, index, source, epoch, values, probs):
+    def __init__(self, index, epoch, values, probs):
+        #: The index of the table the child probabilities were computed
+        #: against: each table owns its own, so identity pins the table.
         self.index = index
-        #: The table the child probabilities were computed against —
-        #: index and epoch alone don't pin them, because two tables
-        #: with one fact set (same family index) may disagree on
-        #: marginals.  Sweeps extend one table in place, so identity
-        #: is the right key.
-        self.source = source
         self.epoch = epoch
         #: ``values`` in canonical ``domain_sort_key`` order, each key
         #: kept beside its value so a new value is placed by bisection.
@@ -263,13 +258,12 @@ class _SegmentFolds:
     so the rows a later step adds are the bucket's rows from ``epoch``
     on, and folding them onto ``product`` gives a full re-fold's bits
     (:func:`_resume_fold`).  Stamped, like :class:`_ProjectDeltaCache`,
-    with the index and table the states were computed against."""
+    with the index of the table the states were computed against."""
 
-    __slots__ = ("index", "source", "states")
+    __slots__ = ("index", "states")
 
-    def __init__(self, index, source):
+    def __init__(self, index):
         self.index = index
-        self.source = source
         self.states: Dict[tuple, Tuple[int, float, bool]] = {}
 
 
@@ -714,12 +708,8 @@ class _BatchedEvaluator:
         if caches is None:
             return None
         folds = caches.get(id(plan))
-        if (
-            folds is None
-            or folds.index is not self.index
-            or folds.source is not self.table
-        ):
-            folds = caches[id(plan)] = _SegmentFolds(self.index, self.table)
+        if folds is None or folds.index is not self.index:
+            folds = caches[id(plan)] = _SegmentFolds(self.index)
         return folds
 
     def _project_root_cached(
@@ -731,19 +721,14 @@ class _BatchedEvaluator:
         caches = self.node_caches
         cache = caches.get(id(plan))
         index = self.index
-        if (
-            cache is None
-            or cache.index is not index
-            or cache.source is not self.table
-            or cache.epoch > index.epoch
-        ):
+        if cache is None or cache.index is not index:
             root = _Groups(1, {})
             values, offsets = self._candidate_groups(info, root)
             child_groups = _Groups(
                 len(values), {info.variable: list(values)})
             vector = self._eval(plan.child, child_groups)
             cache = _ProjectDeltaCache(
-                index, self.table, index.epoch, list(values),
+                index, index.epoch, list(values),
                 [float(p) for p in vector])
             caches[id(plan)] = cache
         elif cache.epoch < index.epoch:
@@ -1094,8 +1079,8 @@ def answer_marginals_lifted(
 
     The plan is built once per query family in ``plan_cache`` (default:
     the process-wide compile cache), under the free formula's own
-    family, next to that family's delta-extended fact index.  It runs
-    in the batched executor over a root group table holding one row per
+    family, and runs over the table's own fact index.  It runs in the
+    batched executor over a root group table holding one row per
     answer tuple — the head variables are bound group columns, just as
     an enclosing separator binds its variable — and stops before any
     root fold, so the plan root yields every answer's marginal at once.
@@ -1110,7 +1095,7 @@ def answer_marginals_lifted(
     pass), nor on how the index grew.  The pass keeps no fold state,
     so every segment folds in full.  As in
     :func:`query_probability_lifted`, the family's stripe lock is held
-    from grounding through execution.  Each evaluated row counts in
+    for the whole pass.  Each evaluated row counts in
     ``fanout.answers``.
     """
     if not isinstance(table, TupleIndependentTable):
@@ -1147,12 +1132,11 @@ def answer_marginals_lifted(
 def evaluate_plan(plan: SafePlan, table: LiftedTable) -> float:
     """Evaluate a compiled :class:`SafePlan` on a TI (or BID) table.
 
-    Builds a fresh :class:`~repro.relational.index.FactIndex` over the
-    table's possible facts, in the table's order (which a bound
-    segment folds in); callers evaluating one query family across
-    growing truncations should go through
-    :func:`query_probability_lifted`, which reuses a delta-extended
-    index, caches plans, and keeps warm per-node binding tables.
+    Runs over the table's own fact index, in the table's order (which
+    a bound segment folds in); callers evaluating one query family
+    across growing truncations should go through
+    :func:`query_probability_lifted`, which also caches plans and keeps
+    warm per-node binding tables.
 
     >>> from repro.relational import Schema
     >>> from repro.logic.syntax import Atom, Variable
@@ -1167,8 +1151,7 @@ def evaluate_plan(plan: SafePlan, table: LiftedTable) -> float:
         table, (TupleIndependentTable, BlockIndependentTable)
     ):
         raise EvaluationError("lifted evaluation needs a TI or BID table")
-    index = FactIndex(table.possible_facts())
-    return _run_plan(plan, table, index, None)
+    return _run_plan(plan, table, table.index, None)
 
 
 def query_probability_lifted(
@@ -1188,8 +1171,8 @@ def query_probability_lifted(
 
     ``plan_cache`` is a :class:`~repro.finite.compile_cache.CompileCache`
     (defaulting to the process-wide one): plans are compiled once per
-    query family, the family's fact index is delta-extended across
-    growing truncations, and cache traffic shows up in the
+    query family and run over the table's own fact index (which grows
+    with the table), and cache traffic shows up in the
     ``lifted.plans`` / ``lifted.plan_cache_hits`` counters.
 
     With ``partial=True`` an unsafe query still evaluates if some
@@ -1221,15 +1204,9 @@ def query_probability_lifted(
 
     cache = plan_cache if plan_cache is not None else DEFAULT_COMPILE_CACHE
     state = cache.lifted_state(query.formula)
-    # Hold the family stripe lock (== ``state.lock``, reentrant) from
-    # grounding through execution, so the shared index holds *exactly*
-    # this table's facts for the whole run.  Another session of the same
-    # family grounding a different truncation in between would extend
-    # the index with facts this table does not have yet — their
-    # marginals would sync as 0.0 into the column the executor reads,
-    # and the binding-table epochs would cover facts never actually
-    # folded in, silently corrupting later delta reuse once this table
-    # catches up.
+    # Hold the family stripe lock (== ``state.lock``, reentrant) for the
+    # whole run: the node caches it reads and writes belong to the
+    # family, and every table the family runs on shares them.
     with state.lock:
         plan, index = cache.lifted(query.formula, table, partial=partial)
         return _run_plan(plan, table, index, unsafe_fallback, state)

@@ -9,14 +9,17 @@ of the Section 6 truncation ``truncate(n)`` of a countable TI PDB.
 from __future__ import annotations
 
 import random
+import threading
 from typing import (
     Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Set, Tuple,
 )
 
+from repro import obs
 from repro.analysis.products import product_complement
 from repro.errors import ProbabilityError, SchemaError
 from repro.finite.pdb import FinitePDB
 from repro.relational.facts import Fact
+from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.utils.iteration import powerset
@@ -41,6 +44,9 @@ class TupleIndependentTable:
         #: Lazy columnar mirror (see :meth:`columns`); kept in sync by
         #: :meth:`extend` once built, dropped from pickles.
         self._columns = None
+        #: The fact index (see :attr:`index`), likewise.
+        self._index: Optional[FactIndex] = None
+        self._index_lock = threading.Lock()
         for fact, probability in marginals.items():
             if not is_probability(probability):
                 raise probability_error(probability, f"marginal of {fact}")
@@ -56,7 +62,7 @@ class TupleIndependentTable:
         rejected (the incremental-truncation caller must never rewrite
         history).  All-or-nothing: the whole batch is checked before the
         first fact goes in, so a rejected batch leaves the table (and
-        its columnar mirror) untouched.
+        its columnar mirror and index) untouched.
         """
         current = self.marginals
         added: List[Tuple[Fact, float]] = []
@@ -75,11 +81,34 @@ class TupleIndependentTable:
                 continue
             if probability > 0:
                 added.append((fact, float(probability)))
-        if added and self._columns is not None:
+        if not added:
+            return
+        if self._columns is not None:
             # O(delta): the columnar mirror grows in place, so warm
             # ε-sweep state stays valid across truncation growth.
             self._columns.extend_items(added)
-        current.update(added)
+        with self._index_lock:
+            current.update(added)
+            if self._index is not None:
+                obs.incr(
+                    "grounding.delta_facts",
+                    self._index.extend([fact for fact, _ in added]))
+
+    @property
+    def index(self) -> FactIndex:
+        """The table's :class:`~repro.relational.index.FactIndex`, rows
+        in insertion order, which every lifted run, compiled grounding
+        and answer fan-out over the table reads.  Built on first use
+        (once, even when threads race for it), grown by :meth:`extend`
+        with exactly the facts each call adds (counted by
+        ``grounding.delta_facts``), dropped from pickles."""
+        index = self._index
+        if index is None:
+            with self._index_lock:
+                index = self._index
+                if index is None:
+                    index = self._index = FactIndex(self.marginals)
+        return index
 
     @property
     def columns(self):
@@ -218,14 +247,20 @@ class TupleIndependentTable:
 
     # ---------------------------------------------------------------- pickling
     def __getstate__(self):
-        """Drop the columnar mirror, like
+        """Drop the columnar mirror and the index, like
         :class:`~repro.core.fact_distribution.FactDistribution` drops
         its prefix cache: the ``workers=`` process-pool fan-out must not
-        ship arrays that are pure derived state (they rebuild lazily on
-        first use in the worker)."""
+        ship what is pure derived state (it rebuilds lazily on first use
+        in the worker)."""
         state = dict(self.__dict__)
         state["_columns"] = None
+        del state["_index"], state["_index_lock"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._index = None
+        self._index_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return (

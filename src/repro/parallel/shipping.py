@@ -28,12 +28,15 @@ runtime per ``(table key, query)``: the parsed query, its candidate
 values, the pruned answer support, and — when the fan-out shares one
 grounding — a :class:`~repro.finite.compile_cache.SharedGrounding` that
 *extends* across sweep steps (same hash-consed node store, same scoring
-memo, delta-updated fact index, and a variable order that appends the
-shipped delta in the table's insertion order, so workers compile the
-diagrams the parent's serial path compiles), plus a worker-local
+memo, and a variable order that appends the shipped delta in the
+table's order, so workers compile the diagrams the parent's serial path
+compiles), plus a worker-local
 :class:`~repro.finite.compile_cache.CompileCache` for per-answer
-evaluations.  Compiled diagrams therefore survive worker-side exactly
-as they do in the parent's serial sessions.
+evaluations.  A delta ship extends the worker's table in place, which
+grows the table's own fact index, so a refresh reads the active domain
+and the new facts off that index without rescanning the table.
+Compiled diagrams therefore survive worker-side exactly as they do in
+the parent's serial sessions.
 
 The evaluation layer answers safe queries on TI tables in-process with
 one grouped lifted pass, so only compiled fan-outs reach the pool
@@ -88,9 +91,7 @@ def _table_count(table) -> int:
 # Everything below the fold runs inside pool worker processes.  Module
 # globals are per-process, i.e. per-worker — that is the whole point.
 
-#: key -> [table, version, arg values, facts in append order].  The arg
-#: set and fact list are maintained incrementally by the delta ships, so
-#: a refresh never rescans (or re-sorts) the whole table.
+#: key -> [table, version]; a delta ship bumps the version.
 _TABLES: Dict[str, list] = {}
 _RUNTIMES: Dict[Tuple[str, str], "_QueryRuntime"] = {}
 _COMPILE_CACHE = None  # worker-local CompileCache, built lazily
@@ -113,7 +114,7 @@ class _QueryRuntime:
 
     __slots__ = (
         "key", "query", "strategy", "domain", "version",
-        "candidates", "answers", "grounding", "share", "seen",
+        "candidates", "answers", "grounding", "share",
     )
 
     def __init__(self, key: str, query, strategy: str, domain):
@@ -126,13 +127,12 @@ class _QueryRuntime:
         self.answers: Optional[List] = None  # pruned support, or None
         self.grounding = None
         self.share: Optional[bool] = None
-        self.seen = 0  # facts already in the grounding
 
     def refresh(self, entry: list) -> None:
         from repro.finite.evaluation import _candidate_values, _shares_grounding
         from repro.logic.analysis import constants_of
 
-        table, version, arg_values, fact_list = entry
+        table, version = entry
         if version == self.version:
             return
         query = self.query
@@ -143,19 +143,14 @@ class _QueryRuntime:
                 query, table, candidates, self.strategy)
         if self.share:
             # The grounding's base domain: query constants plus every
-            # fact argument.  The arg set is maintained incrementally by
-            # the delta ships (one copy here, not a rescan of the table).
-            base = arg_values | set(constants_of(query.formula))
+            # fact argument, read off the table's index.
+            base = table.index.values | constants_of(query.formula)
             if self.grounding is None:
                 from repro.finite.compile_cache import SharedGrounding
 
                 self.grounding = SharedGrounding(query.formula, table, base)
             else:
-                # The delta in append order: it extends the grounding's
-                # variable order exactly as the table grew.
-                self.grounding = self.grounding.extended_by(
-                    table, base, fact_list[self.seen:])
-            self.seen = len(fact_list)
+                self.grounding = self.grounding.extended(table, base)
             self.answers = self.grounding.answer_support(
                 query.variables, candidates)
         else:
@@ -183,19 +178,11 @@ class _QueryRuntime:
             self.grounding, _worker_compile_cache())
 
 
-def _fact_args(facts) -> set:
-    values: set = set()
-    for fact in facts:
-        values.update(fact.args)
-    return values
-
-
 def _worker_store_table(key: str, blob: bytes) -> int:
     """Full ship: (re)place the table under ``key``; any runtime built
     on a previous incarnation of the key is dropped."""
     table = pickle.loads(blob)
-    facts = list(table.possible_facts())
-    _TABLES[key] = [table, 0, _fact_args(facts), facts]
+    _TABLES[key] = [table, 0]
     for stale in [k for k in _RUNTIMES if k[0] == key]:
         del _RUNTIMES[stale]
     return _table_count(table)
@@ -209,15 +196,8 @@ def _worker_extend_table(key: str, kind: str, blob: bytes) -> int:
         raise ShipError(f"delta for unknown table key {key!r}")
     delta = pickle.loads(blob)
     table = entry[0]
-    if kind == "ti":
-        table.extend(dict(delta))
-        facts = [fact for fact, _ in delta]
-    else:
-        table.extend(delta)
-        facts = [f for block in delta for f in block.alternatives]
+    table.extend(dict(delta) if kind == "ti" else delta)
     entry[1] += 1
-    entry[2] |= _fact_args(facts)
-    entry[3].extend(facts)
     return _table_count(table)
 
 

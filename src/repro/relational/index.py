@@ -22,7 +22,10 @@ Indexes support *delta updates*: :meth:`FactIndex.extend` adds new
 possible facts in place and patches every already-built signature index,
 so a grown truncation Ω_m ⊇ Ω_n re-grounds against the same index
 without rebuilding — the grounding-side analogue of the compile cache
-extending one BDD manager across truncations.
+extending one BDD manager across truncations.  Each TI and BID table
+owns one index over its facts, in its own order, and its ``extend``
+passes the index exactly the facts it added (see
+:attr:`repro.finite.tuple_independent.TupleIndependentTable.index`).
 
 The index also implements the read-only set protocol over its facts
 (``in``, ``len``, iteration), so it can stand in for the
@@ -33,7 +36,6 @@ expansion fallback.
 from __future__ import annotations
 
 import bisect
-import itertools
 import threading
 from typing import (
     Dict,
@@ -122,7 +124,6 @@ class FactIndex:
         "_signatures",
         "_values",
         "_marginals",
-        "_marginal_source",
         "_view_cache",
         "_lock",
     )
@@ -142,9 +143,8 @@ class FactIndex:
         ] = {}
         self._values: set = set()
         #: Lazily attached marginal column aligned to row ids (see
-        #: :meth:`marginal_column`); dropped from pickles.
+        #: :meth:`marginal_column`).
         self._marginals = None
-        self._marginal_source = None
         #: bucket id → (bucket, view): repeated probes of the same
         #: bucket reuse one lazy fact view instead of allocating a
         #: fresh ``_RowFacts`` per probe.  The strong bucket reference
@@ -185,8 +185,6 @@ class FactIndex:
                     args = row_facts[row].args
                     key = tuple(args[i] for i in positions)
                     table.setdefault(key, []).append(row)
-            if self._marginals is not None:
-                self._sync_marginals()
             return len(row_facts) - start
 
     # -------------------------------------------------------------- queries
@@ -275,25 +273,6 @@ class FactIndex:
         """The interned fact of one row id."""
         return self._row_facts[row]
 
-    def is_prefix_of(self, facts: Sequence[Fact]) -> bool:
-        """Whether the rows, in interning order, are the first
-        ``len(self)`` of ``facts`` — so extending by the rest of
-        ``facts`` interns them all in their order.
-
-        >>> from repro.relational import RelationSymbol
-        >>> R = RelationSymbol("R", 1)
-        >>> index = FactIndex([R(1), R(2)])
-        >>> index.is_prefix_of([R(1), R(2), R(3)])
-        True
-        >>> index.is_prefix_of([R(2), R(1), R(3)])
-        False
-        """
-        rows = self._row_facts
-        return (
-            len(rows) <= len(facts)
-            and list(itertools.islice(facts, len(rows))) == rows
-        )
-
     @property
     def epoch(self) -> int:
         """The interned-fact count — a monotone truncation epoch.  Two
@@ -321,30 +300,25 @@ class FactIndex:
     def marginal_column(self, table):
         """A marginal column aligned to this index's row ids, gathered
         from ``table`` (anything with a ``marginal(fact)`` method) and
-        cached.
+        cached.  ``table`` must be the table whose facts the index
+        holds: the column keeps no reference to it, and each call
+        gathers only the rows added since the last one.
 
         Valid across delta extensions because truncation growth never
         changes the marginal of an existing fact — the same invariant
-        the compile cache's warm rescoring relies on.  Switching tables
-        rebuilds the column (the cache is keyed by table identity).
+        the compile cache's warm rescoring relies on.
         """
         with self._lock:
-            if self._marginals is None or self._marginal_source is not table:
+            if self._marginals is None:
                 from repro.relational.columns import FloatColumn
 
                 self._marginals = FloatColumn("auto")
-                self._marginal_source = table
-                self._sync_marginals()
-            elif len(self._marginals) < len(self._row_facts):
-                self._sync_marginals()
-            return self._marginals
-
-    def _sync_marginals(self) -> None:
-        marginal = self._marginal_source.marginal
-        self._marginals.extend(
-            marginal(fact)
-            for fact in self._row_facts[len(self._marginals):]
-        )
+            column = self._marginals
+            if len(column) < len(self._row_facts):
+                marginal = table.marginal
+                column.extend(
+                    marginal(fact) for fact in self._row_facts[len(column):])
+            return column
 
     # --------------------------------------------------- read-only set protocol
     def __contains__(self, fact: object) -> bool:
@@ -355,27 +329,6 @@ class FactIndex:
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self._rows)
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self):
-        """Drop the columnar caches (signature buckets stay: they are
-        plain row-id dicts); the marginal column is rebuilt lazily on
-        the other side of a process-pool fan-out."""
-        return {
-            "_rows": self._rows,
-            "_row_facts": self._row_facts,
-            "_by_relation": self._by_relation,
-            "_signatures": self._signatures,
-            "_values": self._values,
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._marginals = None
-        self._marginal_source = None
-        self._view_cache = {}
-        self._lock = threading.RLock()
 
     def __repr__(self) -> str:
         return (

@@ -113,7 +113,7 @@ def test_a_fact_joining_the_lineage_late_keeps_its_table_position():
     order = list(session._table.marginals)
     assert order.index(T(2)) == 3
     # The diagram of the swept table tests its facts in table order.
-    compiled = cache.compiled(h0().formula, order, order=order)
+    compiled = cache.compiled(h0().formula, session._table)
     assert compiled.manager.order[: len(order)] == order
     cold = cold_one_shot(h0(), pdb(), 0.05, "auto")
     assert second.value == cold.value

@@ -120,13 +120,15 @@ class TestSharedGroundingDelta:
         table = make_table()
         formula = parse_formula("EXISTS z. R(x) AND S(x, z)", schema)
         grounding = SharedGrounding(formula, table, base_domain={1, 2, 3})
-        grown = TupleIndependentTable(schema, dict(
-            list(table.marginals.items()) + [(S(5, 1), 0.1), (R(6), 0.2)]))
+        index = grounding.index
         with obs.trace() as t:
-            extended = grounding.extended(grown, {1, 2, 3, 5, 6})
-        assert extended.index is grounding.index
+            table.extend({S(5, 1): 0.1, R(6): 0.2})
+            extended = grounding.extended(table, {1, 2, 3, 5, 6})
+        assert extended.index is index is table.index
         assert t.counters["grounding.delta_facts"] == 2
         assert S(5, 1) in extended.index
+        assert extended.manager is grounding.manager
+        assert extended.manager.order == list(table.possible_facts())
 
     def test_shrunk_truncation_rebuilds(self):
         table = make_table()

@@ -42,44 +42,44 @@ class TestCacheKeying:
     def test_hit_on_repeat(self):
         cache = CompileCache()
         full = table()
-        facts = frozenset(full.marginals)
-        first = cache.compiled(h0().formula, facts)
-        second = cache.compiled(h0().formula, facts)
+        first = cache.compiled(h0().formula, full)
+        second = cache.compiled(h0().formula, full)
         assert first.manager is second.manager
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_distinct_fact_sets_are_distinct_entries(self):
         cache = CompileCache()
         full = table()
-        cache.compiled(h0().formula, frozenset(full.top(4).marginals))
-        cache.compiled(h0().formula, frozenset(full.top(8).marginals))
+        cache.compiled(h0().formula, full.top(4))
+        cache.compiled(h0().formula, full.top(8))
         assert cache.stats.misses == 2
         assert len(cache) == 2
 
     def test_same_query_shares_one_manager(self):
-        """Growing truncations extend one manager instead of recompiling
-        into a fresh one — the node store carries over."""
+        """A truncation grown in place extends one manager instead of
+        recompiling into a fresh one — the node store carries over."""
         cache = CompileCache()
-        full = table()
-        small = cache.compiled(h0().formula, frozenset(full.top(5).marginals))
-        large = cache.compiled(h0().formula, frozenset(full.marginals))
+        items = list(table().marginals.items())
+        grown = TupleIndependentTable(schema, dict(items[:5]))
+        small = cache.compiled(h0().formula, grown)
+        grown.extend(dict(items))
+        large = cache.compiled(h0().formula, grown)
         assert small.manager is large.manager
         assert cache.stats.extensions == 1
-        # The extended order keeps the original prefix intact.
-        order = large.manager.order
-        assert len(order) == len(set(order))
+        # The extended order is the table's order, original prefix
+        # intact.
+        assert large.manager.order == list(grown.possible_facts())
 
     def test_lru_eviction_bounds_memory(self):
         cache = CompileCache(max_queries=2)
         full = table()
-        facts = frozenset(full.marginals)
         formulas = [
             parse_formula(text, schema)
             for text in ("EXISTS x. R(x)", "EXISTS x. T(x)",
                          "EXISTS x, y. S(x, y)")
         ]
         for formula in formulas:
-            cache.compiled(formula, facts)
+            cache.compiled(formula, full)
         assert len(cache._families) == 2  # oldest family evicted
 
 
@@ -159,7 +159,7 @@ class TestBIDScoring:
     def test_bid_scorer_direct(self):
         cache = CompileCache()
         pdb = self.bid()
-        compiled = cache.compiled(h0().formula, frozenset(pdb.facts()))
+        compiled = cache.compiled(h0().formula, pdb)
         assert bid_bdd_probability(
             compiled.manager, compiled.root, pdb
         ) == query_probability(h0(), pdb, strategy="worlds")

@@ -132,6 +132,25 @@ class TestMarginalAnswers:
         marginals = marginal_answer_probabilities(query, table, domain=[1, 2])
         assert marginals == {(1,): pytest.approx(0.5)}
 
+    @pytest.mark.parametrize("text", [
+        "EXISTS z. S(x, z) AND S(y, z)",  # scored one answer at a time
+        "EXISTS x. R(x)",  # Boolean
+    ])
+    def test_the_callers_compile_cache_serves_every_answer(self, text):
+        from repro.finite.compile_cache import (
+            DEFAULT_COMPILE_CACHE,
+            CompileCache,
+        )
+
+        mine = CompileCache()
+        DEFAULT_COMPILE_CACHE.clear()
+        query = Query(parse_formula(text, schema), schema)
+        marginals = marginal_answer_probabilities(
+            query, small_ti(), compile_cache=mine)
+        assert marginals
+        assert len(DEFAULT_COMPILE_CACHE._families) == 0
+        assert len(mine._families) > 0
+
     def test_marginals_match_expanded_pdb(self):
         table = small_ti()
         query = Query(parse_formula("EXISTS y. S(x, y)", schema), schema)

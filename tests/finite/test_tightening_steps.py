@@ -1,15 +1,12 @@
 """A tightening step grounds only its new facts, without moving a bit.
 
-The lifted path interns a compile-cache family's fact index in the
-table's insertion order and grows it by the suffix of facts the table
-gained since the index last matched it.  Another table, or a compiled
-grounding of the family in between, keeps that suffix path while the
-index's rows are still a prefix of the table's order; otherwise the
-index is rebuilt in the table's order (``grounding.order_resets``).
-Either way every answer equals a cold cache's bit for bit: the
-executor's fold order (bound segments in table order, root-level
-values in ``domain_sort_key`` order) does not depend on how the index
-grew.
+Each table owns one fact index in its insertion order, and the table's
+``extend`` grows it by exactly the facts that call added.  Every lifted
+family and compiled grounding over the table reads that one index;
+another table keeps its own.  Either way every answer equals a cold run
+bit for bit: the executor's fold order (bound segments in table order,
+root-level values in ``domain_sort_key`` order) does not depend on how
+the index grew.
 """
 
 import random
@@ -57,7 +54,10 @@ def extend_calls(monkeypatch):
 
 
 def cold(q, table):
-    return query_probability_lifted(q, table, plan_cache=CompileCache())
+    """A fresh cache over a fresh copy of the table, so over a fresh
+    index too."""
+    copy = TupleIndependentTable(table.schema, dict(table.marginals))
+    return query_probability_lifted(q, copy, plan_cache=CompileCache())
 
 
 class TestSuffixGrounding:
@@ -68,18 +68,22 @@ class TestSuffixGrounding:
         cache = CompileCache()
         table = pdb.truncate(20)
         query_probability_lifted(q, table, plan_cache=cache)
+        index = table.index
         for n in (20, 35, 36, 60, 60, 90):
             before = len(table)
-            pdb.extend_truncation(table, n)
-            added = list(table.possible_facts())[before:]
             extend_calls.clear()
             with obs.trace() as t:
-                value = query_probability_lifted(q, table, plan_cache=cache)
+                pdb.extend_truncation(table, n)
+            added = list(table.possible_facts())[before:]
             assert extend_calls == ([added] if added else [])
             assert t.counters.get("grounding.delta_facts", 0) == len(added)
+            extend_calls.clear()
+            value = query_probability_lifted(q, table, plan_cache=cache)
+            assert extend_calls == []
             assert value == cold(q, table)
-            _, index = cache.lifted(q.formula, table)
-            assert set(index) == set(table.possible_facts())
+            _, grounded = cache.lifted(q.formula, table)
+            assert grounded is index
+            assert list(index) == list(table.possible_facts())
 
     def test_ground_phase_times_the_index_growth(self):
         pdb = geometric_pdb()
@@ -92,58 +96,62 @@ class TestSuffixGrounding:
 
 class TestFallback:
     """Another table, or a compiled grounding of the same family,
-    between two steps.  While the index's rows are a prefix of the
-    table's order, the next step extends it by the table's suffix;
-    otherwise it rebuilds the index in the table's order and counts one
-    ``grounding.order_resets``."""
+    between two steps.  Each table keeps its own index, which only its
+    own ``extend`` grows, and its values equal a cold run."""
 
-    def step_after(self, interleave, extend_calls, rebuilt):
+    def step_after(self, interleave, extend_calls):
         pdb = geometric_pdb()
         q = query(CHAIN, pdb.schema)
         cache = CompileCache()
         table = pdb.truncate(30)
         assert query_probability_lifted(
             q, table, plan_cache=cache) == cold(q, table)
-        interleave(pdb, q, cache, table)
+        index = table.index
+        other = interleave(pdb, q, cache, table)
+        if other is not None:
+            assert other.index is not index
+            assert list(other.index) == list(other.possible_facts())
         before = len(table)
+        extend_calls.clear()
         pdb.extend_truncation(table, 45)
         order = list(table.possible_facts())
-        extend_calls.clear()
-        with obs.trace() as t:
-            value = query_probability_lifted(q, table, plan_cache=cache)
-        assert extend_calls == [order if rebuilt else order[before:]]
-        assert t.counters.get("grounding.order_resets", 0) == int(rebuilt)
-        assert value == cold(q, table)
-        _, index = cache.lifted(q.formula, table)
-        assert list(index) == order
-        pdb.extend_truncation(table, 50)
+        assert extend_calls == [order[before:]]
         extend_calls.clear()
         value = query_probability_lifted(q, table, plan_cache=cache)
+        assert extend_calls == []
+        assert value == cold(q, table)
+        _, grounded = cache.lifted(q.formula, table)
+        assert grounded is table.index is index
+        assert list(index) == order
+        extend_calls.clear()
+        pdb.extend_truncation(table, 50)
         assert extend_calls == [list(table.possible_facts())[len(order):]]
+        value = query_probability_lifted(q, table, plan_cache=cache)
         assert value == cold(q, table)
 
-    @pytest.mark.parametrize(
-        "extra, rebuilt", [(0, False), (40, True)], ids=["same-size", "larger"])
-    def test_second_table(self, extra, rebuilt, extend_calls):
+    @pytest.mark.parametrize("extra", [0, 40], ids=["same-size", "larger"])
+    def test_second_table(self, extra, extend_calls):
         def interleave(pdb, q, cache, table):
             other = pdb.truncate(len(table) + extra)
             value = query_probability_lifted(q, other, plan_cache=cache)
             assert value == cold(q, other)
+            return other
 
-        self.step_after(interleave, extend_calls, rebuilt)
+        self.step_after(interleave, extend_calls)
 
     def test_compiled_grounding_of_the_family(self, extend_calls):
         def interleave(pdb, q, cache, table):
             query_probability(q, table, strategy="bdd", compile_cache=cache)
 
-        self.step_after(interleave, extend_calls, rebuilt=False)
+        self.step_after(interleave, extend_calls)
 
     def test_compiled_grounding_of_a_larger_table(self, extend_calls):
         def interleave(pdb, q, cache, table):
             other = pdb.truncate(len(table) + 40)
             query_probability(q, other, strategy="bdd", compile_cache=cache)
+            return other
 
-        self.step_after(interleave, extend_calls, rebuilt=True)
+        self.step_after(interleave, extend_calls)
 
 
 class TestMixedSeparatorValues:

@@ -179,6 +179,40 @@ def test_growing_sweep_ships_deltas_far_below_full_tables(pool):
     assert full >= 10 * delta
 
 
+def test_worker_refresh_reads_the_grown_index(monkeypatch):
+    """A delta ship grows the worker's table, and with it the table's
+    index, in place; a refresh takes the candidates and the grounding's
+    base domain off that index instead of rescanning the facts."""
+    from repro.finite.evaluation import _candidate_values
+    from repro.parallel import shipping
+
+    table, query, key = _table(), _query("EXISTS y. S(x, y)"), "t-refresh"
+    context = (query.formula, schema, query.variables, query.name, "bdd",
+               None)
+    delta = [(R(7), 0.5), (S(7, 8), 0.25), (S(3, 1), 0.125)]
+    grown = TupleIndependentTable(schema, {**table.marginals, **dict(delta)})
+    try:
+        shipping._worker_store_table(key, pickle.dumps(table))
+        shipping._worker_store_query(key, "q", pickle.dumps(context))
+        runtime = shipping._RUNTIMES[(key, "q")]
+        runtime.refresh(shipping._TABLES[key])  # indexes the table
+
+        def rescan(self):
+            raise AssertionError("refresh rescanned the table's facts")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(TupleIndependentTable, "possible_facts", rescan)
+            shipping._worker_extend_table(key, "ti", pickle.dumps(delta))
+            runtime.refresh(shipping._TABLES[key])
+            scored = runtime.eval_range(0, runtime.total())
+        assert runtime.candidates == _candidate_values(query, grown, None)
+        assert scored == marginal_answer_probabilities(
+            query, grown, strategy="bdd")
+    finally:
+        shipping._TABLES.pop(key, None)
+        shipping._RUNTIMES.pop((key, "q"), None)
+
+
 # ---------------------------------------------------- single serialization
 class _CountingTable(TupleIndependentTable):
     """A TI table that counts how often it is pickled."""

@@ -1,5 +1,4 @@
-"""FactIndex: signature probes, delta extension, set protocol, and the
-prefix test that decides whether a table's order extends the rows."""
+"""FactIndex: signature probes, delta extension and set protocol."""
 
 from repro.relational import FactIndex, RelationSymbol
 
@@ -81,20 +80,3 @@ class TestSetProtocol:
         index.extend([R(7)])
         assert R(7) in index.fact_set
         assert len(index) == 6
-
-
-class TestIsPrefixOf:
-    def test_rows_must_open_the_order_in_interning_order(self):
-        index = FactIndex([R(1), S(1, 2)])
-        assert index.is_prefix_of([R(1), S(1, 2), R(3)])
-        assert index.is_prefix_of([R(1), S(1, 2)])
-        assert not index.is_prefix_of([S(1, 2), R(1), R(3)])
-        assert not index.is_prefix_of([R(1)])
-        assert FactIndex().is_prefix_of([])
-
-    def test_extension_keeps_the_prefix(self):
-        order = [R(1), S(1, 2), R(2), S(2, 2)]
-        index = FactIndex(order[:2])
-        index.extend(order[2:])
-        assert index.is_prefix_of(order)
-        assert list(index) == order

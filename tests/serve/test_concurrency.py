@@ -3,7 +3,7 @@
 The serving layer multiplexes many clients onto shared warm state:
 one :class:`CompileCache` (hash-consed BDD managers, safe plans), one
 :class:`PrefixCache` per distribution, one :class:`FactIndex` per
-grounding.  Before the locking work these structures raced on family
+table.  Before the locking work these structures raced on family
 eviction, buffer reallocation and lazy bucket materialization; these
 tests hammer each from N ≥ 8 threads and assert two things:
 
@@ -13,6 +13,7 @@ tests hammer each from N ≥ 8 threads and assert two things:
   mutation without changing a single float.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from repro.core.fact_distribution import GeometricFactDistribution
 from repro.core.prefix_cache import PrefixCache
 from repro.core.refine import RefinementSession
 from repro.core.tuple_independent import CountableTIPDB
+from repro.finite import TupleIndependentTable, query_probability
 from repro.finite.compile_cache import CompileCache
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import RelationSymbol, Schema
@@ -225,6 +227,55 @@ def test_concurrent_truncation_search(backend):
 
 
 # ------------------------------------------------------------------ FactIndex
+def test_concurrent_families_share_one_table_index(monkeypatch):
+    """Threads running distinct query families, lifted and compiled, on
+    one fresh table race for its index: one index is built, every family
+    reads it, and every result equals a serial run bit for bit."""
+    wide = Schema.of(R=1, S=2, T=1)
+    R, S, T = wide["R"], wide["S"], wide["T"]
+    # Small enough for the compiled H0 diagram to stay tiny.
+    marginals = {R(i): 0.1 + 0.05 * i for i in range(5)}
+    marginals.update({S(i, j): 0.03 * (1 + (i + j) % 7)
+                      for i in range(5) for j in range(5)})
+    marginals.update({T(j): 0.2 + 0.03 * j for j in range(5)})
+    texts = [
+        ("EXISTS x, y. R(x) AND S(x, y)", "lifted"),
+        ("EXISTS x. R(x) AND T(x)", "lifted"),
+        ("EXISTS x, y. S(x, y) AND T(y)", "auto"),
+        ("EXISTS x, y. R(x) AND S(x, y) AND T(y)", "bdd"),
+    ] * 2
+    serial = [
+        query_probability(
+            BooleanQuery(parse_formula(text, wide), wide),
+            TupleIndependentTable(wide, marginals), strategy=strategy,
+            compile_cache=CompileCache())
+        for text, strategy in texts
+    ]
+    built = []
+    original = FactIndex.__init__
+
+    def counting(self, facts=()):
+        built.append(self)
+        original(self, facts)
+
+    monkeypatch.setattr(FactIndex, "__init__", counting)
+    table = TupleIndependentTable(wide, marginals)
+    cache = CompileCache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_threads([
+            (lambda text=text, strategy=strategy: query_probability(
+                BooleanQuery(parse_formula(text, wide), wide), table,
+                strategy=strategy, compile_cache=cache))
+            for text, strategy in texts
+        ])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
+    assert built == [table.index]
+
+
 def test_concurrent_fact_index_extension_and_probes():
     """Interleaved delta extensions and probes on one FactIndex: no
     exceptions, and the final index equals the serially built one."""
