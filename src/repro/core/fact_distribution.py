@@ -19,6 +19,7 @@ exercise the rejection path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -27,6 +28,7 @@ from repro.core.prefix_cache import PrefixCache
 from repro.errors import ConvergenceError, ProbabilityError
 from repro.relational.facts import Fact
 from repro.universe.factspace import FactSpace
+from repro.utils.enumeration import interleave
 from repro.utils.rationals import (
     add_up,
     is_probability,
@@ -180,7 +182,7 @@ class TableFactDistribution(FactDistribution):
         return iter(self._order)
 
     def _support_pairs(self) -> Iterator[Tuple[Fact, float]]:
-        return ((fact, self._marginals[fact]) for fact in self._order)
+        return zip(self._order, map(self._marginals.__getitem__, self._order))
 
     def probability(self, fact: Fact) -> float:
         return self._marginals.get(fact, 0.0)
@@ -232,10 +234,7 @@ class _RankBasedDistribution(FactDistribution):
         # The support is enumerated in rank order, so the enumeration
         # index *is* the rank — avoids an O(rank) lookup per fact, which
         # would make prefix materialization quadratic.
-        return (
-            (fact, self._term(index))
-            for index, fact in enumerate(self.support())
-        )
+        return zip(self.support(), map(self._term, itertools.count()))
 
     def tail(self, n: int) -> float:
         return self._certificate.tail(n)
@@ -474,30 +473,12 @@ class UnionFactDistribution(FactDistribution):
             raise ProbabilityError("union of no distributions")
 
     def support(self) -> Iterator[Fact]:
-        iterators = [part.support() for part in self.parts]
-        while iterators:
-            alive = []
-            for iterator in iterators:
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    continue
-                alive.append(iterator)
-            iterators = alive
+        return interleave(*(part.support() for part in self.parts))
 
     def _support_pairs(self) -> Iterator[Tuple[Fact, float]]:
         # Mirrors the fair interleaving of :meth:`support` exactly, with
         # each part producing its own (fact, p) pairs.
-        iterators = [part._support_pairs() for part in self.parts]
-        while iterators:
-            alive = []
-            for iterator in iterators:
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    continue
-                alive.append(iterator)
-            iterators = alive
+        return interleave(*(part._support_pairs() for part in self.parts))
 
     def probability(self, fact: Fact) -> float:
         for part in self.parts:

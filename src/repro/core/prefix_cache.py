@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -60,6 +62,8 @@ T = TypeVar("T")
 PREFIX_CACHE_HITS = "prefix.cache.hits"
 #: Obs counter: times the underlying enumeration was pulled further.
 PREFIX_CACHE_EXTENSIONS = "prefix.cache.extensions"
+
+_ITEM, _WEIGHT = itemgetter(0), itemgetter(1)
 
 
 class PrefixCache(Generic[T]):
@@ -155,15 +159,13 @@ class PrefixCache(Generic[T]):
                 return have
             self.extensions += 1
             obs.incr(PREFIX_CACHE_EXTENSIONS)
-            items, weights = self._items, self._weights
-            try:
-                while len(items) < n:
-                    item, weight = next(self._iterator)
-                    items.append(item)
-                    weights.append(float(weight))
-            except StopIteration:
+            missing = n - have
+            pulled = list(islice(self._iterator, missing))
+            if len(pulled) < missing:
                 self._exhausted = True
-            return len(items)
+            self._items.extend(map(_ITEM, pulled))
+            self._weights.extend(map(_WEIGHT, pulled))
+            return len(self._items)
 
     # ----------------------------------------------------------- queries
     def prefix(self, n: int) -> List[Tuple[T, float]]:

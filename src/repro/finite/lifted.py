@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from operator import attrgetter, eq, itemgetter
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
     Union,
@@ -103,6 +104,7 @@ LIFTED_FOLDS_REFOLDED = "lifted.folds_refolded"
 
 #: Placeholder for the separator value in a probe-key layout.
 _SEPARATOR = object()
+_ARGS = attrgetter("args")
 
 
 def _plan_atoms(plan: SafePlan) -> Iterator[Atom]:
@@ -785,24 +787,27 @@ class _BatchedEvaluator:
         epoch: a relation's row list is ascending, so a bisection finds
         where the delta starts."""
         index = self.index
-        fact_at = index.fact_at
-        touched: Dict[Value, None] = {}
+        touched = []
         for atoms in info.per_disjunct:
             for grouped in atoms:
                 if not grouped.separator_positions:
                     continue
                 rows = index.probe_rows(grouped.relation, {})
+                delta = index.relation_facts(grouped.relation)[
+                    bisect.bisect_left(rows, cache.epoch):]
+                args = list(map(_ARGS, delta))
                 first, *rest = grouped.separator_positions
-                for row in rows[bisect.bisect_left(rows, cache.epoch):]:
-                    args = fact_at(row).args
-                    if any(
-                        args[p] != value for p, value in grouped.constants
-                    ):
-                        continue
-                    value = args[first]
-                    if all(args[p] == value for p in rest):
-                        touched.setdefault(value, None)
-        return self._candidates_among(info, touched)
+                for p, value in grouped.constants:
+                    args = list(itertools.compress(args, map(
+                        eq, map(itemgetter(p), args),
+                        itertools.repeat(value))))
+                for p in rest:
+                    args = list(itertools.compress(args, map(
+                        eq, map(itemgetter(p), args),
+                        map(itemgetter(first), args))))
+                touched.append(map(itemgetter(first), args))
+        return self._candidates_among(
+            info, dict.fromkeys(itertools.chain.from_iterable(touched)))
 
     def _candidates_among(
         self, info: GroupedProject, values: Iterable[Value]
@@ -812,31 +817,27 @@ class _BatchedEvaluator:
         fact matching its constants with the value at all separator
         positions.  Each atom's probe signature and key layout are built
         once per call, not once per value."""
-        probes = []
+        values = list(values)
+        supported = []
         for atoms in info.per_disjunct:
             candidate_atoms = [a for a in atoms if a.separator_positions]
             if not candidate_atoms:
                 continue
-            disjunct = []
+            found = []
             for grouped in candidate_atoms:
                 entries = sorted(
                     list(grouped.constants)
                     + [(p, _SEPARATOR) for p in grouped.separator_positions])
                 table = self.index.signature_table(
                     grouped.relation, tuple(p for p, _ in entries))
-                disjunct.append((table, tuple(v for _, v in entries)))
-            probes.append(disjunct)
-        candidates = []
-        for value in values:
-            for disjunct in probes:
-                if all(
-                    tuple(value if v is _SEPARATOR else v for v in layout)
-                    in table
-                    for table, layout in disjunct
-                ):
-                    candidates.append(value)
-                    break
-        return candidates
+                # Every value's probe key: the value at each separator
+                # position, the constant at every other.
+                keys = zip(*(
+                    values if v is _SEPARATOR else itertools.repeat(v)
+                    for _, v in entries))
+                found.append(map(table.__contains__, keys))
+            supported.append(map(all, zip(*found)))
+        return list(itertools.compress(values, map(any, zip(*supported))))
 
     # ----------------------------------------------------------- candidates
     def _candidate_groups(self, info: GroupedProject, groups: _Groups):

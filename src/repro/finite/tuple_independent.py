@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 import threading
+from itertools import compress
+from operator import attrgetter
 from typing import (
-    Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Set, Tuple,
+    Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Set,
 )
 
 from repro import obs
@@ -24,6 +26,8 @@ from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.utils.iteration import powerset
 from repro.utils.rationals import is_probability, probability_error
+
+_RELATION = attrgetter("relation")
 
 
 class TupleIndependentTable:
@@ -47,13 +51,7 @@ class TupleIndependentTable:
         #: The fact index (see :attr:`index`), likewise.
         self._index: Optional[FactIndex] = None
         self._index_lock = threading.Lock()
-        for fact, probability in marginals.items():
-            if not is_probability(probability):
-                raise probability_error(probability, f"marginal of {fact}")
-            if fact.relation not in schema:
-                raise SchemaError(f"fact {fact} not over schema {schema}")
-            if probability > 0:
-                self.marginals[fact] = float(probability)
+        self.marginals.update(self._new_marginals(marginals))
 
     def extend(self, marginals: Mapping[Fact, float]) -> None:
         """Add possible facts *in place*, with the same validation as
@@ -64,35 +62,56 @@ class TupleIndependentTable:
         first fact goes in, so a rejected batch leaves the table (and
         its columnar mirror and index) untouched.
         """
-        current = self.marginals
-        added: List[Tuple[Fact, float]] = []
-        for fact, probability in marginals.items():
-            if not is_probability(probability):
-                raise probability_error(probability, f"marginal of {fact}")
-            if fact.relation not in self.schema:
-                raise SchemaError(f"fact {fact} not over schema {self.schema}")
-            existing = current.get(fact)
-            if existing is not None:
-                if existing != float(probability):
-                    raise ProbabilityError(
-                        f"extend would change the marginal of {fact} "
-                        f"from {existing} to {probability}"
-                    )
-                continue
-            if probability > 0:
-                added.append((fact, float(probability)))
+        added = self._new_marginals(marginals)
         if not added:
             return
         if self._columns is not None:
             # O(delta): the columnar mirror grows in place, so warm
             # ε-sweep state stays valid across truncation growth.
-            self._columns.extend_items(added)
+            self._columns.extend_items(added.items())
         with self._index_lock:
-            current.update(added)
+            self.marginals.update(added)
             if self._index is not None:
                 obs.incr(
-                    "grounding.delta_facts",
-                    self._index.extend([fact for fact, _ in added]))
+                    "grounding.delta_facts", self._index.extend(added))
+
+    def _new_marginals(self, marginals: Mapping[Fact, float]) -> Dict[Fact, float]:
+        """The facts of ``marginals`` with a positive marginal that the
+        table does not list yet, with float marginals, in batch order —
+        once the whole batch is checked: every marginal lies in [0, 1],
+        every relation is in the schema, and a re-listed fact keeps its
+        marginal.  A batch that fails a check raises for its first
+        offending fact."""
+        current = self.marginals
+        relisted = list(filter(current.__contains__, marginals)) if current else []
+        if not (
+            all(map(is_probability, marginals.values()))
+            and all(map(self.schema.__contains__,
+                        set(map(_RELATION, marginals))))
+            and all(current[fact] == float(marginals[fact]) for fact in relisted)
+        ):
+            self._raise_first_error(marginals)
+        probabilities = list(map(float, marginals.values()))
+        # Validated floats are truthy exactly when positive.
+        added = dict(compress(zip(marginals, probabilities), probabilities))
+        for fact in relisted:
+            del added[fact]
+        return added
+
+    def _raise_first_error(self, marginals: Mapping[Fact, float]) -> None:
+        """Raise the error of the first fact of ``marginals``, in batch
+        order, that fails a check of :meth:`_new_marginals`."""
+        for fact, probability in marginals.items():
+            if not is_probability(probability):
+                raise probability_error(probability, f"marginal of {fact}")
+            if fact.relation not in self.schema:
+                raise SchemaError(f"fact {fact} not over schema {self.schema}")
+            existing = self.marginals.get(fact)
+            if existing is not None and existing != float(probability):
+                raise ProbabilityError(
+                    f"extend would change the marginal of {fact} "
+                    f"from {existing} to {probability}"
+                )
 
     @property
     def index(self) -> FactIndex:

@@ -42,6 +42,7 @@ Observability: ``columns.interned`` counts facts interned,
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -104,6 +105,20 @@ def available_backends() -> Tuple[str, ...]:
     return ("python",)
 
 
+def _reserved(np, data, size: int, needed: int):
+    """``data`` (``size`` rows live) if it holds ``needed`` rows, else a
+    copy of its live rows in a buffer doubled (from 16) until it does —
+    the capacity appending one row at a time reaches."""
+    capacity = len(data)
+    if needed <= capacity:
+        return data
+    while capacity < needed:
+        capacity = max(16, 2 * capacity)
+    grown = np.empty(capacity, dtype=data.dtype)
+    grown[:size] = data[:size]
+    return grown
+
+
 class FloatColumn:
     """A growable float64 column with prefix sums and probability folds.
 
@@ -148,19 +163,29 @@ class FloatColumn:
             self._size += 1
             return
         if self._size == len(self._data):
-            grown = self._np.empty(
-                max(16, 2 * len(self._data)), dtype=self._np.float64)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
+            self._data = _reserved(
+                self._np, self._data, self._size, self._size + 1)
         self._data[self._size] = value
         self._size += 1
         self._cum = None
 
     def extend(self, values: Iterable[float]) -> int:
-        before = self._size
-        for value in values:
-            self.append(value)
-        return self._size - before
+        """Append ``values`` in order, bit for bit as repeated
+        :meth:`append` would; returns how many were appended."""
+        values = list(map(float, values))
+        if self.backend == "python":
+            self._data.extend(values)
+            # The same left-to-right adds as appending one at a time.
+            cumulative = self._cumulative
+            cumulative.extend(
+                accumulate(values, initial=cumulative.pop()))
+        else:
+            needed = self._size + len(values)
+            self._data = _reserved(self._np, self._data, self._size, needed)
+            self._data[self._size:needed] = values
+            self._cum = None
+        self._size += len(values)
+        return len(values)
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -328,18 +353,22 @@ class IntColumn:
             self._size += 1
             return
         if self._size == len(self._data):
-            grown = self._np.empty(
-                max(16, 2 * len(self._data)), dtype=self._np.int64)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
+            self._data = _reserved(
+                self._np, self._data, self._size, self._size + 1)
         self._data[self._size] = int(value)
         self._size += 1
 
     def extend(self, values: Iterable[int]) -> int:
-        before = self._size
-        for value in values:
-            self.append(value)
-        return self._size - before
+        """Append ``values`` in order; returns how many were appended."""
+        values = list(map(int, values))
+        if self.backend == "python":
+            self._data.extend(values)
+        else:
+            needed = self._size + len(values)
+            self._data = _reserved(self._np, self._data, self._size, needed)
+            self._data[self._size:needed] = values
+        self._size += len(values)
+        return len(values)
 
     def __len__(self) -> int:
         return self._size

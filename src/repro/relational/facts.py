@@ -78,6 +78,11 @@ class Fact:
         self.args: Tuple[Value, ...] = args
         self._hash = hash((relation, args))
 
+    def __reduce__(self):
+        # Rebuild through the constructor, which hashes afresh: the
+        # cached hash depends on the process's string-hash salt.
+        return Fact, (self.relation, self.args)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fact):
             return NotImplemented

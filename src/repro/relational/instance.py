@@ -34,6 +34,11 @@ class Instance:
         self._facts: FrozenSet[Fact] = frozenset(facts)
         self._hash = hash(self._facts)
 
+    def __reduce__(self):
+        # Rebuild through the constructor, which hashes afresh (see
+        # :meth:`Fact.__reduce__ <repro.relational.facts.Fact.__reduce__>`).
+        return Instance, (self._facts,)
+
     # ------------------------------------------------------------------ set API
     def __contains__(self, fact: object) -> bool:
         return fact in self._facts

@@ -35,7 +35,7 @@ class RelationSymbol:
     ('Temp', 2)
     """
 
-    __slots__ = ("name", "arity", "attributes")
+    __slots__ = ("name", "arity", "attributes", "_hash")
 
     def __init__(
         self,
@@ -59,6 +59,12 @@ class RelationSymbol:
         self.name = name
         self.arity = arity
         self.attributes: Optional[Tuple[str, ...]] = attributes
+        self._hash = hash((name, arity))
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a cached hash must be recomputed on unpickling.
+        return RelationSymbol, (self.name, self.arity, self.attributes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationSymbol):
@@ -66,7 +72,7 @@ class RelationSymbol:
         return self.name == other.name and self.arity == other.arity
 
     def __hash__(self) -> int:
-        return hash((self.name, self.arity))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RelationSymbol({self.name!r}, {self.arity})"

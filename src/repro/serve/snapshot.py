@@ -37,7 +37,10 @@ from repro.serve.session import SessionManager
 #: Envelope format marker; anything else is rejected unread.
 SNAPSHOT_FORMAT = "repro-serve-snapshot"
 #: Bump when the pickled layout of session state changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Version 1 pickled each fact's cached hash, which is only valid under
+#: the writing process's string-hash salt; version 2 rebuilds facts,
+#: relation symbols and instances through their constructors.
+SNAPSHOT_VERSION = 2
 #: Trace counter: bytes written by the last snapshot.
 SNAPSHOT_BYTES_COUNTER = "serve.snapshot_bytes"
 

@@ -12,6 +12,7 @@ Per-position universes may differ (typed relations à la Example 5.7:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, UniverseError
@@ -42,10 +43,8 @@ class _RelationFacts(Universe):
 
     def enumerate(self) -> Iterator[Fact]:
         if self._product is None:
-            yield Fact(self.symbol, ())
-            return
-        for args in self._product.enumerate():
-            yield Fact(self.symbol, args)
+            return iter((Fact(self.symbol, ()),))
+        return map(Fact, repeat(self.symbol), self._product.enumerate())
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, Fact) or value.relation != self.symbol:

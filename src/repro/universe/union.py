@@ -12,6 +12,7 @@ from typing import Iterator, Sequence, Tuple
 from repro.errors import UniverseError
 from repro.relational.facts import Value
 from repro.universe.base import Universe
+from repro.utils.enumeration import interleave
 
 
 class FiniteUniverse(Universe):
@@ -89,16 +90,7 @@ class TaggedUnion(Universe):
         self.finite = all(part.finite for part in parts)
 
     def enumerate(self) -> Iterator[Value]:
-        iterators = [part.enumerate() for part in self.parts]
-        while iterators:
-            alive = []
-            for iterator in iterators:
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    continue
-                alive.append(iterator)
-            iterators = alive
+        return interleave(*(part.enumerate() for part in self.parts))
 
     def __contains__(self, value: object) -> bool:
         return any(value in part for part in self.parts)

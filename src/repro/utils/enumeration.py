@@ -17,11 +17,16 @@ standard Cantor pairing on ``ℕ≥0``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+#: Fill value of :func:`interleave`'s exhausted inputs.
+_MISSING = object()
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -101,12 +106,16 @@ def diagonal_product(*iterables: Iterable[T]) -> Iterator[Tuple[T, ...]]:
     [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     """
     if not iterables:
-        yield ()
-        return
+        return iter(((),))
     if len(iterables) == 1:
-        for item in iterables[0]:
-            yield (item,)
-        return
+        return zip(iterables[0])
+    return _diagonal_product(iterables)
+
+
+def _diagonal_product(
+    iterables: Sequence[Iterable[T]],
+) -> Iterator[Tuple[T, ...]]:
+    """:func:`diagonal_product` of two or more factors."""
     caches: List[List[T]] = [[] for _ in iterables]
     iterators = [iter(it) for it in iterables]
     total = 0
@@ -124,11 +133,13 @@ def diagonal_product(*iterables: Iterable[T]) -> Iterator[Tuple[T, ...]]:
         if total > sum(sizes) - len(sizes):
             return
         if len(caches) == 2:
+            # The anti-diagonal i + j = total, i ascending, as one slice
+            # of each factor.
             first, second = caches
-            for i in range(
-                max(0, total - sizes[1] + 1), min(total, sizes[0] - 1) + 1
-            ):
-                yield first[i], second[total - i]
+            lo = max(0, total - sizes[1] + 1)
+            hi = min(total, sizes[0] - 1)
+            yield from zip(
+                first[lo:hi + 1], second[total - hi:total - lo + 1][::-1])
         else:
             for split in _bounded_compositions(total, sizes):
                 yield tuple(cache[i] for cache, i in zip(caches, split))
@@ -158,16 +169,13 @@ def interleave(*iterables: Iterable[T]) -> Iterator[T]:
     >>> list(interleave([1, 2, 3], 'ab'))
     [1, 'a', 2, 'b', 3]
     """
-    iterators = [iter(it) for it in iterables]
-    while iterators:
-        alive = []
-        for it in iterators:
-            try:
-                yield next(it)
-            except StopIteration:
-                continue
-            alive.append(it)
-        iterators = alive
+    # Round r is the r-th item of every input still alive: zip_longest
+    # pads the exhausted ones with a marker that the filter drops.
+    return filter(
+        functools.partial(operator.is_not, _MISSING),
+        itertools.chain.from_iterable(
+            itertools.zip_longest(*iterables, fillvalue=_MISSING)),
+    )
 
 
 def kleene_star(alphabet: Sequence[T]) -> Iterator[Tuple[T, ...]]:
