@@ -28,9 +28,10 @@ compiled evaluation — and prints one line per ε.
 pass over all candidate answers; ``--workers`` does not apply there.
 For compiled fan-outs (``--strategy bdd``, unsafe queries, BID tables)
 ``marginals --workers K`` (K > 1) fans answer tuples out over a
-persistent :class:`repro.parallel.pool.ShardPool` of K warm worker
-processes; combined with ``--open-world --sweep`` the same workers stay
-warm across all sweep steps and only the truncation *delta* is shipped
+persistent :class:`repro.parallel.pool.ShardPool` of up to K worker
+processes, each started when the fan-out first sends it a chunk;
+combined with ``--open-world --sweep`` the same workers stay warm
+across all sweep steps and only the truncation *delta* is shipped
 between steps.
 
 ``--stats`` prints the :class:`repro.obs.EvalReport` attached to the
@@ -323,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="thread-pool size for blocking refinements; "
                             "also sizes the shared shard pool that "
-                            "compiled 'marginals' requests fan out on")
+                            "compiled 'marginals' requests fan out on "
+                            "(its workers start with the first such "
+                            "request that ships)")
     serve.set_defaults(handler=command_serve)
     return parser
 

@@ -11,6 +11,7 @@ an :class:`EvalReport` to its result via :func:`attach_report`.
 from repro.obs.trace import (
     EvalTrace,
     TraceEvent,
+    clear_trace_stack,
     current_trace,
     event,
     gauge,
@@ -33,6 +34,7 @@ __all__ = [
     "EvalTrace",
     "TraceEvent",
     "current_trace",
+    "clear_trace_stack",
     "trace",
     "incr",
     "gauge",

@@ -95,6 +95,16 @@ def current_trace() -> Optional[EvalTrace]:
     return stack[-1] if stack else None
 
 
+def clear_trace_stack() -> None:
+    """Deactivate every trace of this thread.
+
+    A forked process starts as a copy of the thread that forked it,
+    trace stack included; a pool worker calls this before it serves
+    anything, so its recordings do not pile up in a dead copy of the
+    parent's trace."""
+    _LOCAL.stack = []
+
+
 @contextmanager
 def trace() -> Iterator[EvalTrace]:
     """Activate a fresh :class:`EvalTrace` for the dynamic extent.

@@ -1,10 +1,11 @@
 """Persistent shard pool for compiled answer-marginal fan-outs.
 
-Long-lived worker processes (:mod:`repro.parallel.pool`) created once
-and kept warm across calls, refinement-session sweep steps, and serve
-sessions; O(delta) table shipping plus worker-side compiled-diagram
-state (:mod:`repro.parallel.shipping`); latency-adaptive contiguous
-chunks of the answer space (:mod:`repro.parallel.schedule`).  Workers
+Long-lived worker processes (:mod:`repro.parallel.pool`), each started
+with its slot's first task and kept warm across calls,
+refinement-session sweep steps, and serve sessions; O(delta) table
+shipping plus worker-side compiled-diagram state
+(:mod:`repro.parallel.shipping`); latency-adaptive contiguous chunks of
+the answer space (:mod:`repro.parallel.schedule`).  Workers
 route and score each chunk with the serial fan-out's own helpers, so a
 pooled result equals the serial one, entry order included.  Safe
 queries on TI tables never reach the pool: the evaluation layer answers

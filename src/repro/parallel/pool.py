@@ -1,13 +1,14 @@
 """Persistent shard pool: long-lived worker processes for answer fan-out.
 
 The relaxed open-world semantics (paper §3.1/§6) makes per-answer
-marginals embarrassingly parallel.  A :class:`ShardPool` is created
-once and stays warm for its lifetime, so no call pays a process spawn:
-workers are spawned eagerly at construction, survive across calls,
-sessions, and ε-sweep steps, and hold worker-side state (cached
-tables, extended compile diagrams — see :mod:`repro.parallel.shipping`)
-that the parent refreshes with O(delta)-sized messages instead of
-re-shipping whole tables.
+marginals embarrassingly parallel.  A :class:`ShardPool` starts no
+process when it is built: each slot's worker is forked with the first
+task sent to that slot, so a pool that never ships costs one small
+object.  From then on the worker survives across calls, sessions, and
+ε-sweep steps, and holds worker-side state (cached tables, extended
+compile diagrams — see :mod:`repro.parallel.shipping`) that the parent
+refreshes with O(delta)-sized messages instead of re-shipping whole
+tables.
 
 The pool is a deliberately small primitive:
 
@@ -16,28 +17,36 @@ The pool is a deliberately small primitive:
   scheduling of :mod:`repro.parallel.schedule` plugs in as a generator
   whose chunk sizes adapt while the call is in flight.
 * Per-shard timeout: a worker that exceeds ``timeout`` seconds on one
-  task is killed and respawned, and the call raises
-  :class:`ShardError`.
+  task is killed, and the call raises :class:`ShardError`.
 * Crashed-worker detection: a worker that dies mid-shard (segfault,
-  ``SIGKILL``, OOM) is respawned, its shard is rescheduled onto the
+  ``SIGKILL``, OOM) is replaced, its shard is rescheduled onto the
   next idle worker, and ``fanout.worker_restarts`` is incremented —
-  the call still returns bit-identical results.
+  the call still returns bit-identical results.  A killed or crashed
+  worker's slot moves to a new *epoch* and forks its successor with
+  its next task.
 * Worker exceptions re-raise in the parent as the *original* exception
   type with the worker's traceback attached as a :class:`ShardError`
   cause.
 
 Failures of the pool *infrastructure* (a task that cannot be pickled,
-workers that cannot be spawned) raise :class:`PoolUnavailableError`;
+a worker that cannot be started) raise :class:`PoolUnavailableError`;
 the evaluation layer catches it and degrades to the serial path with a
-``fanout.serial_fallback`` trace event.
+``fanout.serial_fallback`` trace event.  A slot whose worker could not
+start stays unstarted, so the next fan-out tries again.
 
 Process-wide sharing: :func:`get_shared_pool` keeps one pool per
 worker count, created on first use and reused by every later call —
 ``marginal_answer_probabilities(..., workers=k)``,
 :meth:`RefinementSession.refine_marginals
 <repro.core.refine.RefinementSession.refine_marginals>` sweeps, and
-the serve layer's sessions all land on the same warm workers.  Reuse
-is counted in ``fanout.pool_reuse``.
+the serve layer's sessions all land on the same workers.  Reuse is
+counted in ``fanout.pool_reuse``.
+
+Workers are usually forked from a thread that is inside a traced call,
+often a serve request thread while other threads run.  A worker starts
+with an empty trace stack, and the pool settles the process's numpy
+probe before it forks, so the probe's lock is never taken in a worker;
+DESIGN.md ("Parallel execution") lists what else a worker touches.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import EvaluationError
+from repro.utils.probability import numpy_or_none
 
 #: Trace counters of the shard pool (active only inside ``obs.trace()``).
 WORKER_RESTARTS = "fanout.worker_restarts"
@@ -75,7 +85,7 @@ class ShardError(EvaluationError):
 
 class PoolUnavailableError(EvaluationError):
     """The pool infrastructure itself cannot run this call — the task
-    payload does not pickle, or workers cannot be spawned.  Callers
+    payload does not pickle, or a worker cannot be started.  Callers
     degrade to the serial path (``fanout.serial_fallback``)."""
 
 
@@ -84,6 +94,7 @@ def _worker_main(conn) -> None:
     """Worker-process loop: execute pickled ``("call", id, func, args)``
     frames until shutdown.  Module-level so both fork and spawn start
     methods can reach it."""
+    obs.clear_trace_stack()  # a fork copies the forking thread's traces
     while True:
         try:
             data = conn.recv_bytes()
@@ -97,11 +108,7 @@ def _worker_main(conn) -> None:
         op = command[0]
         if op == "shutdown":
             return
-        task_id = command[1]
-        if op == "ping":
-            _worker_send(conn, ("ok", task_id, "pong"), task_id)
-            continue
-        func, args = command[2], command[3]
+        task_id, func, args = command[1:]
         try:
             frame = ("ok", task_id, func(*args))
         except KeyboardInterrupt:
@@ -129,28 +136,33 @@ def _worker_send(conn, frame, task_id) -> None:
 
 
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker slot; ``process`` and ``conn``
+    are None until the slot's next task starts a worker."""
 
     __slots__ = ("slot", "epoch", "process", "conn", "task")
 
-    def __init__(self, slot: int, epoch: int, process, conn):
+    def __init__(self, slot: int):
         self.slot = slot
-        #: Bumped on every respawn — shipped worker-side state keyed by
-        #: ``(slot, epoch)`` goes stale exactly when the epoch moves.
-        self.epoch = epoch
-        self.process = process
-        self.conn = conn
+        #: Bumped whenever the slot's worker is killed or dies — shipped
+        #: worker-side state keyed by ``(slot, epoch)`` goes stale
+        #: exactly when the epoch moves.
+        self.epoch = 0
+        self.process = None
+        self.conn = None
         #: ``(task_id, shard_index, deadline)`` while busy, else None.
         self.task: Optional[Tuple[int, int, Optional[float]]] = None
 
 
 class ShardPool:
-    """A pool of warm worker processes for answer-shard evaluation.
+    """A pool of worker processes for answer-shard evaluation.
 
-    Workers are spawned eagerly at construction and stay alive until
+    No process starts at construction: a slot forks its worker when the
+    first task is sent to it, and that worker stays alive until
     :meth:`close` — repeated fan-outs (ε-sweep steps, serve requests)
-    reuse them, which is what makes worker-side caching
-    (:mod:`repro.parallel.shipping`) possible at all.
+    reuse it, which is what makes worker-side caching
+    (:mod:`repro.parallel.shipping`) possible at all.  A worker that is
+    killed (timeout) or dies leaves its slot unstarted, one epoch on,
+    until the slot's next task.
 
     ``mp_context`` selects the multiprocessing start method (default:
     the platform default — fork on Linux); ``timeout`` is the default
@@ -175,21 +187,12 @@ class ShardPool:
         self._lock = threading.RLock()
         self._task_ids = itertools.count(1)
         self._closed = False
-        self._workers: List[_Worker] = []
-        #: Per-worker busy seconds of the last :meth:`map_shards` call
-        #: (diagnostics; the fan-out benchmark reads it for makespans).
-        self.last_call_stats: Dict = {}
-        try:
-            for slot in range(workers):
-                self._workers.append(self._spawn(slot, 0))
-        except Exception as exc:
-            self.close()
-            raise PoolUnavailableError(
-                f"could not spawn shard workers: {exc}") from exc
+        self._workers = [_Worker(slot) for slot in range(workers)]
 
     # ------------------------------------------------------------- lifecycle
     @property
     def workers(self) -> int:
+        """The configured number of slots, started or not."""
         return len(self._workers)
 
     @property
@@ -197,25 +200,50 @@ class ShardPool:
         return self._closed
 
     def worker_epoch(self, slot: int) -> int:
-        """The respawn epoch of ``slot`` — shipped state recorded under
-        an older epoch lives in a dead process."""
+        """The epoch of ``slot`` (0 until its first worker dies) —
+        shipped state recorded under an older epoch lives in a dead
+        process."""
         return self._workers[slot].epoch
 
     def worker_pids(self) -> List[int]:
-        return [w.process.pid for w in self._workers]
+        """Pids of the started workers, in slot order.  Reads each slot
+        once, so a serve ``stats`` request may call it while a fan-out
+        starts or retires workers."""
+        processes = [w.process for w in self._workers]
+        return [p.pid for p in processes if p is not None]
 
-    def _spawn(self, slot: int, epoch: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,),
-            name=f"repro-shard-{slot}", daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(slot, epoch, process, parent_conn)
+    def _start(self, worker: _Worker) -> None:
+        """Fork the worker of an unstarted slot (a no-op once started).
+        A failure raises :class:`PoolUnavailableError` and leaves the
+        slot unstarted, so a later task tries again."""
+        if worker.process is not None:
+            return
+        # Settle the process's one-time numpy probe first: a fork taken
+        # while another thread holds the probe's lock would leave that
+        # lock held, and the probe undone, in the worker.
+        numpy_or_none()
+        try:
+            parent_conn, child_conn = self._ctx.Pipe()
+            try:
+                process = self._ctx.Process(
+                    target=_worker_main, args=(child_conn,),
+                    name=f"repro-shard-{worker.slot}", daemon=True,
+                )
+                process.start()
+            except BaseException:
+                parent_conn.close()
+                raise
+            finally:
+                child_conn.close()
+        except OSError as exc:
+            raise PoolUnavailableError(
+                f"could not start shard worker {worker.slot}: {exc}"
+            ) from exc
+        worker.process, worker.conn = process, parent_conn
 
-    def _respawn(self, worker: _Worker, counted: bool = True) -> None:
-        """Replace a dead/stuck worker in its slot (epoch bumped)."""
+    def _retire(self, worker: _Worker, counted: bool = True) -> None:
+        """Kill a dead or stuck worker; its slot moves to a new epoch
+        and starts a successor with its next task."""
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(timeout=5.0)
@@ -223,25 +251,23 @@ class ShardPool:
             worker.conn.close()
         except OSError:
             pass
-        fresh = self._spawn(worker.slot, worker.epoch + 1)
-        worker.epoch = fresh.epoch
-        worker.process = fresh.process
-        worker.conn = fresh.conn
-        worker.task = None
+        worker.process = worker.conn = worker.task = None
+        worker.epoch += 1
         if counted:
             obs.incr(WORKER_RESTARTS)
             obs.event("fanout.worker_restart", slot=worker.slot,
                       epoch=worker.epoch)
 
     def close(self) -> None:
-        """Shut workers down; idempotent."""
+        """Shut the started workers down; idempotent."""
         self._closed = True
-        for worker in self._workers:
+        started = [w for w in self._workers if w.process is not None]
+        for worker in started:
             try:
                 worker.conn.send_bytes(pickle.dumps(("shutdown",)))
             except (BrokenPipeError, OSError):
                 pass
-        for worker in self._workers:
+        for worker in started:
             worker.process.join(timeout=1.0)
             if worker.process.is_alive():
                 worker.process.kill()
@@ -262,9 +288,10 @@ class ShardPool:
         """Run ``func(*args)`` on one specific idle worker and wait.
 
         The targeted primitive the shipping layer uses to refresh one
-        worker's cached state; also handy in tests.  Worker exceptions
-        re-raise with the remote traceback attached; a crash or timeout
-        respawns the worker and raises.
+        worker's cached state; also handy in tests.  Starts that slot's
+        worker if it has none.  Worker exceptions re-raise with the
+        remote traceback attached; a crash or timeout kills the worker
+        and raises.
         """
         with self._lock:
             self._check_open()
@@ -273,17 +300,18 @@ class ShardPool:
                 raise EvaluationError(f"worker {slot} is busy")
             task_id = next(self._task_ids)
             data = self._encode_task(task_id, func, args)
+            self._start(worker)
             self._send_task(worker, data)
             deadline = timeout if timeout is not None else self.timeout
             if not worker.conn.poll(deadline):
-                self._respawn(worker)
+                self._retire(worker)
                 raise ShardError(
                     f"targeted call on worker {slot} timed out "
                     f"after {deadline}s")
             try:
                 frame = pickle.loads(worker.conn.recv_bytes())
             except (EOFError, OSError):
-                self._respawn(worker)
+                self._retire(worker)
                 raise PoolUnavailableError(
                     f"worker {slot} died during a targeted call") from None
             status, _, *rest = frame
@@ -309,20 +337,23 @@ class ShardPool:
         later chunks from the latency of earlier ones.  Results come
         back in task order (the order the iterator produced them).
 
+        A slot's worker is started when the slot has a task to take, so
+        a call with fewer tasks than slots starts only as many workers.
         ``prepare(pool, slot)`` runs before the first task is dispatched
-        to each worker within this call — and again after a respawn —
+        to each worker within this call — and again after a crash —
         which is where the shipping layer refreshes that worker's cached
         table and query state.  ``observe(args, result, seconds)`` fires
         on each completed task (the scheduler's feedback hook).
 
         Fault handling: a worker exception re-raises here (original
         type, remote traceback as the :class:`ShardError` cause); a
-        crashed worker is respawned and its shard rescheduled (counted
+        crashed worker is replaced and its shard rescheduled (counted
         in ``fanout.worker_restarts``; :data:`MAX_SHARD_CRASHES` caps a
         shard that kills every worker it touches); a shard exceeding the
-        timeout kills its worker and raises :class:`ShardError`.  On any
-        raise, still-busy workers are respawned (uncounted) so the pool
-        is clean for the next call.
+        timeout kills its worker and raises :class:`ShardError`; a
+        worker that cannot start raises :class:`PoolUnavailableError`.
+        On any raise, still-busy workers are killed (uncounted) so the
+        pool is clean for the next call.
         """
         with self._lock:
             self._check_open()
@@ -333,8 +364,6 @@ class ShardPool:
             crashes: Dict[int, int] = {}
             started: Dict[int, float] = {}
             results: List[object] = []
-            busy_s: Dict[int, float] = {}
-            chunks = 0
             done = 0
             prepared: set = set()
             exhausted = False
@@ -354,6 +383,7 @@ class ShardPool:
                                 pending.append(len(stash) - 1)
                         if not pending:
                             continue
+                        self._start(worker)
                         if prepare is not None and worker.slot not in prepared:
                             prepare(self, worker.slot)
                             prepared.add(worker.slot)
@@ -364,9 +394,9 @@ class ShardPool:
                         try:
                             self._send_task(worker, data)
                         except PoolUnavailableError:
-                            # Worker died before/while receiving: fresh
-                            # worker, put the shard back, try again on
-                            # the next loop iteration.
+                            # Worker died before/while receiving: put
+                            # the shard back; the slot starts a fresh
+                            # worker on the next loop iteration.
                             prepared.discard(worker.slot)
                             pending.appendleft(index)
                             continue
@@ -376,29 +406,24 @@ class ShardPool:
                         )
                         worker.task = (task_id, index, deadline)
                         started[index] = time.monotonic()
-                        chunks += 1
                         obs.incr(CHUNKS_COUNTER)
                     if exhausted and done == len(stash):
                         break
                     self._pump_one(
                         stash, pending, crashes, started, results,
-                        busy_s, prepared, observe, timeout,
+                        prepared, observe, timeout,
                     )
                     done = sum(
                         1 for r in results if r is not _UNSET)
             except BaseException:
                 self._abandon()
                 raise
-            self.last_call_stats = {
-                "chunks": chunks,
-                "worker_busy_s": dict(sorted(busy_s.items())),
-            }
             return results
 
     # ------------------------------------------------------------- internals
     def _pump_one(
         self, stash, pending, crashes, started, results,
-        busy_s, prepared, observe, timeout,
+        prepared, observe, timeout,
     ) -> None:
         """Wait for (at least) one in-flight shard to resolve."""
         busy = [w for w in self._workers if w.task is not None]
@@ -412,19 +437,19 @@ class ShardPool:
         ready = multiprocessing.connection.wait(
             [w.conn for w in busy], wait_s)
         if not ready:
-            # Timed out: kill and respawn every expired worker, then
-            # fail the call — a per-shard timeout is a hard error.
+            # Timed out: kill every expired worker, then fail the call —
+            # a per-shard timeout is a hard error.
             now = time.monotonic()
             expired = [
                 w for w in busy
                 if w.task[2] is not None and now >= w.task[2]
             ]
             for worker in expired:
-                self._respawn(worker)
+                self._retire(worker)
             slots = [w.slot for w in expired]
             raise ShardError(
                 f"shard timed out after {timeout}s on worker(s) "
-                f"{slots}; workers respawned")
+                f"{slots}; workers killed")
         by_conn = {w.conn: w for w in busy}
         for conn in ready:
             worker = by_conn[conn]
@@ -432,8 +457,8 @@ class ShardPool:
             try:
                 frame = pickle.loads(conn.recv_bytes())
             except (EOFError, OSError):
-                # Crashed mid-shard: respawn, reschedule the shard.
-                self._respawn(worker)
+                # Crashed mid-shard: retire it, reschedule the shard.
+                self._retire(worker)
                 prepared.discard(worker.slot)
                 crashes[index] = crashes.get(index, 0) + 1
                 if crashes[index] >= MAX_SHARD_CRASHES:
@@ -447,7 +472,6 @@ class ShardPool:
                 continue  # stale frame; the worker is still busy
             worker.task = None
             elapsed = time.monotonic() - started.pop(index)
-            busy_s[worker.slot] = busy_s.get(worker.slot, 0.0) + elapsed
             if status == "ok":
                 results[index] = rest[0]
                 if observe is not None:
@@ -462,10 +486,9 @@ class ShardPool:
         try:
             worker.conn.send_bytes(data)
         except (BrokenPipeError, OSError):
-            self._respawn(worker)
+            self._retire(worker)
             raise PoolUnavailableError(
-                f"worker {worker.slot} was dead at dispatch; respawned"
-            ) from None
+                f"worker {worker.slot} was dead at dispatch") from None
 
     def _encode_task(self, task_id: int, func, args) -> bytes:
         try:
@@ -476,18 +499,18 @@ class ShardPool:
                 f"{type(exc).__name__}: {exc}") from exc
 
     def _abandon(self) -> None:
-        """Error-path cleanup: respawn (uncounted) every busy worker so
-        no stale in-flight shard can pollute the next call."""
+        """Error-path cleanup: kill (uncounted) every busy worker so no
+        stale in-flight shard can pollute the next call."""
         for worker in self._workers:
             if worker.task is not None:
-                self._respawn(worker, counted=False)
+                self._retire(worker, counted=False)
 
     def _check_open(self) -> None:
         if self._closed:
             raise PoolUnavailableError("shard pool is closed")
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "warm"
+        state = "closed" if self._closed else f"{len(self.worker_pids())} live"
         return f"ShardPool(workers={self.workers}, {state})"
 
 
@@ -507,8 +530,9 @@ _SHARED_LOCK = threading.Lock()
 
 
 def get_shared_pool(workers: int, timeout: Optional[float] = None) -> ShardPool:
-    """The process-wide shard pool for ``workers`` — created once,
-    shared by every later caller asking for the same size (counted in
+    """The process-wide shard pool for ``workers`` — created once (its
+    workers start with the first fan-out that ships to them), shared by
+    every later caller asking for the same size (counted in
     ``fanout.pool_reuse``), shut down at interpreter exit."""
     workers = int(workers)
     with _SHARED_LOCK:

@@ -14,8 +14,8 @@ assigned per table *identity* (weakref-guarded, so a recycled ``id``
 can never alias a dead table) — the same grown-in-place session table
 keeps its key across sweep steps.  On the next fan-out each worker gets
 either nothing (same count), the pickled suffix ``items[count:]``
-(``fanout.ship_delta_bytes``), or — cold worker, respawned worker
-(epoch moved), unknown or shrunk table — one full pickle
+(``fanout.ship_delta_bytes``), or — a freshly started worker, whatever
+its epoch, or an unknown or shrunk table — one full pickle
 (``fanout.ship_full_bytes``).  Serialization happens exactly once per
 distinct payload per call and *is* the picklability probe: a pickle
 failure raises :class:`ShipError` (verdict cached per table identity +
@@ -390,7 +390,7 @@ def pooled_answer_marginals(
     strategy: str,
     domain=None,
 ) -> Dict:
-    """Run one answer-marginal fan-out on a warm pool.
+    """Run one answer-marginal fan-out on a shard pool.
 
     The parent ships state (tables by delta, query contexts once per
     family), asks one worker for the answer-space size, then streams
@@ -419,16 +419,21 @@ def pooled_answer_marginals(
             shipper.ensure_worker(
                 pool_, slot, pdb, key, kind, count, qid, query_blob)
 
-        # Size the answer space on worker 0 — this also serves as the
-        # pre-flight picklability probe (the full pickle happens here on
-        # cold pools) and warms worker 0's support and grounding.  A
-        # worker that died since the last call surfaces here as a
-        # PoolUnavailableError *after* being respawned, so one retry
-        # against the fresh epoch is enough to stay on the pooled path.
+        # Size the answer space on worker 0 (starting only that slot);
+        # this is also the pre-flight picklability probe (the full
+        # pickle happens here on cold pools) and warms worker 0's
+        # support and grounding.  A worker that died since the last call
+        # raises PoolUnavailableError after moving its slot to a fresh
+        # epoch, so one retry against that epoch keeps the call pooled;
+        # a worker that could not start leaves the epoch alone, and the
+        # caller runs serially.
+        epoch = pool.worker_epoch(0)
         try:
             prepare(pool, 0)
             total, mode = pool.run_on(0, _worker_prepare, key, qid)
         except PoolUnavailableError:
+            if pool.worker_epoch(0) == epoch:
+                raise
             prepare(pool, 0)
             total, mode = pool.run_on(0, _worker_prepare, key, qid)
         if total == 0:

@@ -45,9 +45,12 @@ truncation is one in-process grouped lifted pass.  For compiled
 fan-outs, a server started with ``shard_workers=k > 1`` holds one
 process-wide :class:`~repro.parallel.pool.ShardPool` (via
 :func:`~repro.parallel.pool.get_shared_pool`) that *every* session's
-``marginals`` requests fan out on — the pool's warm workers cache each
+``marginals`` requests fan out on — each of the pool's workers starts
+with the first fan-out that reaches its slot, then caches each
 session's truncation table (delta-shipped as it grows) and worker-side
-compiled diagrams, shared across all sessions and requests.
+compiled diagrams, shared across all sessions and requests.  The
+``stats`` op reports the pool as ``"shard_pool": {"workers": k,
+"live": n}`` (``null`` without one), ``n`` counting started workers.
 """
 
 from __future__ import annotations
@@ -96,12 +99,12 @@ class QueryServer:
         #: Where ``{"op": "snapshot"}`` / ``{"op": "restore"}`` default
         #: to, and where a final snapshot lands on shutdown.
         self.snapshot_path = snapshot_path
-        #: One warm shard pool shared by all sessions' answer fan-outs
-        #: (``marginals`` op).  Created eagerly — before any request
-        #: threads run, so forked workers never inherit a mid-flight
-        #: lock — and owned by the process-wide registry, which keeps it
-        #: warm across server restarts in one process and shuts it down
-        #: at interpreter exit.
+        #: One shard pool shared by all sessions' compiled answer
+        #: fan-outs (``marginals`` op), owned by the process-wide
+        #: registry, which keeps it across server restarts in one
+        #: process and shuts it down at interpreter exit.  It starts no
+        #: process here: each worker forks, from a request thread, with
+        #: the first fan-out that ships to its slot.
         self.shard_pool = None
         if shard_workers is not None and int(shard_workers) > 1:
             from repro.parallel import get_shared_pool
@@ -218,7 +221,11 @@ class QueryServer:
         return {"ok": True, "result": self.manager.summaries()}
 
     async def _op_stats(self, request) -> Dict:
-        return {"ok": True, "result": self.manager.stats()}
+        pool = self.shard_pool
+        shard_pool = None if pool is None else {
+            "workers": pool.workers, "live": len(pool.worker_pids())}
+        return {"ok": True,
+                "result": dict(self.manager.stats(), shard_pool=shard_pool)}
 
     async def _op_drop(self, request) -> Dict:
         name = request.get("session")

@@ -1,7 +1,7 @@
 """Failure injection for the ``workers=`` answer-marginal fan-out:
 worker exceptions must surface with the original traceback, and
-unpicklable payloads must degrade to the serial path (with a trace
-event) instead of dying inside the pool.
+unpicklable payloads and workers that cannot start must degrade to the
+serial path (with a trace event) instead of dying inside the pool.
 
 Only compiled fan-outs reach the pool — a safe query on a TI table is
 answered by one in-process grouped lifted pass whatever ``workers=``
@@ -127,5 +127,46 @@ def test_safe_query_ignores_workers_and_pool(text):
         _assert_grouped_in_process(
             marginal_answer_probabilities(query, _table(), pool=pool),
             serial)
+        assert pool.worker_pids() == []  # the pool started no worker
+    finally:
+        pool.close()
+
+
+def test_worker_that_cannot_start_sends_the_call_to_the_serial_path(
+        monkeypatch):
+    """A failed worker start raises inside the pool, the fan-out runs
+    serially with one ``fanout.serial_fallback`` event, and the slot
+    stays unstarted, so the next fan-out runs on the pool."""
+    query, table = _r_query(), _table()
+    serial = marginal_answer_probabilities(query, table, strategy="bdd")
+    pool = ShardPool(2)
+    try:
+        start = pool._ctx.Process.start
+        calls = []
+
+        def start_failing_once(process):
+            calls.append(process)
+            if len(calls) == 1:
+                raise OSError("fork refused")
+            return start(process)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pool._ctx.Process, "start", start_failing_once)
+            fallback = marginal_answer_probabilities(
+                query, table, strategy="bdd", pool=pool)
+        assert list(fallback.items()) == list(serial.items())
+        events = [e["name"] for e in fallback.report.events]
+        assert events.count("fanout.serial_fallback") == 1
+        assert "fanout.pool" not in events
+        assert len(calls) == 1  # no second start within the call
+        assert pool.worker_pids() == [] and not pool.closed
+
+        pooled = marginal_answer_probabilities(
+            query, table, strategy="bdd", pool=pool)
+        assert list(pooled.items()) == list(serial.items())
+        events = [e["name"] for e in pooled.report.events]
+        assert "fanout.pool" in events
+        assert "fanout.serial_fallback" not in events
+        assert pool.worker_pids()
     finally:
         pool.close()

@@ -1,9 +1,11 @@
 """Fault injection for the persistent shard pool: crashed workers are
-respawned and their shards rescheduled (bit-identical results), per-shard
-timeouts raise :class:`ShardError`, unpicklable payloads raise
-:class:`PoolUnavailableError`, and the process-wide registry reuses warm
+replaced and their shards rescheduled (bit-identical results), per-shard
+timeouts raise :class:`ShardError`, unpicklable payloads and workers
+that cannot start raise :class:`PoolUnavailableError`, each slot starts
+its worker with its first task, and the process-wide registry reuses
 pools."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -11,6 +13,9 @@ import time
 import pytest
 
 from repro import obs
+from repro.finite.tuple_independent import TupleIndependentTable
+from repro.logic.parser import parse_formula
+from repro.logic.queries import Query
 from repro.parallel.pool import (
     MAX_SHARD_CRASHES,
     POOL_REUSE_COUNTER,
@@ -21,6 +26,8 @@ from repro.parallel.pool import (
     get_shared_pool,
     shutdown_shared_pools,
 )
+from repro.parallel.shipping import SHIP_FULL_BYTES, shipper_for
+from repro.relational import Schema
 
 
 @pytest.fixture
@@ -61,6 +68,80 @@ def _pid():
     return os.getpid()
 
 
+def _fail_first_start(monkeypatch, pool):
+    """Make the first worker start of ``pool``'s context raise."""
+    process_class = pool._ctx.Process
+    start = process_class.start
+    calls = []
+
+    def failing_start(self):
+        calls.append(self)
+        if len(calls) == 1:
+            raise OSError("fork refused")
+        return start(self)
+
+    monkeypatch.setattr(process_class, "start", failing_start)
+
+
+# -------------------------------------------------------------- lazy start
+def test_new_pool_starts_no_process():
+    before = set(multiprocessing.active_children())
+    pool = ShardPool(2)
+    try:
+        assert pool.worker_pids() == []
+        assert set(multiprocessing.active_children()) == before
+        assert pool.workers == 2
+    finally:
+        pool.close()
+
+
+def test_map_shards_with_one_task_starts_one_worker(pool):
+    assert pool.map_shards([(_double, (4,))]) == [8]
+    assert len(pool.worker_pids()) == 1
+
+
+def test_unstarted_slot_is_epoch_zero_and_gets_a_full_ship(pool):
+    schema = Schema.of(R=1)
+    R = schema["R"]
+    table = TupleIndependentTable(schema, {R(1): 0.5, R(2): 0.25})
+    query = Query(parse_formula("R(x)", schema), schema)
+    assert [pool.worker_epoch(slot) for slot in range(2)] == [0, 0]
+    shipper = shipper_for(pool)
+    key, kind, count = shipper.table_key(table)
+    qid, blob = shipper.query_id(query, "bdd", None)
+    shipper.begin_call()
+    with obs.trace() as t:
+        shipper.ensure_worker(pool, 1, table, key, kind, count, qid, blob)
+    assert t.counters.get(SHIP_FULL_BYTES, 0) > 0
+    assert pool.worker_epoch(1) == 0
+    assert len(pool.worker_pids()) == 1
+
+
+def test_start_failure_leaves_the_slot_unstarted(pool, monkeypatch):
+    _fail_first_start(monkeypatch, pool)
+    with pytest.raises(PoolUnavailableError, match="could not start"):
+        pool.run_on(0, _double, 1)
+    assert pool.worker_pids() == []
+    assert not pool.closed
+    assert pool.worker_epoch(0) == 0
+    assert pool.run_on(0, _double, 2) == 4  # the next task tries again
+
+
+def test_start_failure_in_map_shards_raises_pool_unavailable(
+        pool, monkeypatch):
+    assert pool.run_on(0, _double, 1) == 2  # slot 0 is up
+    _fail_first_start(monkeypatch, pool)
+    with pytest.raises(PoolUnavailableError, match="could not start"):
+        pool.map_shards([(_double, (i,)) for i in range(4)])
+    # Slot 1 never started; slot 0 was busy, so the failed call killed
+    # it like any other raise does.  The pool stays open.
+    assert pool.worker_epoch(1) == 0
+    assert pool.worker_pids() == []
+    assert not pool.closed
+    assert pool.map_shards([(_double, (i,)) for i in range(4)]) == [0, 2, 4, 6]
+    assert len(pool.worker_pids()) == 2
+
+
 # ------------------------------------------------------------------ basics
 def test_map_shards_preserves_task_order(pool):
     tasks = ((_double, (i,)) for i in range(7))  # a lazy generator
@@ -76,6 +157,8 @@ def test_tasks_actually_run_out_of_process(pool):
 
 def test_run_on_targets_one_worker(pool):
     assert pool.run_on(1, _double, 21) == 42
+    # Only slot 1 started, and its worker serves the next call too.
+    assert pool.worker_pids() == [pool.run_on(1, _pid)]
 
 
 def test_worker_exception_reraises_with_remote_traceback(pool):
@@ -95,9 +178,13 @@ def test_unpicklable_task_raises_pool_unavailable(pool):
 
 
 def test_closed_pool_refuses_work(pool):
+    pool.close()  # it never started a worker: nothing to shut down
     pool.close()
+    assert pool.closed and pool.worker_pids() == []
     with pytest.raises(PoolUnavailableError):
         pool.map_shards([(_double, (1,))])
+    with pytest.raises(PoolUnavailableError):
+        pool.run_on(0, _double, 1)
 
 
 # ----------------------------------------------------------------- crashes
@@ -142,7 +229,8 @@ def test_per_shard_timeout_raises_shard_error(pool):
     with pytest.raises(ShardError) as excinfo:
         pool.map_shards([(_sleep, (30.0,))], timeout=0.3)
     assert "timed out" in str(excinfo.value)
-    # The stuck worker was killed and respawned; the pool still works.
+    # The stuck worker was killed; its slot starts a successor with the
+    # next task, and the pool still works.
     assert pool.map_shards([(_double, (2,)), (_double, (3,))]) == [4, 6]
 
 

@@ -343,14 +343,16 @@ def test_concurrent_signature_materialization():
 
 
 # ------------------------------------------------------------ shard pool
-def test_concurrent_marginal_sweeps_one_shared_shard_pool():
+def test_concurrent_marginal_sweeps_one_shared_shard_pool(monkeypatch):
     """The serve pattern for compiled answer fan-out: N request threads,
-    each with its own session, all fanning out on ONE warm shard pool
-    (the pool serializes calls; the shipper tracks per-worker state
-    under its own lock).  Every thread's pooled sweep must be
-    bit-identical to the serial reference — answers, floats, and entry
-    order.  ``strategy="bdd"``: a safe query under ``"auto"`` would take
-    the in-process grouped pass and never touch the pool."""
+    each with its own session, all fanning out on ONE shard pool (the
+    pool serializes calls; the shipper tracks per-worker state under its
+    own lock).  Every thread's pooled sweep must be bit-identical to the
+    serial reference — answers, floats, and entry order.  The pool has
+    no worker before the sweeps, so its workers fork from the request
+    threads, each slot exactly once however the threads race.
+    ``strategy="bdd"``: a safe query under ``"auto"`` would take the
+    in-process grouped pass and never touch the pool."""
     from repro.logic import Query
     from repro.parallel import ShardPool
 
@@ -366,7 +368,17 @@ def test_concurrent_marginal_sweeps_one_shared_shard_pool():
     }
 
     pool = ShardPool(2)
+    starts = []
+    start = pool._ctx.Process.start
+
+    def counted_start(process):
+        starts.append(process.name)
+        return start(process)
+
+    monkeypatch.setattr(pool._ctx.Process, "start", counted_start)
     try:
+        assert pool.worker_pids() == []
+
         def worker():
             session = RefinementSession(query, make_pdb(), strategy="bdd")
             return {
@@ -380,6 +392,9 @@ def test_concurrent_marginal_sweeps_one_shared_shard_pool():
 
         for values in run_threads([worker] * N_THREADS):
             assert values == reference
+        assert sorted(starts) == [
+            f"repro-shard-{slot}" for slot in range(pool.workers)]
+        assert len(pool.worker_pids()) == pool.workers
     finally:
         pool.close()
 

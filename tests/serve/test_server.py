@@ -107,8 +107,51 @@ def test_sessions_stats_drop():
     ])[1:]
     assert [s["name"] for s in sessions["result"]] == ["s"]
     assert stats["result"]["sessions"] == 1
+    assert stats["result"]["shard_pool"] is None
     assert drop["ok"]
     assert gone["result"] == []
+
+
+MARGINALS_SPEC = {
+    "schema": {"R": 1},
+    "family": {"kind": "geometric", "first": 0.3, "ratio": 0.9},
+    "query": "R(x)",
+}
+
+
+def test_shard_pool_workers_start_with_the_first_compiled_marginals():
+    """``QueryServer(shard_workers=2)`` forks nothing when it starts.  A
+    safe ``marginals`` request is one in-process grouped pass and starts
+    no worker; a ``bdd`` one ships, which starts the pool's workers, and
+    its answers equal a pool-less server's bit for bit."""
+    from repro.parallel import shutdown_shared_pools
+
+    compiled_spec = dict(MARGINALS_SPEC, strategy="bdd")
+    requests = [
+        {"op": "stats"},
+        {"op": "create", "session": "safe", "spec": MARGINALS_SPEC},
+        {"op": "marginals", "session": "safe", "epsilon": 0.05},
+        {"op": "stats"},
+        {"op": "create", "session": "bdd", "spec": compiled_spec},
+        {"op": "marginals", "session": "bdd", "epsilon": 0.05},
+        {"op": "stats"},
+    ]
+    shutdown_shared_pools()  # a fresh process-wide pool for this test
+    try:
+        server = QueryServer(shard_workers=2)
+        assert server.shard_pool.worker_pids() == []
+        responses = roundtrip(requests, server=server)
+        assert server.shard_pool.worker_pids()
+    finally:
+        shutdown_shared_pools()
+    assert all(r["ok"] for r in responses), responses
+    stats = [responses[i]["result"]["shard_pool"] for i in (0, 3, 6)]
+    assert stats[0] == stats[1] == {"workers": 2, "live": 0}
+    assert stats[2]["workers"] == 2 and stats[2]["live"] >= 1
+    serial = roundtrip(requests)
+    for i in (2, 5):
+        assert [(r["answer"], r["value"]) for r in responses[i]["result"]] \
+            == [(r["answer"], r["value"]) for r in serial[i]["result"]]
 
 
 def test_errors_do_not_kill_the_connection():
