@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ConvergenceError
 from repro.utils.rationals import add_up, round_up
@@ -96,6 +96,31 @@ class _ZetaTail:
             return round_up(self.scale * (1 + 1 / -exponent), 4)
         # pow (two), product, quotient: four rounded operations.
         return round_up(self.scale * n**exponent / -exponent, 5)
+
+
+class _ZetaTotal:
+    """The total of a zeta series by Euler–Maclaurin: a partial sum to
+    N = 10⁴ plus ``∫_N^∞ − f(N)/2 + f′(N)·(−1/12)`` — accurate to
+    ``O(N^{−exponent−3})``, far beyond float precision.  The partial sum
+    takes about 10⁴ Python operations, so a certificate evaluates this
+    only when its total is first asked for."""
+
+    __slots__ = ("exponent", "scale")
+
+    def __init__(self, exponent: float, scale: float):
+        self.exponent = exponent
+        self.scale = scale
+
+    def __call__(self) -> float:
+        exponent, scale = self.exponent, self.scale
+        cutoff = 10**4
+        partial = sum(scale / i**exponent for i in range(1, cutoff + 1))
+        integral = scale * cutoff ** (1 - exponent) / (exponent - 1)
+        correction = (
+            -0.5 * scale * cutoff**-exponent
+            + exponent * scale * cutoff ** (-exponent - 1) / 12.0
+        )
+        return partial + integral + correction
 
 
 class _FiniteTerms:
@@ -181,8 +206,10 @@ class SeriesCertificate:
     tail:
         ``tail(n)`` must upper-bound ``Σ_{i > n} p_i`` and tend to 0.
     total:
-        The exact value of ``Σ p_i`` if known in closed form; otherwise
-        it is approximated on demand via :meth:`sum`.
+        The exact value of ``Σ p_i`` if known in closed form, or a
+        zero-argument callable computing it, called on the first
+        :meth:`sum` and kept; otherwise the sum is approximated on
+        demand via :meth:`sum`.
 
     >>> cert = SeriesCertificate.geometric(0.5, 0.5)
     >>> abs(cert.sum(1e-9) - 1.0) < 1e-8
@@ -195,7 +222,7 @@ class SeriesCertificate:
         self,
         terms: Callable[[], Iterator[float]],
         tail: Callable[[int], float],
-        total: Optional[float] = None,
+        total: Union[float, Callable[[], float], None] = None,
     ):
         self._terms = terms
         self._tail = tail
@@ -216,22 +243,14 @@ class SeriesCertificate:
     def zeta(cls, exponent: float, scale: float = 1.0) -> "SeriesCertificate":
         """``p_i = scale / i^exponent``, i ≥ 1, exponent > 1.
 
-        The total is evaluated once by Euler–Maclaurin: a partial sum to
-        N plus ``∫_N^∞ − f(N)/2 + f′(N)·(−1/12)`` — accurate to
-        ``O(N^{−exponent−3})``, far beyond float precision at N = 10⁴.
+        The total is evaluated by Euler–Maclaurin (:class:`_ZetaTotal`)
+        on the first :meth:`sum`, not here: building a certificate
+        costs no summation.
         """
-        cutoff = 10**4
-        partial = sum(scale / i**exponent for i in range(1, cutoff + 1))
-        integral = scale * cutoff ** (1 - exponent) / (exponent - 1)
-        correction = (
-            -0.5 * scale * cutoff**-exponent
-            + exponent * scale * cutoff ** (-exponent - 1) / 12.0
-        )
-        total = partial + integral + correction
         return cls(
             _ZetaTerms(exponent, scale),
             zeta_tail(exponent, scale),
-            total=total,
+            total=_ZetaTotal(exponent, scale),
         )
 
     @classmethod
@@ -264,8 +283,11 @@ class SeriesCertificate:
         Raises :class:`ConvergenceError` if the tail does not drop below
         ``tolerance`` within ``max_terms`` terms.
         """
-        if self._total is not None:
-            return self._total
+        total = self._total
+        if callable(total):
+            total = self._total = total()
+        if total is not None:
+            return total
         acc = 0.0
         for n, term in enumerate(self.terms(), start=1):
             acc += term

@@ -300,6 +300,12 @@ class ZetaFactDistribution(_RankBasedDistribution):
     def _term(self, index: int) -> float:
         return self.scale / (index + 1) ** self.exponent
 
+    @property
+    def convergent(self) -> bool:
+        """Always: ``Σ scale/i^s`` converges for every ``s > 1``, which
+        the constructor checks, so no total is summed to tell."""
+        return True
+
     def max_probability(self) -> float:
         return self.scale
 

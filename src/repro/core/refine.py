@@ -250,8 +250,9 @@ class RefinementSession:
         ``"lifted"``) gets every answer's marginal from one grouped
         lifted pass, in-process: the head-bound plan lives in the
         session's ``compile_cache`` and the fact index in the session's
-        table, so each step of a sweep reuses the plan and only indexes
-        the new facts.  ``workers=``/``pool=`` are ignored there.
+        table, so each step of a sweep reuses the plan, only indexes
+        the new facts, and folds only the new rows of each bound
+        segment it scores.  ``workers=``/``pool=`` are ignored there.
 
         Compiled fan-outs (``"bdd"``, unsafe queries, BID tables) chain
         one warm :class:`~repro.finite.compile_cache.SharedGrounding`,

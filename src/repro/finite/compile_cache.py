@@ -106,8 +106,9 @@ class LiftedExecState:
       next truncation re-executes only the separator values its delta
       facts touch.  Bound single-leaf projects keep one fold state per
       bucket (:class:`repro.finite.lifted._SegmentFolds`): a touched
-      segment folds only the rows it gained.  Only TI runs keep any:
-      a BID run's block checks span every value of a project.
+      segment folds only the rows it gained, in a Boolean run and in
+      a grouped answer pass alike.  Only TI runs keep any: a BID
+      run's block checks span every value of a project.
     * ``annotations`` — the grouped-execution side tables
       (:func:`repro.logic.hierarchy.grouped_plan_info`), one per cached
       plan root.

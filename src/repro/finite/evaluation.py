@@ -10,14 +10,14 @@ world enumeration).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.errors import EvaluationError, UnsafeQueryError
 from repro.finite.bid import BlockIndependentTable
 from repro.finite.lineage_eval import query_probability_by_lineage
 from repro.finite.lifted import (
-    answer_marginals_lifted,
+    answer_marginals_on_support,
     query_probability_lifted,
 )
 from repro.finite.pdb import FinitePDB
@@ -38,7 +38,7 @@ SAMPLED_STRATEGY_SEED = 0
 
 #: Strategies under which a safe free-variable query on a TI table is
 #: answered by one grouped lifted pass
-#: (:func:`~repro.finite.lifted.answer_marginals_lifted`).
+#: (:func:`~repro.finite.lifted.answer_marginals_on_support`).
 GROUPED_STRATEGIES = ("auto", "lifted")
 
 #: ``"auto"`` prefers the compile-once ROBDD path over raw Shannon
@@ -207,24 +207,36 @@ def _dispatch_query_probability(
 
 
 # --------------------------------------------------------------- fan-out
+def _candidate_set(
+    query: Query,
+    pdb: PDBLike,
+    domain: Optional[Iterable[Value]],
+) -> Set[Value]:
+    """Candidate answer values: the PDB's active domain plus the query's
+    constants (Fact 2.1), or an explicit ``domain``.  A TI or BID
+    table's active domain is its index's value set, kept as the table
+    grows; with no constant to add, that set itself is returned, so
+    callers only read the result."""
+    if domain is not None:
+        return set(domain)
+    constants = constants_of(query.formula)
+    if isinstance(pdb, FinitePDB):
+        values = set(constants)
+        for instance in pdb.instances():
+            values |= instance.active_domain()
+        return values
+    values = pdb.index.values
+    return values | constants if constants else values
+
+
 def _candidate_values(
     query: Query,
     pdb: PDBLike,
     domain: Optional[Iterable[Value]],
 ) -> List[Value]:
-    """Candidate answer values: the PDB's active domain plus the query's
-    constants (Fact 2.1), or an explicit ``domain``.  A TI or BID
-    table's active domain is its index's value set, kept as the table
-    grows."""
-    if domain is not None:
-        return sorted(set(domain), key=domain_sort_key)
-    values = set(constants_of(query.formula))
-    if isinstance(pdb, FinitePDB):
-        for instance in pdb.instances():
-            values |= instance.active_domain()
-    else:
-        values |= pdb.index.values
-    return sorted(values, key=domain_sort_key)
+    """:func:`_candidate_set`, sorted by ``domain_sort_key``: the order
+    of every candidate answer stream."""
+    return sorted(_candidate_set(query, pdb, domain), key=domain_sort_key)
 
 
 def _grounding_is_safe(query: Query, candidates: List[Value]) -> bool:
@@ -383,13 +395,18 @@ def marginal_answer_probabilities(
     **Safe queries on TI tables** — ``strategy="auto"`` or
     ``"lifted"``, and the query has a head-bound safe plan — get one
     grouped lifted pass, in-process
-    (:func:`~repro.finite.lifted.answer_marginals_lifted`): the plan is
-    built once per query in ``compile_cache`` (default: the
+    (:func:`~repro.finite.lifted.answer_marginals_on_support`): the plan
+    is built once per query in ``compile_cache`` (default: the
     process-wide :data:`~repro.finite.compile_cache.DEFAULT_COMPILE_CACHE`)
-    and every candidate answer is one row of a single group table, so a
-    fan-out costs one plan evaluation instead of one per answer.
-    ``workers=``/``pool=`` do not apply there: nothing is shipped, and
-    the report's strategy is ``"lifted"``.
+    and every candidate answer in the plan's support is one row of a
+    single group table, so a fan-out costs one plan evaluation instead
+    of one per answer.  The support is a semi-join over the plan's
+    signature tables: a tuple outside it has marginal 0, so scoring
+    only it gives the full product's dict, and the tuples skipped count
+    in ``grounding.pruned_answers``.  Across a sweep the pass resumes
+    its bound segments' folds.  ``workers=``/``pool=`` do not apply
+    there: nothing is shipped, and the report's strategy is
+    ``"lifted"``.
 
     **Compiled fan-outs** (``"bdd"``; ``"auto"`` without a head-bound
     plan; BID tables) score answer tuples one by one, sharing one
@@ -479,17 +496,17 @@ def _marginal_answer_probabilities_traced(
         boolean = BooleanQuery(query.formula, query.schema, name=query.name)
         return {(): float(query_probability(
             boolean, pdb, strategy=strategy, compile_cache=compile_cache))}
-    candidates = _candidate_values(query, pdb, domain)
+    candidates = _candidate_set(query, pdb, domain)
     if not candidates:
         return {}
     if strategy in GROUPED_STRATEGIES:
         with obs.phase("fanout"):
-            grouped = answer_marginals_lifted(
-                query, pdb, itertools.product(candidates, repeat=query.arity),
-                plan_cache=compile_cache)
+            grouped = answer_marginals_on_support(
+                query, pdb, candidates, plan_cache=compile_cache)
         if grouped is not None:
             obs.note(strategy="lifted")
             return grouped
+    candidates = sorted(candidates, key=domain_sort_key)
     if pool is not None or (workers is not None and workers > 1):
         results = _pooled_answer_marginals(
             query, pdb, candidates, strategy, workers, domain, pool)

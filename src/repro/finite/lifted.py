@@ -77,6 +77,7 @@ from repro.utils.rationals import round_up
 
 __all__ = [
     "answer_marginals_lifted",
+    "answer_marginals_on_support",
     "evaluate_plan",
     "query_probability_lifted",
     "safe_plan",
@@ -1068,6 +1069,119 @@ def _run_plan(
 GROUPED_ANSWER_BLOCK = 1 << 14
 
 
+def _leaf_supports(
+    index: FactIndex, leaf: GroupedLeaf, head: Set[Variable]
+) -> Dict[Variable, Set[Value]]:
+    """Per head variable of one leaf atom, the values it holds in the
+    facts the leaf can read: the keys of the signature table at the
+    atom's constant and head positions, kept where they match the
+    constants and agree at a repeated head variable.  Other variables
+    are bound by enclosing projects and match anything."""
+    layout = [
+        (position, kind, payload)
+        for position, (kind, payload) in enumerate(leaf.layout)
+        if kind == "c" or payload in head
+    ]
+    if all(kind == "c" for _, kind, _ in layout):
+        return {}
+    keys = index.signature_table(
+        leaf.relation, tuple(position for position, _, _ in layout))
+    if len(layout) == 1:  # one-value keys: the values themselves
+        return {layout[0][2]: set(itertools.chain.from_iterable(keys))}
+    first: Dict[Variable, int] = {}
+    constants = []
+    repeats = []
+    for i, (_, kind, payload) in enumerate(layout):
+        if kind == "c":
+            constants.append((i, payload))
+        elif payload in first:
+            repeats.append((i, first[payload]))
+        else:
+            first[payload] = i
+    supports: Dict[Variable, Set[Value]] = {v: set() for v in first}
+    for key in keys:
+        if all(key[i] == value for i, value in constants) and all(
+                key[i] == key[j] for i, j in repeats):
+            for variable, i in first.items():
+                supports[variable].add(key[i])
+    return supports
+
+
+def _head_supports(
+    plan: SafePlan,
+    info: Dict[int, object],
+    index: FactIndex,
+    head: Set[Variable],
+) -> Dict[Variable, Set[Value]]:
+    """A semi-join over a head-bound plan: per head variable the plan
+    restricts, a superset of the values it takes in any answer whose
+    value at ``plan`` is not 0.  A head variable absent from the result
+    is unrestricted.
+
+    Leaves read signature-table keys (:func:`_leaf_supports`); a join
+    intersects its operands' sets, a union and an inclusion–exclusion
+    node unite their operands' sets (a variable one operand leaves
+    unrestricted is unrestricted), and a project passes its child's
+    sets on.  Outside these sets every operand that restricts the
+    variable is exactly 0.0, so the node is too."""
+    if isinstance(plan, FactLeaf):
+        return _leaf_supports(index, info[id(plan)], head)
+    if isinstance(plan, IndependentProject):
+        return _head_supports(plan.child, info, index, head)
+    if isinstance(plan, IndependentJoin):
+        supports: Dict[Variable, Set[Value]] = {}
+        for child in plan.children:
+            for variable, values in _head_supports(
+                    child, info, index, head).items():
+                known = supports.get(variable)
+                supports[variable] = values if known is None else known & values
+        return supports
+    if isinstance(plan, IndependentUnion):
+        operands = plan.children
+    elif isinstance(plan, InclusionExclusion):
+        operands = [term for _, term in plan.terms]
+    else:
+        return {}
+    united: Optional[Dict[Variable, Set[Value]]] = None
+    for child in operands:
+        supports = _head_supports(child, info, index, head)
+        united = supports if united is None else {
+            variable: values | supports[variable]
+            for variable, values in united.items() if variable in supports
+        }
+    return united or {}
+
+
+def _support_rows(
+    query: Query,
+    plan: SafePlan,
+    info: Dict[int, object],
+    index: FactIndex,
+    candidates: Set[Value],
+) -> Iterator[Tuple[Value, ...]]:
+    """The answer rows worth scoring: the product of the sorted
+    per-head-variable supports (:func:`_head_supports`) within
+    ``candidates``, which contains every positive answer and keeps
+    ``itertools.product`` order over the sorted candidates.  Only an
+    unrestricted head variable sorts the whole candidate set.  The
+    product's tuples left out count in ``grounding.pruned_answers``."""
+    supports = _head_supports(plan, info, index, set(query.variables))
+    everything: Optional[List[Value]] = None
+    columns = []
+    for variable in query.variables:
+        values = supports.get(variable)
+        if values is None:
+            if everything is None:
+                everything = sorted(candidates, key=domain_sort_key)
+            columns.append(everything)
+        else:
+            columns.append(sorted(values & candidates, key=domain_sort_key))
+    pruned = len(candidates) ** len(columns) - math.prod(map(len, columns))
+    if pruned:
+        obs.incr("grounding.pruned_answers", pruned)
+    return itertools.product(*columns)
+
+
 def answer_marginals_lifted(
     query: Query,
     table: LiftedTable,
@@ -1091,14 +1205,46 @@ def answer_marginals_lifted(
     project over a bound leaf folds its own segment in the table's
     order (the index interns in it), and every other project in
     canonical :func:`~repro.relational.facts.domain_sort_key` order.
-    So an answer's bits do not depend on which answers share its pass
-    (pool workers evaluating contiguous chunks agree with one serial
-    pass), nor on how the index grew.  The pass keeps no fold state,
-    so every segment folds in full.  As in
+    So an answer's bits do not depend on which answers share its pass,
+    nor on how the index grew.  The pass runs with the family's node
+    caches, so across a sweep's truncations each bound segment resumes
+    its kept clean fold and folds only its new rows
+    (``lifted.folds_resumed``), with a full fold's bits.  As in
     :func:`query_probability_lifted`, the family's stripe lock is held
     for the whole pass.  Each evaluated row counts in
     ``fanout.answers``.
     """
+    return _grouped_answer_pass(
+        query, table, plan_cache, lambda plan, info, index: answers)
+
+
+def answer_marginals_on_support(
+    query: Query,
+    table: LiftedTable,
+    candidates: Set[Value],
+    plan_cache=None,
+) -> Optional[Dict[Tuple[Value, ...], float]]:
+    """:func:`answer_marginals_lifted` over the candidate answers
+    ``candidates^arity``, scoring only their support rows
+    (:func:`_support_rows`): the same dict, entry order included (up to
+    ``domain_sort_key`` ties), without a row for a tuple whose marginal
+    is 0 by the semi-join.  ``candidates`` is only read."""
+    return _grouped_answer_pass(
+        query, table, plan_cache,
+        lambda plan, info, index: _support_rows(
+            query, plan, info, index, candidates))
+
+
+def _grouped_answer_pass(
+    query: Query,
+    table: LiftedTable,
+    plan_cache,
+    rows: Callable[[SafePlan, Dict[int, object], FactIndex],
+                   Iterable[Tuple[Value, ...]]],
+) -> Optional[Dict[Tuple[Value, ...], float]]:
+    """The grouped pass of :func:`answer_marginals_lifted` over the
+    answers ``rows(plan, annotations, index)`` gives, under the family
+    lock."""
     if not isinstance(table, TupleIndependentTable):
         return None
     from repro.finite.compile_cache import DEFAULT_COMPILE_CACHE
@@ -1111,10 +1257,11 @@ def answer_marginals_lifted(
         except UnsafeQueryError:
             return None
         record_fold_error(plan_error_bound(plan, len(table)))
+        info = state.annotations_for(plan)
         evaluator = _BatchedEvaluator(
-            table, index, info=state.annotations_for(plan))
+            table, index, info=info, node_caches=state.node_caches)
         results: Dict[Tuple[Value, ...], float] = {}
-        pending = iter(answers)
+        pending = iter(rows(plan, info, index))
         while True:
             block = list(itertools.islice(pending, GROUPED_ANSWER_BLOCK))
             if not block:

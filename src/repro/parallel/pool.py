@@ -32,7 +32,9 @@ Failures of the pool *infrastructure* (a task that cannot be pickled,
 a worker that cannot be started) raise :class:`PoolUnavailableError`;
 the evaluation layer catches it and degrades to the serial path with a
 ``fanout.serial_fallback`` trace event.  A slot whose worker could not
-start stays unstarted, so the next fan-out tries again.
+start stays unstarted, so the next fan-out tries again; within a
+:meth:`ShardPool.map_shards` call it sits out while the started workers
+finish the call, which raises only when no slot can start.
 
 Process-wide sharing: :func:`get_shared_pool` keeps one pool per
 worker count, created on first use and reused by every later call —
@@ -350,10 +352,13 @@ class ShardPool:
         crashed worker is replaced and its shard rescheduled (counted
         in ``fanout.worker_restarts``; :data:`MAX_SHARD_CRASHES` caps a
         shard that kills every worker it touches); a shard exceeding the
-        timeout kills its worker and raises :class:`ShardError`; a
-        worker that cannot start raises :class:`PoolUnavailableError`.
-        On any raise, still-busy workers are killed (uncounted) so the
-        pool is clean for the next call.
+        timeout kills its worker and raises :class:`ShardError`.  A slot
+        whose worker cannot start sits out the rest of the call, which
+        finishes on the started workers, their shipped state intact;
+        only when no slot can start does the call raise
+        :class:`PoolUnavailableError`.  On any raise, still-busy
+        workers are killed (uncounted) so the pool is clean for the
+        next call.
         """
         with self._lock:
             self._check_open()
@@ -366,6 +371,7 @@ class ShardPool:
             results: List[object] = []
             done = 0
             prepared: set = set()
+            benched: set = set()  # slots whose worker could not start
             exhausted = False
             try:
                 while True:
@@ -381,9 +387,17 @@ class ShardPool:
                                 stash.append(nxt)
                                 results.append(_UNSET)
                                 pending.append(len(stash) - 1)
-                        if not pending:
+                        if not pending or worker.slot in benched:
                             continue
-                        self._start(worker)
+                        try:
+                            self._start(worker)
+                        except PoolUnavailableError:
+                            # The slot sits out the rest of the call; the
+                            # started workers finish it.
+                            benched.add(worker.slot)
+                            if len(benched) == len(self._workers):
+                                raise
+                            continue
                         if prepare is not None and worker.slot not in prepared:
                             prepare(self, worker.slot)
                             prepared.add(worker.slot)

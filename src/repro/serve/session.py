@@ -263,7 +263,7 @@ class ManagedSession:
         sessions; a Boolean session returns its single ``()`` answer).
 
         A safe query on a TI truncation is answered in-process by one
-        grouped lifted pass over every candidate answer (see
+        grouped lifted pass over the candidate answers in its support (see
         :meth:`~repro.core.refine.RefinementSession.refine_marginals`),
         and ``workers``/``pool`` are ignored.  Compiled fan-outs use
         ``pool``, the server's shared

@@ -150,3 +150,62 @@ class TestOutwardRoundedTails:
             exact = sum((Fraction(v) for v in values[n:]), Fraction(0))
             assert Fraction(cert.tail(n)) >= exact
         assert cert.tail(len(values)) == 0.0
+
+
+def _eager_zeta_total(exponent, scale):
+    """The Euler–Maclaurin total as ``SeriesCertificate.zeta`` once
+    computed it at construction."""
+    cutoff = 10**4
+    partial = sum(scale / i**exponent for i in range(1, cutoff + 1))
+    integral = scale * cutoff ** (1 - exponent) / (exponent - 1)
+    correction = (
+        -0.5 * scale * cutoff**-exponent
+        + exponent * scale * cutoff ** (-exponent - 1) / 12.0
+    )
+    return partial + integral + correction
+
+
+class TestLazyZetaTotal:
+    """A zeta certificate sums no term until its total is asked for,
+    then keeps the float the eager construction gave."""
+
+    @pytest.mark.parametrize("exponent, scale", [
+        (1.5, 0.5), (2.0, 1.0), (1.01, 0.25), (3.0, 0.75)])
+    def test_total_is_the_eager_float(self, exponent, scale):
+        cert = SeriesCertificate.zeta(exponent, scale)
+        assert cert.sum() == _eager_zeta_total(exponent, scale)
+        assert cert.sum(1e-30) == _eager_zeta_total(exponent, scale)
+
+    def test_construction_sums_nothing_and_sum_evaluates_once(
+            self, monkeypatch):
+        from repro.analysis import series
+
+        calls = []
+        evaluate = series._ZetaTotal.__call__
+
+        def counted(self):
+            calls.append(self)
+            return evaluate(self)
+
+        monkeypatch.setattr(series._ZetaTotal, "__call__", counted)
+        cert = SeriesCertificate.zeta(1.5, 0.5)
+        assert calls == []
+        # Never the generic term loop, which no tolerance would end.
+        monkeypatch.setattr(cert, "terms", None)
+        first = cert.sum()
+        assert cert.sum() == first
+        assert len(calls) == 1
+
+    def test_pickles_before_and_after_the_total_restore(self):
+        import pickle
+
+        fresh = SeriesCertificate.zeta(1.5, 0.5)
+        before = pickle.loads(pickle.dumps(fresh))
+        fresh.sum()
+        # With the total evaluated, the pickle holds a plain float — the
+        # form certificates pickled while the total was eager take.
+        after = pickle.loads(pickle.dumps(fresh))
+        assert isinstance(after._total, float)
+        want = _eager_zeta_total(1.5, 0.5)
+        assert before.sum() == after.sum() == want
+        assert before.tail(10) == after.tail(10) == fresh.tail(10)

@@ -75,3 +75,25 @@ class TestEnumerationBackOff:
         pdb = zeta_pdb()
         marginal = pdb.probability(lambda D: R(1) in D, tolerance=0.05)
         assert marginal == pytest.approx(0.5, abs=0.06)
+
+
+def test_building_a_zeta_pdb_sums_no_series(monkeypatch):
+    """Convergence follows from ``exponent > 1``, so a countable TI PDB
+    over a zeta family is built without evaluating the family's total;
+    the first ``total_mass()`` evaluates it."""
+    from repro.analysis import series
+
+    calls = []
+    evaluate = series._ZetaTotal.__call__
+
+    def counted(self):
+        calls.append(self)
+        return evaluate(self)
+
+    monkeypatch.setattr(series._ZetaTotal, "__call__", counted)
+    distribution = ZetaFactDistribution(space, exponent=1.5, scale=0.5)
+    pdb = CountableTIPDB(schema, distribution)
+    assert distribution.convergent
+    assert calls == []
+    assert pdb.expected_size() == distribution.total_mass()
+    assert len(calls) == 1

@@ -127,19 +127,40 @@ def test_start_failure_leaves_the_slot_unstarted(pool, monkeypatch):
     assert pool.run_on(0, _double, 2) == 4  # the next task tries again
 
 
-def test_start_failure_in_map_shards_raises_pool_unavailable(
+def test_start_failure_in_map_shards_finishes_on_started_slots(
         pool, monkeypatch):
     assert pool.run_on(0, _double, 1) == 2  # slot 0 is up
+    (pid,) = pool.worker_pids()
     _fail_first_start(monkeypatch, pool)
-    with pytest.raises(PoolUnavailableError, match="could not start"):
-        pool.map_shards([(_double, (i,)) for i in range(4)])
-    # Slot 1 never started; slot 0 was busy, so the failed call killed
-    # it like any other raise does.  The pool stays open.
-    assert pool.worker_epoch(1) == 0
-    assert pool.worker_pids() == []
-    assert not pool.closed
+    with obs.trace() as t:
+        results = pool.map_shards([(_double, (i,)) for i in range(4)])
+    # Slot 1 could not start and sat the call out; slot 0 ran every
+    # task and keeps its worker, its epoch and the state shipped to it.
+    assert results == [0, 2, 4, 6]
+    assert pool.worker_pids() == [pid]
+    assert [pool.worker_epoch(slot) for slot in range(2)] == [0, 0]
+    assert t.counters.get(WORKER_RESTARTS, 0) == 0
+    # The next call starts slot 1.
     assert pool.map_shards([(_double, (i,)) for i in range(4)]) == [0, 2, 4, 6]
     assert len(pool.worker_pids()) == 2
+    assert pool.worker_pids()[0] == pid
+
+
+def test_map_shards_raises_pool_unavailable_when_no_slot_starts(
+        pool, monkeypatch):
+    process_class = pool._ctx.Process
+
+    def refused(self):
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(process_class, "start", refused)
+    with pytest.raises(PoolUnavailableError, match="could not start"):
+        pool.map_shards([(_double, (i,)) for i in range(4)])
+    assert pool.worker_pids() == []
+    assert [pool.worker_epoch(slot) for slot in range(2)] == [0, 0]
+    assert not pool.closed
+    monkeypatch.undo()
+    assert pool.map_shards([(_double, (i,)) for i in range(4)]) == [0, 2, 4, 6]
 
 
 # ------------------------------------------------------------------ basics

@@ -19,6 +19,16 @@ oracle (one :func:`query_probability` per grounded tuple):
 
 on both columnar backends.  Queries without a head-bound plan take the
 per-answer route and must still match the oracle.
+
+The fan-out scores only the support rows: the product of each head
+variable's values in a semi-join over the plan
+(:func:`repro.finite.lifted.answer_marginals_on_support`).  Those rows
+give the full product's dict bit for bit, entry order included;
+``fanout.answers`` counts the rows, equal to the product of support
+sizes a scan of the facts finds, and ``grounding.pruned_answers`` the
+rest.  The pass resumes bound segments' folds across a sweep, so warm
+steps — through tiny and underflowing marginals that force a re-fold —
+must still give a cold call's bits.
 """
 
 import itertools
@@ -35,18 +45,29 @@ from repro.errors import UnsafeQueryError
 from repro.finite import TupleIndependentTable
 from repro.finite.compile_cache import CompileCache
 from repro.finite.evaluation import (
+    _candidate_set,
     _candidate_values,
     marginal_answer_probabilities,
     query_probability,
 )
-from repro.finite.lifted import answer_marginals_lifted
+from repro.finite.lifted import (
+    answer_marginals_lifted,
+    answer_marginals_on_support,
+)
 from repro.logic import BooleanQuery, Query, parse_formula
 from repro.logic.analysis import free_variables
-from repro.logic.hierarchy import safe_plan_ucq
+from repro.logic.hierarchy import (
+    FactLeaf,
+    InclusionExclusion,
+    IndependentJoin,
+    IndependentProject,
+    safe_plan_ucq,
+)
 from repro.logic.normalform import ConjunctiveQuery, extract_ucq, substitute
 from repro.logic.syntax import Atom, Constant, Or, Variable
 from repro.relational import Schema
 from repro.relational.columns import available_backends
+from repro.relational.facts import domain_sort_key
 from repro.universe import FactSpace, Naturals
 
 BACKENDS = available_backends()
@@ -224,6 +245,180 @@ class TestGroupedMatchesPerAnswer:
         assert_matches_oracle(got, want)
 
 
+def scanned_supports(plan, facts, head):
+    """Per head variable ``plan`` restricts, the values it may take in
+    an answer whose value at ``plan`` is not 0 — the semi-join of the
+    grouped pass, found by scanning every fact instead of reading
+    signature-table keys."""
+    if isinstance(plan, FactLeaf):
+        atom = plan.atom
+        variables = {term for term in atom.terms if term in head}
+        found = {variable: set() for variable in variables}
+        for fact in facts:
+            if fact.relation != atom.relation:
+                continue
+            binding = {}
+            if all(
+                term.value == value if isinstance(term, Constant)
+                else term not in head
+                or binding.setdefault(term, value) == value
+                for term, value in zip(atom.terms, fact.args)
+            ):
+                for variable in variables:
+                    found[variable].add(binding[variable])
+        return found
+    if isinstance(plan, IndependentProject):
+        return scanned_supports(plan.child, facts, head)
+    if isinstance(plan, IndependentJoin):
+        supports = {}
+        for child in plan.children:
+            for variable, values in scanned_supports(
+                    child, facts, head).items():
+                supports[variable] = supports.get(variable, values) & values
+        return supports
+    operands = (
+        [term for _, term in plan.terms]
+        if isinstance(plan, InclusionExclusion) else plan.children)
+    each = [scanned_supports(child, facts, head) for child in operands]
+    return {
+        variable: set().union(*(supports[variable] for supports in each))
+        for variable in head if all(variable in s for s in each)
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("arity", [1, 2])
+class TestSupportRows:
+    @given(data=st.data(), marginals=float_maps)
+    @settings(max_examples=60, **SETTINGS)
+    def test_support_rows_give_the_full_products_dict(
+        self, backend, arity, data, marginals
+    ):
+        query = data.draw(free_queries(arity))
+        domain = data.draw(
+            st.none() | st.sets(st.integers(0, 4), max_size=4))
+        with forced_backend(backend):
+            table = TupleIndependentTable(schema, marginals)
+            candidates = _candidate_set(query, table, domain)
+            full = answer_marginals_lifted(
+                query, table,
+                itertools.product(
+                    sorted(candidates, key=domain_sort_key), repeat=arity),
+                plan_cache=CompileCache())
+            support = answer_marginals_on_support(
+                query, table, candidates, plan_cache=CompileCache())
+        assert (support is None) == (full is None)
+        if full is not None:
+            assert list(support.items()) == list(full.items())
+
+    @given(data=st.data(), marginals=float_maps)
+    @settings(max_examples=60, **SETTINGS)
+    def test_rows_are_the_product_of_support_sizes(
+        self, backend, arity, data, marginals
+    ):
+        query = data.draw(free_queries(arity))
+        domain = data.draw(
+            st.none() | st.sets(st.integers(0, 4), max_size=4))
+        with forced_backend(backend):
+            table = TupleIndependentTable(schema, marginals)
+            candidates = _candidate_set(query, table, domain)
+            if not (candidates and has_head_bound_plan(query)):
+                return  # no grouped pass to count
+            cache = CompileCache()
+            got = marginal_answer_probabilities(
+                query, table, domain=domain, compile_cache=cache)
+            plan, _ = cache.lifted(query.formula, table)
+        supports = scanned_supports(
+            plan, list(table.marginals), set(query.variables))
+        rows = 1
+        for variable in query.variables:
+            rows *= len(supports.get(variable, candidates) & candidates)
+        counters = got.report.counters
+        assert got.report.strategy == "lifted"
+        assert counters.get("fanout.answers", 0) == rows
+        assert counters.get("grounding.pruned_answers", 0) == (
+            len(candidates) ** arity - rows)
+        assert all(
+            answer[i] in supports.get(variable, candidates)
+            for answer in got for i, variable in enumerate(query.variables))
+
+
+#: A bigger pool for in-place growth: 40 facts a bucket, so marginals
+#: of ``1 − 2⁻⁵³`` can push a bound segment's product under the
+#: underflow floor, and ``1e-20`` / ``5e-17`` sit under the tiny
+#: threshold — both end a resumed fold and force a re-fold.
+GROWTH_POOL = (
+    [R(i) for i in (1, 2, 3)]
+    + [S(i, j) for i in (1, 2, 3) for j in range(40)]
+    + [T(i) for i in (1, 2, 3)]
+)
+NEAR_ONE = 1.0 - 2.0**-53
+growth_marginals = st.sampled_from(
+    [NEAR_ONE] * 4 + [1e-20, 5e-17, 1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestResumedAnswerFolds:
+    @given(
+        data=st.data(),
+        marginals=st.lists(
+            growth_marginals, min_size=len(GROWTH_POOL),
+            max_size=len(GROWTH_POOL)),
+    )
+    @settings(max_examples=25, **SETTINGS)
+    def test_warm_steps_equal_cold_calls(self, backend, data, marginals):
+        """A table grown in place, scored after each step through one
+        warm cache, against a fresh copy and cache per step."""
+        query = data.draw(st.sampled_from([1, 2]).flatmap(free_queries))
+        if not has_head_bound_plan(query):
+            return  # per-answer route: no fold state kept
+        order = data.draw(st.permutations(range(len(GROWTH_POOL))))
+        facts = [(GROWTH_POOL[i], marginals[i]) for i in order]
+        cuts = sorted(data.draw(st.lists(
+            st.integers(1, len(facts)), min_size=2, max_size=4)))
+        self._grow(backend, query, facts, cuts)
+
+    @pytest.mark.parametrize("gained", [
+        {S(1, 39): 1e-20},
+        {S(2, j): NEAR_ONE for j in range(20, 40)},
+    ], ids=["tiny", "underflow"])
+    def test_a_step_that_leaves_the_clean_regime_refolds(
+        self, backend, gained
+    ):
+        query = Query(
+            parse_formula("EXISTS y. R(x) AND S(x, y)", schema), schema)
+        facts = [(R(i), 0.5) for i in (1, 2, 3)]
+        facts += [(S(i, j), 0.25) for i in (1, 2, 3) for j in range(20)]
+        facts += [(S(3, 20), 0.5)] + list(gained.items())
+        counters = self._grow(
+            backend, query, facts, [len(facts) - len(gained) - 1,
+                                    len(facts) - len(gained)])
+        # The last step re-folds the segment that gained the facts and
+        # resumes the other two.
+        assert counters.get("lifted.folds_refolded", 0) == 1
+        assert counters.get("lifted.folds_resumed", 0) == 2
+
+    @staticmethod
+    def _grow(backend, query, facts, cuts):
+        """Score the prefixes ``facts[:cut]``, then all of ``facts``,
+        warm on one table grown in place and cold on fresh copies;
+        the last warm step's counters."""
+        cache = CompileCache()
+        with forced_backend(backend):
+            table = TupleIndependentTable(schema, dict(facts[:cuts[0]]))
+            start = cuts[0]
+            for stop in cuts + [len(facts)]:
+                table.extend(dict(facts[start:stop]))
+                start = max(start, stop)
+                warm = marginal_answer_probabilities(
+                    query, table, compile_cache=cache)
+                cold = marginal_answer_probabilities(
+                    query, TupleIndependentTable(schema, dict(facts[:stop])),
+                    compile_cache=CompileCache())
+                assert list(warm.items()) == list(cold.items())
+        return warm.report.counters
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSweepsMatchColdOneShots:
     SWEEP = [0.2, 0.1, 0.05]
@@ -332,3 +527,18 @@ def test_queries_without_head_bound_plan_keep_per_answer_routing(text):
         schema, {fact: 0.5 for fact in FACT_POOL})
     got = marginal_answer_probabilities(query, table)
     assert_matches_oracle(got, per_answer(query, table), exact=True)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rows_outside_the_support_are_not_scored(backend):
+    """The active domain {1, 2, 3, 4} is larger than R's values {1, 2}:
+    two rows are scored and two pruned."""
+    query = Query(parse_formula("R(x)", schema), schema)
+    with forced_backend(backend):
+        table = TupleIndependentTable(schema, {
+            R(1): 0.5, R(2): 0.25, S(1, 2): 0.8, S(2, 1): 0.4, S(3, 4): 0.3})
+        got = marginal_answer_probabilities(
+            query, table, compile_cache=CompileCache())
+    assert got == {(1,): 0.5, (2,): 0.25}
+    assert got.report.counters["fanout.answers"] == 2
+    assert got.report.counters["grounding.pruned_answers"] == 2

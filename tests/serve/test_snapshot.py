@@ -114,6 +114,38 @@ def test_warm_resume_reuses_lifted_plan(tmp_path):
     assert t.counters.get("lifted.plans", 0) == 0
 
 
+ZETA_SPEC = {
+    "schema": {"R": 1, "S": 2},
+    "family": {"kind": "zeta", "exponent": 1.5, "scale": 0.5},
+    "query": "EXISTS x, y. R(x) AND S(x, y)",
+}
+
+
+@pytest.mark.parametrize("total_first", [False, True],
+                         ids=["lazy-total", "evaluated-total"])
+def test_zeta_session_round_trip(tmp_path, total_first):
+    """A zeta family's total is evaluated on first use and kept.
+    Snapshots taken before it (the total still a callable) and after it
+    (a plain float, as snapshots held it when the total was computed at
+    construction) both restore to sessions that answer bit for bit like
+    the original and report the same total."""
+    manager = warmed_manager(ZETA_SPEC)
+    original = manager.get("s")
+    distribution = original.session.pdb.distribution
+    if total_first:
+        distribution.total_mass()
+    path = tmp_path / "state.snapshot"
+    save_snapshot(manager, str(path))
+    copy = load_snapshot(str(path)).get("s")
+    restored = copy.session.pdb.distribution
+    assert callable(restored._certificate._total) is not total_first
+    for epsilon in (0.05, 0.02):
+        a = original.refine(epsilon)
+        b = copy.refine(epsilon)
+        assert (b.value, b.truncation) == (a.value, a.truncation)
+    assert restored.total_mass() == distribution.total_mass()
+
+
 # ----------------------------------------------------------------- envelope
 def test_envelope_shape():
     envelope = pickle.loads(dump_snapshot(SessionManager()))
