@@ -29,7 +29,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Benchmark modules that write a BENCH_<name>.json artifact.  Keys are
 #: the artifact names accepted on the command line.
 ARTIFACT_MODULES = {
-    "columnar": "bench_columnar.py",
     "compiled_eval": "bench_compiled_eval.py",
     "grounding": "bench_grounding.py",
     "lifted": "bench_lifted.py",

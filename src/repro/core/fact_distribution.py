@@ -95,15 +95,13 @@ class FactDistribution:
         produced cheaper than a :meth:`probability` lookup per fact."""
         return ((fact, self.probability(fact)) for fact in self.support())
 
-    def prefix_cache(self, backend: str = "auto") -> PrefixCache:
+    def prefix_cache(self) -> PrefixCache:
         """This distribution's materialized prefix (created lazily, then
         shared by every ``prefix``/``marginals_dict``/``prefix_for_tail``
-        call and by the refinement session).  ``backend`` only applies
-        to the first call; afterwards the existing cache is returned."""
+        call and by the refinement session)."""
         cache = self.__dict__.get("_prefix_cache")
         if cache is None:
-            cache = PrefixCache(self._support_pairs(), self.tail,
-                                backend=backend)
+            cache = PrefixCache(self._support_pairs(), self.tail)
             self._prefix_cache = cache
         return cache
 

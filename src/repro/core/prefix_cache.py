@@ -19,8 +19,7 @@ answers all three incrementally from one shared materialization:
 * items pulled from the enumeration are kept forever, so a later (or
   repeated) request only extends the materialized prefix;
 * weights live in a shared :class:`repro.relational.columns.FloatColumn`
-  (pure-Python running sums, or numpy arrays with a lazy cumulative
-  mirror via the ``[fast]`` extra), so cumulative masses and truncation
+  with pure-Python running sums, so cumulative masses and truncation
   scans run on the marginal column;
 * ``tail(n)`` evaluations are memoized, and
   :meth:`smallest_prefix_for_tail` replaces the linear scan with an
@@ -53,8 +52,7 @@ from typing import (
 
 from repro import obs
 from repro.errors import ApproximationError, ConvergenceError
-from repro.relational.columns import FloatColumn, resolve_backend
-from repro.utils.probability import numpy_or_none as _numpy_or_none  # noqa: F401
+from repro.relational.columns import FloatColumn
 
 T = TypeVar("T")
 
@@ -79,14 +77,9 @@ class PrefixCache(Generic[T]):
         ``tail(n)`` — certified upper bound on the weight mass after the
         first n items.  Must be non-increasing in n for
         :meth:`smallest_prefix_for_tail` to match a linear scan exactly.
-    backend:
-        ``"python"`` (pure-Python running sums), ``"numpy"`` (vectorized
-        cumulative sums; requires the ``[fast]`` extra), or ``"auto"``
-        (numpy when importable, python otherwise).
 
     >>> cache = PrefixCache(iter([("a", 0.5), ("b", 0.25)]),
-    ...                     tail=lambda n: (0.75, 0.25, 0.0)[min(n, 2)],
-    ...                     backend="python")
+    ...                     tail=lambda n: (0.75, 0.25, 0.0)[min(n, 2)])
     >>> cache.prefix(1)
     [('a', 0.5)]
     >>> cache.smallest_prefix_for_tail(0.3, 10)
@@ -99,30 +92,18 @@ class PrefixCache(Generic[T]):
         self,
         pairs: Iterable[Tuple[T, float]],
         tail: Callable[[int], float],
-        backend: str = "auto",
     ):
-        try:
-            self.backend = resolve_backend(backend)
-        except ValueError as exc:
-            if "requires numpy" in str(exc):
-                raise ValueError(
-                    "prefix-cache backend 'numpy' requires numpy "
-                    "(pip install .[fast]); use backend='python' instead"
-                ) from None
-            raise ValueError(f"unknown prefix-cache backend {backend!r}") from None
         self._iterator: Iterator[Tuple[T, float]] = iter(pairs)
         self._tail_fn = tail
         self._items: List[T] = []
-        # The weight column: running sums on the python backend, a lazy
-        # cumsum mirror on numpy (see repro.relational.columns).
-        self._weights = FloatColumn(self.backend)
+        self._weights = FloatColumn()
         self._exhausted = False
         self._tail_memo: Dict[int, float] = {}
         #: Serializes pulls on the (single-consumer) enumeration
-        #: iterator and every read that touches the weight column —
-        #: the numpy backend reallocates its buffer on growth, so
-        #: concurrent extend/slice must not interleave.  Re-entrant:
-        #: queries extend, then read, under one acquisition.
+        #: iterator, and with them the growth of the item list and the
+        #: weight column, so a read never sees one grown without the
+        #: other.  Re-entrant: queries extend, then read, under one
+        #: acquisition.
         self._lock = threading.RLock()
         #: Lifetime counters, mirrored into the active obs trace.
         self.hits = 0
@@ -210,17 +191,6 @@ class PrefixCache(Generic[T]):
         with self._lock:
             have = self.extend_to(n)
             return self._weights.prefix_sum(min(n, have))
-
-    def weights_array(self):
-        """The materialized weights as a numpy array (numpy backend
-        only) — for vectorized consumers."""
-        if self.backend != "numpy":
-            raise ValueError(
-                "weights_array() needs the numpy backend "
-                f"(this cache uses {self.backend!r})"
-            )
-        with self._lock:
-            return self._weights.array()
 
     # -------------------------------------------------- truncation search
     def smallest_prefix_for_tail(

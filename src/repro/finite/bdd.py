@@ -337,8 +337,11 @@ class BDDManager:
         low_pos = [position[self._id(n.low)] for n in nodes]
         high_pos = [position[self._id(n.high)] for n in nodes]
         level_groups = None
-        np = numpy_or_none()
-        if np is not None and len(nodes) >= _VECTOR_RESCORE_MIN_NODES:
+        # Probe numpy only for a diagram large enough to use it: a small
+        # one never needs numpy imported.
+        np = (numpy_or_none() if len(nodes) >= _VECTOR_RESCORE_MIN_NODES
+              else None)
+        if np is not None:
             by_level: Dict[int, List[int]] = {}
             for k, n in enumerate(nodes):
                 by_level.setdefault(self._level[n.fact], []).append(k)

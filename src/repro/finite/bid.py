@@ -174,7 +174,7 @@ class BlockIndependentTable:
         if self._columns is None:
             from repro.relational.columns import ColumnStore
 
-            store = ColumnStore(backend="auto")
+            store = ColumnStore()
             for ordinal, block in enumerate(self.blocks):
                 store.extend_items(
                     block.alternatives.items(), block=ordinal)

@@ -249,7 +249,7 @@ def _batched_hits(terms, table, samples, rng, seed, backend, batch_size,
                   cumulative, term_mass, all_facts) -> int:
     kernel = get_kernel(backend)
     rng_for = batch_rngs(kernel, rng=rng, seed=seed)
-    probs = [float(p) for p in table.marginal_values(all_facts)]
+    probs = table.marginal_values(all_facts)
     last_term = len(terms) - 1
     hits = 0
     done = 0

@@ -278,9 +278,10 @@ class _BatchedEvaluator:
     evaluates for every group in one pass, and the fold back to
     per-parent-group probabilities is a segmented hybrid log-space
     reduction (:func:`repro.utils.probability.segmented_disjunction`).
-    Numerically it applies the exact per-element policy of
-    :class:`~repro.utils.probability.ComplementAccumulator`, so dyadic
-    marginals stay bit-exact against the other exact strategies.
+    Every vector is a list of floats, and every fold runs
+    :class:`~repro.utils.probability.ComplementAccumulator` per element,
+    so dyadic marginals stay bit-exact against the other exact
+    strategies.
 
     On a BID table (``blocks`` holds each index row's block) a join, a
     union and a project check per group row that their operands read
@@ -294,7 +295,7 @@ class _BatchedEvaluator:
 
     __slots__ = (
         "table", "index", "unsafe_fallback", "info", "node_caches",
-        "column", "np", "marginals", "blocks",
+        "column", "marginals", "blocks",
     )
 
     def __init__(
@@ -311,13 +312,7 @@ class _BatchedEvaluator:
         self.info = info
         self.node_caches = node_caches
         self.column = index.marginal_column(table)
-        if self.column.backend == "numpy":
-            from repro.utils.probability import numpy_or_none
-
-            self.np = numpy_or_none()
-        else:
-            self.np = None
-        #: Zero-copy marginal values aligned to row ids (list or array).
+        #: Zero-copy marginal values aligned to row ids.
         self.marginals = self.column.view()
         #: Each index row's block on a BID table; None on a TI table.
         self.blocks: Optional[List[Block]] = None
@@ -328,7 +323,7 @@ class _BatchedEvaluator:
             ]
 
     def run(self, plan: SafePlan) -> float:
-        value = float(self.run_groups(plan, _Groups(1, {}))[0])
+        value = self.run_groups(plan, _Groups(1, {}))[0]
         if math.isnan(value):
             raise UnsafeQueryError(
                 "BID blocks overlap across the operands of a join, union "
@@ -396,34 +391,19 @@ class _BatchedEvaluator:
         obs.incr(LIFTED_VECTORIZED_NODES)
         rows = self._leaf_rows(plan, groups)
         obs.incr(LIFTED_GROUP_ROWS, groups.size)
-        np = self.np
-        if np is None:
-            marginals = self.marginals
-            return [marginals[row] if row >= 0 else 0.0 for row in rows]
-        row_array = np.asarray(rows, dtype=np.intp)
-        out = np.zeros(len(rows), dtype=np.float64)
-        present = row_array >= 0
-        if bool(present.any()):
-            out[present] = self.column.array()[row_array[present]]
-        return out
+        marginals = self.marginals
+        return [marginals[row] if row >= 0 else 0.0 for row in rows]
 
     def _eval_join(self, plan: IndependentJoin, groups: _Groups):
         """Elementwise product; a zero product ends a row, so a NaN
         operand after it never counts."""
         obs.incr(LIFTED_VECTORIZED_NODES)
-        np = self.np
-        if np is None:
-            totals = [1.0] * groups.size
-            for child in plan.children:
-                vector = self._eval(child, groups)
-                for g, p in enumerate(vector):
-                    if totals[g] != 0.0:
-                        totals[g] *= p
-        else:
-            totals = np.ones(groups.size, dtype=np.float64)
-            for child in plan.children:
-                product = totals * np.asarray(self._eval(child, groups))
-                totals = np.where(totals == 0.0, 0.0, product)
+        totals = [1.0] * groups.size
+        for child in plan.children:
+            vector = self._eval(child, groups)
+            for g, p in enumerate(vector):
+                if totals[g] != 0.0:
+                    totals[g] *= p
         if self.blocks is not None:
             operands = zip(*(self._touched(c, groups) for c in plan.children))
             for g, touched in enumerate(operands):
@@ -450,18 +430,12 @@ class _BatchedEvaluator:
         self, plan: InclusionExclusion, groups: _Groups
     ):
         obs.incr(LIFTED_VECTORIZED_NODES)
-        np = self.np
-        if np is None:
-            totals = [0.0] * groups.size
-            for coefficient, term in plan.terms:
-                vector = self._eval(term, groups)
-                for g, p in enumerate(vector):
-                    totals[g] += coefficient * p
-            return totals
-        out = np.zeros(groups.size, dtype=np.float64)
+        totals = [0.0] * groups.size
         for coefficient, term in plan.terms:
-            out = out + coefficient * np.asarray(self._eval(term, groups))
-        return out
+            vector = self._eval(term, groups)
+            for g, p in enumerate(vector):
+                totals[g] += coefficient * p
+        return totals
 
     def _eval_unsafe(self, plan: UnsafeLeaf, groups: _Groups):
         if self.unsafe_fallback is None:
@@ -474,10 +448,7 @@ class _BatchedEvaluator:
         # intensional evaluation serves every group.
         obs.incr(LIFTED_SCALAR_FALLBACKS, groups.size)
         value = float(self.unsafe_fallback(plan.formula()))
-        out = [value] * groups.size
-        if self.np is not None:
-            return self.np.asarray(out, dtype=self.np.float64)
-        return out
+        return [value] * groups.size
 
     # -------------------------------------------------------------- project
     def _eval_project(self, plan: IndependentProject, groups: _Groups):
@@ -497,7 +468,7 @@ class _BatchedEvaluator:
         values, offsets = self._candidate_groups(info, groups)
         child_groups = self._expand(groups, info.variable, values, offsets)
         vector = self._eval(plan.child, child_groups)
-        out = self._segmented_disjunction(vector, offsets)
+        out = segmented_disjunction(None, vector, offsets)
         if self.blocks is not None:
             segments = [slice(*ends) for ends in zip(offsets, offsets[1:])]
             touched = self._touched(plan.child, child_groups)
@@ -564,8 +535,7 @@ class _BatchedEvaluator:
         for row in dict.fromkeys(rows):
             if row >= 0:
                 block = self.blocks[row]
-                masses[block] = masses.get(block, 0.0) + float(
-                    self.marginals[row])
+                masses[block] = masses.get(block, 0.0) + self.marginals[row]
         acc = ComplementAccumulator()
         for mass in masses.values():
             acc.add(min(1.0, mass))
@@ -628,9 +598,7 @@ class _BatchedEvaluator:
                 separator_positions[0])
             obs.incr(LIFTED_GROUP_ROWS, len(rows))
             value = self.column.segmented_disjunction(rows, [0, len(rows)])
-            out = [float(value[0][0])] * groups.size
-        if self.np is not None:
-            return self.np.asarray(out, dtype=self.np.float64)
+            out = [value[0][0]] * groups.size
         return out
 
     def _fold_bound_segments(
@@ -669,8 +637,6 @@ class _BatchedEvaluator:
         epoch = index.epoch
         if pending:
             values = self.column.gather(new_rows)
-            if self.np is not None:
-                values = values.tolist()
             ends = [start for _, _, start in pending[1:]] + [len(new_rows)]
             for (key, product, start), end in zip(pending, ends):
                 state = _resume_fold(product, values[start:end])
@@ -690,8 +656,6 @@ class _BatchedEvaluator:
                 offsets.append(len(flat))
             rows_folded += len(flat)
             folded = self.column.segmented_disjunction(flat, offsets)
-            if self.np is not None:
-                folded = [column.tolist() for column in folded]
             for key, value, product, residual, zero in zip(refold, *folded):
                 results[key] = value
                 if zero or (residual == 0.0 and product >= UNDERFLOW_FLOOR):
@@ -731,8 +695,7 @@ class _BatchedEvaluator:
                 len(values), {info.variable: list(values)})
             vector = self._eval(plan.child, child_groups)
             cache = _ProjectDeltaCache(
-                index, index.epoch, list(values),
-                [float(p) for p in vector])
+                index, index.epoch, list(values), vector)
             caches[id(plan)] = cache
         elif cache.epoch < index.epoch:
             fresh = self._fresh_candidates(info, cache)
@@ -748,9 +711,9 @@ class _BatchedEvaluator:
                 for value, probability in zip(fresh, vector):
                     slot = cache.slots.get(value)
                     if slot is None:
-                        added.append((value, float(probability)))
+                        added.append((value, probability))
                     else:
-                        cache.probs[slot] = float(probability)
+                        cache.probs[slot] = probability
                 if added:
                     # Keep the canonical fold order, which makes a
                     # delta-extended sweep bit-identical to a fresh full
@@ -772,8 +735,8 @@ class _BatchedEvaluator:
                 # Warm truncation, warm fold: nothing changed.
                 return [cache.result]
         probs = cache.probs
-        folded = self._segmented_disjunction(probs, [0, len(probs)])
-        cache.result = float(folded[0])
+        folded = segmented_disjunction(None, probs, [0, len(probs)])
+        cache.result = folded[0]
         return folded
 
     def _fresh_candidates(
@@ -946,41 +909,14 @@ class _BatchedEvaluator:
         return _Groups(len(values), columns)
 
     # ---------------------------------------------------------------- folds
-    def _segmented_disjunction(self, vector, offsets):
-        """Fold a per-candidate probability vector back to one
-        disjunction per parent group."""
-        return segmented_disjunction(self.np, vector, offsets)
-
-    def _fold_disjunction(self, vectors, size: int):
-        """Elementwise hybrid disjunction across child vectors — the
-        vector form of the union fold's ``ComplementAccumulator``, same
-        per-element operation order."""
-        np = self.np
-        if np is None:
-            accumulators = [ComplementAccumulator() for _ in range(size)]
-            for vector in vectors:
-                for accumulator, p in zip(accumulators, vector):
-                    accumulator.add(p)
-            return [accumulator.disjunction() for accumulator in accumulators]
-        product = np.ones(size, dtype=np.float64)
-        residual = np.zeros(size, dtype=np.float64)
-        zero = np.zeros(size, dtype=bool)
+    def _fold_disjunction(self, vectors, size: int) -> List[float]:
+        """Elementwise disjunction across child vectors: one union
+        fold's ``ComplementAccumulator`` per group row."""
+        accumulators = [ComplementAccumulator() for _ in range(size)]
         for vector in vectors:
-            vector = np.asarray(vector, dtype=np.float64)
-            ones = vector >= 1.0
-            tiny = (vector > 0.0) & (vector < TINY_PROBABILITY)
-            zero |= ones
-            residual = residual - np.where(tiny, vector, 0.0)
-            product = product * np.where(ones | tiny, 1.0, 1.0 - vector)
-            low = (product < UNDERFLOW_FLOOR) & ~zero
-            if bool(low.any()):
-                residual[low] += np.log(product[low])
-                product[low] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rescued = -np.expm1(np.log(product) + residual)
-        out = np.where(residual == 0.0, 1.0 - product, rescued)
-        out[zero] = 1.0
-        return out
+            for accumulator, p in zip(accumulators, vector):
+                accumulator.add(p)
+        return [accumulator.disjunction() for accumulator in accumulators]
 
 
 def _plan_error_weight(plan: SafePlan) -> Tuple[int, int]:
@@ -1274,7 +1210,7 @@ def _grouped_answer_pass(
             values = evaluator.run_groups(plan, _Groups(len(block), columns))
             for answer, probability in zip(block, values):
                 if probability > 0:
-                    results[answer] = float(probability)
+                    results[answer] = probability
 
 
 def evaluate_plan(plan: SafePlan, table: LiftedTable) -> float:

@@ -65,7 +65,7 @@ def iter_worlds_by_probability(
     True
     """
     facts = table.facts()
-    probabilities = [float(p) for p in table.marginal_values(facts)]
+    probabilities = table.marginal_values(facts)
     # Mode world: include iff p > 1/2; its probability is the max.
     mode_probability = 1.0
     penalties: List[float] = []

@@ -136,13 +136,13 @@ class TupleIndependentTable:
 
         Built lazily on first use (row order = dict insertion order),
         then maintained in place by :meth:`extend`; serves the
-        vectorized aggregate paths (:meth:`expected_size`,
+        aggregate paths (:meth:`expected_size`,
         :meth:`empty_world_probability`, marginal-slice gathers).
         """
         if self._columns is None:
             from repro.relational.columns import ColumnStore
 
-            store = ColumnStore(backend="auto")
+            store = ColumnStore()
             store.extend_items(self.marginals.items())
             self._columns = store
         return self._columns
@@ -170,8 +170,7 @@ class TupleIndependentTable:
         return self.columns.sum_marginals()
 
     def marginal_values(self, facts: Iterable[Fact]):
-        """Marginal slice for the given (listed) facts — a list on the
-        pure-Python backend, an ndarray on the numpy backend."""
+        """Marginal slice for the given (listed) facts, as a list."""
         return self.columns.gather_facts(facts)
 
     def instance_probability(self, instance: Instance) -> float:

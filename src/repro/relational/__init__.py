@@ -13,8 +13,6 @@ from repro.relational.columns import (
     ColumnStore,
     FloatColumn,
     IntColumn,
-    available_backends,
-    resolve_backend,
 )
 from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
@@ -37,8 +35,6 @@ __all__ = [
     "ColumnStore",
     "FloatColumn",
     "IntColumn",
-    "available_backends",
-    "resolve_backend",
     "domain_sort_key",
     "parse_fact",
     "Instance",

@@ -1,8 +1,8 @@
 """Columnar fact storage: interned facts + parallel value columns.
 
 The engines above this layer (finite tables, the fact index, prefix
-caches, the lifted evaluator, BDD rescoring) all reduce their hot loops
-to the same three primitives over a truncation's facts:
+caches, the lifted evaluator) all reduce their hot loops to the same
+three primitives over a truncation's facts:
 
 * *interning* — map a :class:`~repro.relational.facts.Fact` to a dense
   integer row id once, then refer to it by id;
@@ -11,25 +11,26 @@ to the same three primitives over a truncation's facts:
   ``1 − Π (1 − p)`` (see :mod:`repro.utils.probability`).
 
 This module stores those primitives as parallel growable columns —
-facts, marginals, block ids — behind one :class:`ColumnStore` facade
-with the repo's established two-backend pattern: a pure-Python list
-fallback and a numpy fast path under the ``[fast]`` extra
-(``backend="auto"`` picks numpy when importable).  Extension is strictly
-append-only and O(delta), so the refinement engine's warm ε-sweeps keep
-their incremental cost; marginals of interned facts never change
-(the same invariant the compile cache relies on).
+facts, marginals, block ids — behind one :class:`ColumnStore` facade.
+Each column is a plain Python list: a tightening step appends a few
+dozen to a few hundred rows and folds segments of about as many, sizes
+at which converting to arrays costs more than it saves.  Extension is
+strictly append-only and O(delta), so the refinement engine's warm
+ε-sweeps keep their incremental cost; marginals of interned facts never
+change (the same invariant the compile cache relies on).
 
-Backends agree bit-near (≤1e-12) with each other and with the historic
-dict-of-floats path; the pure-Python backend's aggregates are
-bit-identical to it (same fold order, same hybrid underflow policy).
+Every fold goes through :class:`~repro.utils.probability.ComplementAccumulator`'s
+hybrid underflow policy, in row order, so the aggregates are
+bit-identical to the dict-of-floats path.
 
 Observability: ``columns.interned`` counts facts interned,
 ``columns.extends`` counts delta extensions, and
-``columns.vectorized_ops`` counts numpy kernel dispatches.
+``columns.vectorized_ops`` counts numpy kernel dispatches (the BDD's
+per-level rescoring pass, :mod:`repro.finite.bdd`).
 
 >>> from repro.relational import RelationSymbol
 >>> R = RelationSymbol("R", 1)
->>> store = ColumnStore(backend="python")
+>>> store = ColumnStore()
 >>> store.extend_items([(R(1), 0.5), (R(2), 0.25)])
 2
 >>> store.row_of(R(1)), len(store)
@@ -50,12 +51,15 @@ from repro.relational.facts import Fact
 from repro.utils.probability import (
     disjunction,
     log_product_complement,
-    numpy_or_none,
     product_complement,
     segmented_complement_product,
-    segmented_disjunction,  # perfbench's span wrappers patch it here
     segmented_fold,
     segmented_log_complement,
+)
+
+# Not called here: perfbench's span wrappers patch these names in this module.
+from repro.utils.probability import (  # noqa: F401
+    segmented_disjunction,
     vector_complement_product,
     vector_disjunction,
     vector_log_complement,
@@ -65,71 +69,27 @@ __all__ = [
     "ColumnStore",
     "FloatColumn",
     "IntColumn",
-    "available_backends",
-    "resolve_backend",
 ]
 
 #: Obs counter: facts interned into a column store.
 COLUMNS_INTERNED = "columns.interned"
 #: Obs counter: delta extensions applied to a column store.
 COLUMNS_EXTENDS = "columns.extends"
-#: Obs counter: numpy kernel dispatches on any column.
+#: Obs counter: numpy kernel dispatches (BDD per-level rescoring).
 COLUMNS_VECTOR_OPS = "columns.vectorized_ops"
 
 #: No block: the block-id column's value for tuple-independent rows.
 NO_BLOCK = -1
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve ``"auto"`` to the best available backend and validate.
-
-    >>> resolve_backend("python")
-    'python'
-    """
-    if backend == "auto":
-        return "numpy" if numpy_or_none() is not None else "python"
-    if backend == "numpy" and numpy_or_none() is None:
-        raise ValueError(
-            "columnar backend 'numpy' requires numpy "
-            "(pip install .[fast]); use backend='python' instead"
-        )
-    if backend not in ("python", "numpy"):
-        raise ValueError(f"unknown columnar backend {backend!r}")
-    return backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends importable right now, pure-Python first."""
-    if numpy_or_none() is not None:
-        return ("python", "numpy")
-    return ("python",)
-
-
-def _reserved(np, data, size: int, needed: int):
-    """``data`` (``size`` rows live) if it holds ``needed`` rows, else a
-    copy of its live rows in a buffer doubled (from 16) until it does —
-    the capacity appending one row at a time reaches."""
-    capacity = len(data)
-    if needed <= capacity:
-        return data
-    while capacity < needed:
-        capacity = max(16, 2 * capacity)
-    grown = np.empty(capacity, dtype=data.dtype)
-    grown[:size] = data[:size]
-    return grown
-
-
 class FloatColumn:
-    """A growable float64 column with prefix sums and probability folds.
+    """A growable float column with prefix sums and probability folds.
 
-    Pure-Python backend: a plain list plus an incrementally maintained
-    running-sum list (one add per append — the exact arithmetic the
-    prefix caches have always used).  Numpy backend: a capacity-doubling
-    ``float64`` buffer with a lazily cached ``cumsum`` mirror,
-    invalidated by appends and rebuilt at most once per batch of
-    queries.
+    A plain list plus an incrementally maintained running-sum list (one
+    add per append — the exact arithmetic the prefix caches have always
+    used).
 
-    >>> col = FloatColumn("python")
+    >>> col = FloatColumn()
     >>> col.extend([0.5, 0.25, 0.125])
     3
     >>> col.prefix_sum(2)
@@ -138,251 +98,141 @@ class FloatColumn:
     (0.25, 3)
     """
 
-    __slots__ = ("backend", "_np", "_data", "_cumulative", "_size", "_cum")
+    __slots__ = ("_data", "_cumulative")
 
-    def __init__(self, backend: str = "auto"):
-        self.backend = resolve_backend(backend)
-        self._np = numpy_or_none() if self.backend == "numpy" else None
-        if self.backend == "python":
-            self._data: List[float] = []
-            self._cumulative: List[float] = [0.0]
-            self._size = 0
-            self._cum = None
-        else:
-            self._data = self._np.empty(16, dtype=self._np.float64)
-            self._cumulative = None
-            self._size = 0
-            self._cum = None  # lazy cumsum cache
+    def __init__(self) -> None:
+        self._data: List[float] = []
+        self._cumulative: List[float] = [0.0]
 
     # ------------------------------------------------------------- mutation
     def append(self, value: float) -> None:
         value = float(value)
-        if self.backend == "python":
-            self._data.append(value)
-            self._cumulative.append(self._cumulative[-1] + value)
-            self._size += 1
-            return
-        if self._size == len(self._data):
-            self._data = _reserved(
-                self._np, self._data, self._size, self._size + 1)
-        self._data[self._size] = value
-        self._size += 1
-        self._cum = None
+        self._data.append(value)
+        self._cumulative.append(self._cumulative[-1] + value)
 
     def extend(self, values: Iterable[float]) -> int:
         """Append ``values`` in order, bit for bit as repeated
         :meth:`append` would; returns how many were appended."""
         values = list(map(float, values))
-        if self.backend == "python":
-            self._data.extend(values)
-            # The same left-to-right adds as appending one at a time.
-            cumulative = self._cumulative
-            cumulative.extend(
-                accumulate(values, initial=cumulative.pop()))
-        else:
-            needed = self._size + len(values)
-            self._data = _reserved(self._np, self._data, self._size, needed)
-            self._data[self._size:needed] = values
-            self._cum = None
-        self._size += len(values)
+        self._data.extend(values)
+        # The same left-to-right adds as appending one at a time.
+        cumulative = self._cumulative
+        cumulative.extend(accumulate(values, initial=cumulative.pop()))
         return len(values)
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
-        return self._size
+        return len(self._data)
 
     def __getitem__(self, row: int) -> float:
-        if not 0 <= row < self._size:
+        if not 0 <= row < len(self._data):
             raise IndexError(row)
-        return float(self._data[row])
+        return self._data[row]
 
     def slice(self, start: int = 0, stop: Optional[int] = None) -> List[float]:
         """Rows ``[start, stop)`` as a plain list."""
-        stop = self._size if stop is None else min(stop, self._size)
-        if self.backend == "python":
-            return self._data[start:stop]
-        return self._data[start:stop].tolist()
+        return self._data[start:stop]
 
-    def array(self):
-        """The live values as a numpy array view (numpy backend only)."""
-        if self.backend != "numpy":
-            raise ValueError(
-                "array() needs the numpy backend "
-                f"(this column uses {self.backend!r})"
-            )
-        return self._data[: self._size]
+    def gather(self, rows: Sequence[int]) -> List[float]:
+        """The values at ``rows``."""
+        data = self._data
+        return [data[row] for row in rows]
 
-    def gather(self, rows: Sequence[int]):
-        """The values at ``rows`` — a list (python) or array (numpy)."""
-        if self.backend == "python":
-            data = self._data
-            return [data[row] for row in rows]
-        obs.incr(COLUMNS_VECTOR_OPS)
-        return self.array()[
-            self._np.asarray(rows, dtype=self._np.intp)]
+    def view(self) -> List[float]:
+        """The live values, zero-copy: the backing list.  Callers must
+        not mutate the result."""
+        return self._data
 
     # ---------------------------------------------------------- aggregates
     def prefix_sum(self, n: int) -> float:
         """``Σ`` of the first ``n`` values (all of them past the end)."""
-        n = min(n, self._size)
-        if self.backend == "python":
-            return self._cumulative[n]
-        if n == 0:
-            return 0.0
-        return float(self._cumsum()[n - 1])
+        return self._cumulative[min(n, len(self._data))]
 
     def total(self) -> float:
-        return self.prefix_sum(self._size)
+        return self._cumulative[-1]
 
     def sum_rows(self, rows: Sequence[int]) -> float:
-        if self.backend == "python":
-            data = self._data
-            return sum(data[row] for row in rows)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        return float(self.gather(rows).sum())
+        data = self._data
+        return sum(data[row] for row in rows)
+
+    def _values(self, rows: Optional[Sequence[int]]) -> Iterable[float]:
+        if rows is None:
+            return self._data
+        data = self._data
+        return (data[row] for row in rows)
 
     def complement_product(self, rows: Optional[Sequence[int]] = None) -> float:
         """``Π (1 − p_i)`` over all rows (or a row subset)."""
-        if self.backend == "python":
-            values = self._data if rows is None else (
-                self._data[row] for row in rows)
-            return product_complement(values)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        values = self.array() if rows is None else self.gather(rows)
-        return vector_complement_product(self._np, values)
+        return product_complement(self._values(rows))
 
     def log_complement(self, rows: Optional[Sequence[int]] = None) -> float:
         """``Σ log1p(−p_i)`` over all rows (or a row subset)."""
-        if self.backend == "python":
-            values = self._data if rows is None else (
-                self._data[row] for row in rows)
-            return log_product_complement(values)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        values = self.array() if rows is None else self.gather(rows)
-        return vector_log_complement(self._np, values)
+        return log_product_complement(self._values(rows))
 
     def disjunction(self, rows: Optional[Sequence[int]] = None) -> float:
         """``1 − Π (1 − p_i)`` over all rows (or a row subset)."""
-        if self.backend == "python":
-            values = self._data if rows is None else (
-                self._data[row] for row in rows)
-            return disjunction(values)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        values = self.array() if rows is None else self.gather(rows)
-        return vector_disjunction(self._np, values)
+        return disjunction(self._values(rows))
 
     # ----------------------------------------------------- segmented folds
     # Group-at-a-time forms for the batched plan executor: ``rows`` is a
     # flat gather list, ``offsets`` (``n_groups + 1`` entries) delimits
     # contiguous per-group segments of it.  Each returns one aggregate
-    # per group — a list (python) or float64 array (numpy).
+    # per group.
 
     def segmented_complement_product(
         self, rows: Sequence[int], offsets: Sequence[int]
-    ):
+    ) -> List[float]:
         """Per-group ``Π (1 − p_i)`` over row segments."""
-        if self.backend == "python":
-            data = self._data
-            values = [data[row] for row in rows]
-            return segmented_complement_product(None, values, offsets)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        return segmented_complement_product(self._np, self.gather(rows), offsets)
+        return segmented_complement_product(None, self.gather(rows), offsets)
 
     def segmented_disjunction(self, rows: Sequence[int], offsets: Sequence[int]):
         """Per-group ``1 − Π (1 − p_i)`` over row segments, with the
         state each segment's fold ended in: ``(disjunctions, products,
         residuals, zeros)``, as
         :func:`~repro.utils.probability.segmented_fold` returns them."""
-        if self.backend == "python":
-            data = self._data
-            values = [data[row] for row in rows]
-            return segmented_fold(None, values, offsets)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        return segmented_fold(self._np, self.gather(rows), offsets)
+        return segmented_fold(None, self.gather(rows), offsets)
 
     def segmented_log_complement(
         self, rows: Sequence[int], offsets: Sequence[int]
-    ):
+    ) -> List[float]:
         """Per-group ``Σ log1p(−p_i)`` over row segments."""
-        if self.backend == "python":
-            data = self._data
-            values = [data[row] for row in rows]
-            return segmented_log_complement(None, values, offsets)
-        obs.incr(COLUMNS_VECTOR_OPS)
-        return segmented_log_complement(self._np, self.gather(rows), offsets)
-
-    def view(self):
-        """The live values, zero-copy: the backing list (python) or the
-        array view (numpy).  Callers must not mutate the result."""
-        if self.backend == "python":
-            return self._data
-        return self.array()
-
-    def _cumsum(self):
-        if self._cum is None:
-            obs.incr(COLUMNS_VECTOR_OPS)
-            self._cum = self._np.cumsum(self.array())
-        return self._cum
+        return segmented_log_complement(None, self.gather(rows), offsets)
 
 
 class IntColumn:
-    """A growable integer column (block ids); same backends, no folds.
+    """A growable integer column (block ids); no folds.
 
-    >>> col = IntColumn("python")
+    >>> col = IntColumn()
     >>> col.extend([0, 0, 1])
     3
     >>> col[2]
     1
     """
 
-    __slots__ = ("backend", "_np", "_data", "_size")
+    __slots__ = ("_data",)
 
-    def __init__(self, backend: str = "auto"):
-        self.backend = resolve_backend(backend)
-        self._np = numpy_or_none() if self.backend == "numpy" else None
-        if self.backend == "python":
-            self._data: List[int] = []
-            self._size = 0
-        else:
-            self._data = self._np.empty(16, dtype=self._np.int64)
-            self._size = 0
+    def __init__(self) -> None:
+        self._data: List[int] = []
 
     def append(self, value: int) -> None:
-        if self.backend == "python":
-            self._data.append(int(value))
-            self._size += 1
-            return
-        if self._size == len(self._data):
-            self._data = _reserved(
-                self._np, self._data, self._size, self._size + 1)
-        self._data[self._size] = int(value)
-        self._size += 1
+        self._data.append(int(value))
 
     def extend(self, values: Iterable[int]) -> int:
         """Append ``values`` in order; returns how many were appended."""
         values = list(map(int, values))
-        if self.backend == "python":
-            self._data.extend(values)
-        else:
-            needed = self._size + len(values)
-            self._data = _reserved(self._np, self._data, self._size, needed)
-            self._data[self._size:needed] = values
-        self._size += len(values)
+        self._data.extend(values)
         return len(values)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._data)
 
     def __getitem__(self, row: int) -> int:
-        if not 0 <= row < self._size:
+        if not 0 <= row < len(self._data):
             raise IndexError(row)
-        return int(self._data[row])
+        return self._data[row]
 
     def slice(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
-        stop = self._size if stop is None else min(stop, self._size)
-        if self.backend == "python":
-            return self._data[start:stop]
-        return self._data[start:stop].tolist()
+        return self._data[start:stop]
 
 
 class ColumnStore:
@@ -395,7 +245,7 @@ class ColumnStore:
 
     >>> from repro.relational import RelationSymbol
     >>> R = RelationSymbol("R", 1)
-    >>> store = ColumnStore(backend="python")
+    >>> store = ColumnStore()
     >>> store.intern(R(1), 0.5)
     0
     >>> store.intern(R(1), 0.5)       # already interned: same row
@@ -408,16 +258,11 @@ class ColumnStore:
 
     __slots__ = ("_rows", "_facts", "marginals", "blocks")
 
-    def __init__(self, backend: str = "auto"):
-        backend = resolve_backend(backend)
+    def __init__(self) -> None:
         self._rows: Dict[Fact, int] = {}
         self._facts: List[Fact] = []
-        self.marginals = FloatColumn(backend)
-        self.blocks = IntColumn(backend)
-
-    @property
-    def backend(self) -> str:
-        return self.marginals.backend
+        self.marginals = FloatColumn()
+        self.blocks = IntColumn()
 
     # ------------------------------------------------------------- mutation
     def intern(self, fact: Fact, marginal: float, block: int = NO_BLOCK) -> int:
@@ -474,7 +319,7 @@ class ColumnStore:
         """All interned facts in row order (a copy)."""
         return list(self._facts)
 
-    def gather_facts(self, facts: Iterable[Fact]):
+    def gather_facts(self, facts: Iterable[Fact]) -> List[float]:
         """Marginal slice for the given facts (must be interned)."""
         rows = self._rows
         return self.marginals.gather([rows[fact] for fact in facts])
@@ -501,18 +346,15 @@ class ColumnStore:
 
     def segmented_complement_product(
         self, rows: Sequence[int], offsets: Sequence[int]
-    ):
+    ) -> List[float]:
         """Per-group ``Π (1 − p)`` over marginal row segments."""
         return self.marginals.segmented_complement_product(rows, offsets)
 
     def segmented_log_complement(
         self, rows: Sequence[int], offsets: Sequence[int]
-    ):
+    ) -> List[float]:
         """Per-group ``Σ log1p(−p)`` over marginal row segments."""
         return self.marginals.segmented_log_complement(rows, offsets)
 
     def __repr__(self) -> str:
-        return (
-            f"ColumnStore(rows={len(self._facts)}, "
-            f"backend={self.backend!r})"
-        )
+        return f"ColumnStore(rows={len(self._facts)})"

@@ -332,7 +332,7 @@ class FactIndex:
             if self._marginals is None:
                 from repro.relational.columns import FloatColumn
 
-                self._marginals = FloatColumn("auto")
+                self._marginals = FloatColumn()
             column = self._marginals
             if len(column) < len(self._row_facts):
                 column.extend(

@@ -41,9 +41,9 @@ class TIPlan:
     @classmethod
     def from_table(cls, table) -> "TIPlan":
         # Canonical fact order + one marginal-slice gather off the
-        # table's columnar mirror (dict lookups on the python backend).
+        # table's columnar mirror.
         facts = table.facts()
-        return cls(facts, (float(p) for p in table.marginal_values(facts)))
+        return cls(facts, table.marginal_values(facts))
 
     def sample_rows(self, kernel, k: int, rng) -> List[Row]:
         return kernel.bernoulli_rows(self.probs, k, rng)

@@ -25,9 +25,10 @@ one :func:`product_complement` has always used (moved here verbatim from
   precision there) and products at the edge of underflow (< 1e-300).
 
 :class:`ComplementAccumulator` is the streaming form of the same policy,
-for evaluator loops that need early exit; the ``vector_*`` helpers are
-the batch form over numpy arrays for the columnar fast path
-(:mod:`repro.relational.columns`).
+for evaluator loops that need early exit, and the one fold behind every
+lifted, column (:mod:`repro.relational.columns`) and ``segmented_*``
+path.  The ``vector_*`` helpers fold numpy arrays in log space; no
+engine path calls them.
 
 >>> product_complement([0.5, 0.5])
 0.25
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro import obs
 from repro.errors import ConvergenceError
@@ -124,10 +125,11 @@ def numpy_or_none():
     Probed exactly once per process, under a lock: concurrent first
     imports of a *failing* numpy (e.g. a raising stub on the path)
     can transiently leave a half-initialized module in ``sys.modules``,
-    letting two threads disagree on availability — and a
-    ``resolve_backend("auto")`` that says ``"numpy"`` while the next
-    call says absent crashes mid-construction.  Memoizing pins one
-    answer for the process lifetime.
+    letting two threads disagree on availability — and a sampling
+    kernel or BDD rescore that saw numpy while the next call says
+    absent would fail midway.  Memoizing pins one answer for the
+    process lifetime.  Only the sampling kernels and the BDD's
+    large-diagram rescoring ask; nothing probes at import.
     """
     global _numpy_probe
     if _numpy_probe is _NUMPY_UNPROBED:
@@ -293,9 +295,10 @@ def log_product_complement(probabilities: Iterable[float]) -> float:
 
 
 # --------------------------------------------------------------- numpy batch
-# The vectorized forms used by the columnar layer.  They take the numpy
-# module explicitly so the caller (which already resolved its backend)
-# pays the import check once, not per kernel call.
+# Log-space folds over numpy arrays, taking the numpy module explicitly.
+# No engine path calls them (columns fold plain lists through the
+# segmented forms below); the names stay because perfbench's span
+# wrappers patch them here and in :mod:`repro.relational.columns`.
 
 def vector_log_complement(np, marginals) -> float:
     """``Σ log1p(−p_i)`` over a float array; −inf if any ``p_i = 1``."""
@@ -331,17 +334,14 @@ def vector_disjunction(np, marginals) -> float:
 # entries, first 0, last ``len(values)``).  Empty segments fold the
 # empty product: complement 1.0, disjunction 0.0, log-complement 0.0.
 #
-# The numpy path must honour the same hybrid policy as
-# :class:`ComplementAccumulator` — in particular per-segment products of
-# ordinary factors are *sequential in-order multiplications* (exact on
-# dyadic marginals), which is precisely what ``np.multiply.reduceat``
-# computes.  Tiny probabilities and underflowed segments move to a log
-# residual exactly as the streaming accumulator does, so the two forms
-# agree bit-for-bit wherever the accumulator never enters log space.
+# Each segment runs through its own :class:`ComplementAccumulator`, in
+# order, so a segmented fold gives the streaming fold's bits.  The first
+# parameter is unused and callers pass None: perfbench's span wrappers
+# count ``values``, the second argument, as a fold's elements.
 
 
-def _segmented_python(values, offsets):
-    """Per-segment ``ComplementAccumulator`` states for the fallback."""
+def _segment_accumulators(values, offsets):
+    """Per-segment ``ComplementAccumulator`` states."""
     accs = []
     for start, end in zip(offsets, offsets[1:]):
         acc = ComplementAccumulator()
@@ -353,112 +353,47 @@ def _segmented_python(values, offsets):
     return accs
 
 
-def _segmented_state(np, values, offsets):
-    """Per-segment ``(product, residual_log, is_zero)`` of the hybrid
-    complement fold — the vector form of ``ComplementAccumulator``."""
-    values = np.asarray(values, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    starts = offsets[:-1]
-    counts = np.diff(offsets)
-    n_segments = len(starts)
-    if n_segments == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty.copy(), np.empty(0, dtype=bool)
-    ones = values >= 1.0
-    tiny = (values > 0.0) & (values < TINY_PROBABILITY)
-    # Ordinary factors multiply directly; tiny and saturating entries
-    # become the identity here and are folded via the masks below.
-    factors = np.where(ones | tiny, 1.0, 1.0 - values)
-    # ``reduceat`` quirks: a start index equal to ``len(values)`` raises,
-    # and ``start == next_start`` returns the single element instead of
-    # the empty product — so pad with one identity element (folding it
-    # into the final real segment is exact) and overwrite empty segments
-    # from the ``counts`` mask afterwards.
-    empty_mask = counts == 0
-    products = np.multiply.reduceat(np.append(factors, 1.0), starts)
-    products[empty_mask] = 1.0
-    residual = np.add.reduceat(np.append(np.where(tiny, -values, 0.0), 0.0), starts)
-    residual[empty_mask] = 0.0
-    one_counts = np.add.reduceat(np.append(ones, False).astype(np.float64), starts)
-    one_counts[empty_mask] = 0.0
-    is_zero = one_counts > 0.0
-    # Segments whose sequential product slid under the underflow floor
-    # lost information the accumulator would have kept (it folds the
-    # partial product into the residual and restarts); redo just those
-    # segments as a log-space sum.  ``factors`` is strictly positive
-    # wherever it is not 1.0 (p < 1 implies 1 − p ≥ 2⁻⁵³), so the log is
-    # finite.
-    low = (products < UNDERFLOW_FLOOR) & ~is_zero & ~empty_mask
-    if bool(low.any()):
-        with np.errstate(divide="ignore"):
-            log_products = np.add.reduceat(np.append(np.log(factors), 0.0), starts)
-        residual = np.where(low, residual + log_products, residual)
-        products = np.where(low, 1.0, products)
-    return products, residual, is_zero
-
-
 def segmented_complement_product(np, values, offsets):
     """Per-segment ``Π (1 − p_i)`` over contiguous segments.
-
-    With ``np=None`` runs the pure-Python streaming accumulator per
-    segment and returns a list; with numpy returns a float64 array.
 
     >>> segmented_complement_product(None, [0.5, 0.5, 0.25], [0, 2, 2, 3])
     [0.25, 1.0, 0.75]
     """
-    if np is None:
-        return [acc.complement() for acc in _segmented_python(values, offsets)]
-    products, residual, is_zero = _segmented_state(np, values, offsets)
-    # ``exp(0.0) == 1.0`` and multiplying by exactly 1.0 preserves bits,
-    # so segments with no residual keep the accumulator's direct product.
-    out = products * np.exp(residual)
-    return np.where(is_zero, 0.0, out)
+    return [acc.complement() for acc in _segment_accumulators(values, offsets)]
 
 
 def segmented_disjunction(np, values, offsets):
-    """Per-segment ``1 − Π (1 − p_i)`` over contiguous segments.
-
-    Matches :meth:`ComplementAccumulator.disjunction` per segment: the
-    no-residual exit is the bit-identical ``1.0 − product``, and
-    residual-bearing segments go through ``−expm1``.
+    """Per-segment ``1 − Π (1 − p_i)`` over contiguous segments, each
+    :meth:`ComplementAccumulator.disjunction`.
 
     >>> segmented_disjunction(None, [0.5, 0.5, 0.25], [0, 2, 2, 3])
     [0.75, 0.0, 0.25]
     """
-    return segmented_fold(np, values, offsets)[0]
+    return [acc.disjunction() for acc in _segment_accumulators(values, offsets)]
 
 
 def segmented_fold(np, values, offsets):
     """:func:`segmented_disjunction` with the state each segment's fold
-    ended in: ``(disjunctions, products, residuals, zeros)``, as lists
-    with ``np=None`` and as arrays otherwise.
+    ended in: ``(disjunctions, products, residuals, zeros)``.
 
     A segment's fold is *clean* when it is zero, or when it has no log
     residual and its product is at least :data:`UNDERFLOW_FLOOR`; its
     disjunction is then 1.0 or ``1.0 − product``.  Multiplying further
     factors ``1 − p`` onto a clean product, in order, gives the bits a
     fold of the longer segment gives, for as long as no ``p`` is tiny
-    and the product stays above the floor: both backends multiply a
+    and the product stays above the floor: the fold multiplies a
     segment's factors strictly left to right.
 
     >>> segmented_fold(None, [0.5, 0.5, 1e-20], [0, 2, 3])
     ([0.75, 1e-20], [0.25, 1.0], [0.0, -1e-20], [False, False])
     """
-    if np is None:
-        accs = _segmented_python(values, offsets)
-        return (
-            [acc.disjunction() for acc in accs],
-            [acc.product for acc in accs],
-            [acc.residual_log for acc in accs],
-            [acc.is_zero for acc in accs],
-        )
-    products, residual, is_zero = _segmented_state(np, values, offsets)
-    if len(products) == 0:
-        return products, products, residual, is_zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rescued = -np.expm1(np.log(products) + residual)
-    out = np.where(residual == 0.0, 1.0 - products, rescued)
-    return np.where(is_zero, 1.0, out), products, residual, is_zero
+    accs = _segment_accumulators(values, offsets)
+    return (
+        [acc.disjunction() for acc in accs],
+        [acc.product for acc in accs],
+        [acc.residual_log for acc in accs],
+        [acc.is_zero for acc in accs],
+    )
 
 
 def segmented_log_complement(np, values, offsets):
@@ -467,35 +402,13 @@ def segmented_log_complement(np, values, offsets):
     >>> segmented_log_complement(None, [0.5], [0, 1, 1]) == [math.log(0.5), 0.0]
     True
     """
-    if np is None:
-        out = []
-        for start, end in zip(offsets, offsets[1:]):
-            total = 0.0
-            for j in range(start, end):
-                if values[j] >= 1.0:
-                    total = -math.inf
-                    break
-                total += math.log1p(-values[j])
-            out.append(total)
-        return out
-    values = np.asarray(values, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    starts = offsets[:-1]
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.float64)
-    counts = np.diff(offsets)
-    ones = values >= 1.0
-    logs = np.log1p(-np.where(ones, 0.0, values))
-    totals = np.add.reduceat(np.append(logs, 0.0), starts)
-    totals[counts == 0] = 0.0
-    one_counts = np.add.reduceat(np.append(ones, False).astype(np.float64), starts)
-    one_counts[counts == 0] = 0.0
-    return np.where(one_counts > 0.0, -math.inf, totals)
-
-
-def sum_values(values: Sequence[float], np: Optional[object] = None) -> float:
-    """``Σ values`` — ``math.fsum``-free plain sum matching the historic
-    dict-path rounding on lists, ``ndarray.sum()`` on arrays."""
-    if np is not None and isinstance(values, np.ndarray):
-        return float(values.sum())
-    return sum(values)
+    out = []
+    for start, end in zip(offsets, offsets[1:]):
+        total = 0.0
+        for j in range(start, end):
+            if values[j] >= 1.0:
+                total = -math.inf
+                break
+            total += math.log1p(-values[j])
+        out.append(total)
+    return out

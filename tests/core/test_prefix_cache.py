@@ -1,5 +1,5 @@
 """PrefixCache: materialization reuse, logarithmic truncation search
-(differential against the linear scan it replaced), backends, counters."""
+(differential against the linear scan it replaced), counters."""
 
 import math
 import pickle
@@ -45,9 +45,9 @@ def linear_prefix_for_tail(tail, bound, budget):
     return None
 
 
-def fresh_cache(weights, backend="python"):
+def fresh_cache(weights):
     pairs = ((f"item{i}", w) for i, w in enumerate(weights))
-    return PrefixCache(pairs, suffix_tail(weights), backend=backend)
+    return PrefixCache(pairs, suffix_tail(weights))
 
 
 class TestMaterialization:
@@ -180,43 +180,3 @@ class TestDistributionCaching:
         pdb.distribution.prefix(2)  # cache now holds a live generator
         clone = pickle.loads(pickle.dumps(pdb))
         assert clone.distribution.prefix(2) == pdb.distribution.prefix(2)
-
-
-class TestBackends:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown prefix-cache backend"):
-            fresh_cache([0.5], backend="exotic")
-
-    def test_numpy_backend_requires_numpy(self, monkeypatch):
-        # Backend resolution now lives in the columnar layer; starve it
-        # of numpy there.
-        import repro.relational.columns as columns
-
-        monkeypatch.setattr(columns, "numpy_or_none", lambda: None)
-        with pytest.raises(ValueError, match=r"\[fast\]"):
-            fresh_cache([0.5], backend="numpy")
-        assert fresh_cache([0.5], backend="auto").backend == "python"
-
-    def test_python_backend_rejects_weights_array(self):
-        cache = fresh_cache([0.5], backend="python")
-        with pytest.raises(ValueError, match="numpy backend"):
-            cache.weights_array()
-
-    @given(dyadic_weights, st.integers(min_value=0, max_value=25))
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_cumulative_matches_python(self, weights, n):
-        if pc._numpy_or_none() is None:
-            pytest.skip("numpy not installed")
-        python_cache = fresh_cache(weights, backend="python")
-        numpy_cache = fresh_cache(weights, backend="numpy")
-        assert numpy_cache.cumulative_mass(n) == pytest.approx(
-            python_cache.cumulative_mass(n), abs=1e-12)
-
-    def test_numpy_weights_array_tracks_extensions(self):
-        if pc._numpy_or_none() is None:
-            pytest.skip("numpy not installed")
-        cache = fresh_cache([0.5, 0.25, 0.125], backend="numpy")
-        cache.extend_to(2)
-        assert list(cache.weights_array()) == [0.5, 0.25]
-        cache.extend_to(3)
-        assert list(cache.weights_array()) == [0.5, 0.25, 0.125]

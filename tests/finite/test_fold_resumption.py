@@ -4,8 +4,8 @@ A project over a single leaf whose bucket key an enclosing separator
 binds folds its segment in the table's order, which the family's fact
 index interns in.  A tightening step only appends, so the family keeps
 each segment's clean fold state ``(epoch, product, zero)`` and the next
-step multiplies just the segment's new rows onto the product.  Every
-case runs on both columnar backends and checks:
+step multiplies just the segment's new rows onto the product.  The
+cases check:
 
 * sweeps equal a cold evaluation bit for bit, resume folds, and do no
   more fold work than their new rows plus the segments they fold in
@@ -17,11 +17,9 @@ case runs on both columnar backends and checks:
 """
 
 import random
-from contextlib import contextmanager
 
 import pytest
 
-import repro.utils.probability as probability_module
 from repro import obs
 from repro.core.fact_distribution import GeometricFactDistribution
 from repro.core.refine import RefinementSession
@@ -31,7 +29,7 @@ from repro.finite.compile_cache import CompileCache
 from repro.finite.lifted import evaluate_plan, query_probability_lifted
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
-from repro.relational.columns import FloatColumn, available_backends
+from repro.relational.columns import FloatColumn
 from repro.universe import FactSpace, Naturals
 
 SCHEMA = Schema.of(R=1, S=2, V=2)
@@ -42,22 +40,9 @@ STAR = "EXISTS x, y, z. R(x) AND S(x, y) AND V(x, z)"
 #: Plan leaves, one row each per fresh root value or new fact.
 LEAVES = {CHAIN: 2, STAR: 3}
 
-pytestmark = pytest.mark.parametrize("backend", available_backends())
-
-
-@contextmanager
-def forced_backend(backend):
-    """Pin the columnar backend by patching the process-wide numpy
-    probe; tables and caches built inside resolve to ``backend``."""
-    if backend == "numpy":
-        yield
-        return
-    saved = probability_module._numpy_probe
-    probability_module._numpy_probe = None
-    try:
-        yield
-    finally:
-        probability_module._numpy_probe = saved
+#: Columns and folds run on plain Python lists only; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+pytestmark = pytest.mark.parametrize("backend", ["python"])
 
 
 @pytest.fixture
@@ -106,36 +91,34 @@ class TestSweeps:
         pdb = geometric_pdb()
         cache = CompileCache()
         resumed = 0
-        with forced_backend(backend):
-            table = pdb.truncate(40)
-            run(q, table, cache)
-            for n in (60, 61, 90, 120, 121, 160, 200, 260):
-                new = n - pdb.extend_truncation(table, n)
-                full_fold_rows.clear()
-                value, counters = run(q, table, cache)
-                assert value == cold(q, table)
-                assert counters.get("lifted.group_rows", 0) <= (
-                    LEAVES[text] * new + sum(full_fold_rows))
-                resumed += counters.get("lifted.folds_resumed", 0)
+        table = pdb.truncate(40)
+        run(q, table, cache)
+        for n in (60, 61, 90, 120, 121, 160, 200, 260):
+            new = n - pdb.extend_truncation(table, n)
+            full_fold_rows.clear()
+            value, counters = run(q, table, cache)
+            assert value == cold(q, table)
+            assert counters.get("lifted.group_rows", 0) <= (
+                LEAVES[text] * new + sum(full_fold_rows))
+            resumed += counters.get("lifted.folds_resumed", 0)
         assert resumed > 0
 
     def test_session_sweep_matches_cold_sessions(self, backend):
         q = query(CHAIN)
         epsilons = [0.2, 0.1, 0.05, 0.03, 0.02]
-        with forced_backend(backend):
-            session = RefinementSession(
+        session = RefinementSession(
+            q, geometric_pdb(), strategy="auto",
+            compile_cache=CompileCache())
+        with obs.trace() as t:
+            swept = {
+                eps: result.value
+                for eps, result in session.sweep(epsilons).items()
+            }
+        for eps, value in swept.items():
+            fresh = RefinementSession(
                 q, geometric_pdb(), strategy="auto",
                 compile_cache=CompileCache())
-            with obs.trace() as t:
-                swept = {
-                    eps: result.value
-                    for eps, result in session.sweep(epsilons).items()
-                }
-            for eps, value in swept.items():
-                fresh = RefinementSession(
-                    q, geometric_pdb(), strategy="auto",
-                    compile_cache=CompileCache())
-                assert fresh.refine(eps).value == value
+            assert fresh.refine(eps).value == value
         assert t.counters.get("lifted.folds_resumed", 0) > 0
 
     def test_a_resumed_segment_folds_its_new_row_only(self, backend):
@@ -144,12 +127,11 @@ class TestSweeps:
         marginals.update({S(1, j): 0.01 * (j % 7 + 1) for j in range(100)})
         marginals.update({S(2, j): 0.02 for j in range(10)})
         cache = CompileCache()
-        with forced_backend(backend):
-            table = TupleIndependentTable(SCHEMA, marginals)
-            run(q, table, cache)
-            table.extend({S(1, 100): 0.3})
-            value, counters = run(q, table, cache)
-            assert value == cold(q, table)
+        table = TupleIndependentTable(SCHEMA, marginals)
+        run(q, table, cache)
+        table.extend({S(1, 100): 0.3})
+        value, counters = run(q, table, cache)
+        assert value == cold(q, table)
         # One fresh root value read by the R leaf, one new S row folded.
         assert counters["lifted.group_rows"] == 2
         assert counters["lifted.folds_resumed"] == 1
@@ -165,17 +147,16 @@ class TestFallbacks:
         marginals.update({S(1, j): 0.3 for j in range(10)})
         marginals.update({S(2, j): 0.2 for j in range(5)})
         cache = CompileCache()
-        with forced_backend(backend):
-            table = TupleIndependentTable(SCHEMA, marginals)
-            run(q, table, cache)
-            table.extend(gained)
-            value, counters = run(q, table, cache)
-            assert value == cold(q, table)
-            # The next step re-folds a segment whose state is unclean
-            # and resumes a clean one; both keep the cold bits.
-            table.extend({S(1, 1000): 0.4})
-            again, _ = run(q, table, cache)
-            assert again == cold(q, table)
+        table = TupleIndependentTable(SCHEMA, marginals)
+        run(q, table, cache)
+        table.extend(gained)
+        value, counters = run(q, table, cache)
+        assert value == cold(q, table)
+        # The next step re-folds a segment whose state is unclean
+        # and resumes a clean one; both keep the cold bits.
+        table.extend({S(1, 1000): 0.4})
+        again, _ = run(q, table, cache)
+        assert again == cold(q, table)
         return value, counters
 
     def test_tiny_marginal_refolds(self, backend):
@@ -205,13 +186,12 @@ class TestConflictingOrders:
         shuffled = list(facts)
         rng.shuffle(shuffled)
         cache = CompileCache()
-        with forced_backend(backend):
-            first = TupleIndependentTable(SCHEMA, marginals)
-            second = TupleIndependentTable(
-                SCHEMA, {fact: marginals[fact] for fact in shuffled})
-            for table in (first, second, first, second):
-                value, _ = run(q, table, cache)
-                assert value == cold(q, table)
+        first = TupleIndependentTable(SCHEMA, marginals)
+        second = TupleIndependentTable(
+            SCHEMA, {fact: marginals[fact] for fact in shuffled})
+        for table in (first, second, first, second):
+            value, _ = run(q, table, cache)
+            assert value == cold(q, table)
 
 
 class TestEvaluatePlan:
@@ -224,9 +204,8 @@ class TestEvaluatePlan:
         facts += [V(i, j) for i in range(8) for j in range(4)]
         rng.shuffle(facts)
         cache = CompileCache()
-        with forced_backend(backend):
-            table = TupleIndependentTable(
-                SCHEMA, {fact: rng.uniform(0.01, 0.3) for fact in facts})
-            plan, _ = cache.lifted(q.formula, table)
-            lifted = query_probability_lifted(q, table, plan_cache=cache)
-            assert evaluate_plan(plan, table) == lifted
+        table = TupleIndependentTable(
+            SCHEMA, {fact: rng.uniform(0.01, 0.3) for fact in facts})
+        plan, _ = cache.lifted(q.formula, table)
+        lifted = query_probability_lifted(q, table, plan_cache=cache)
+        assert evaluate_plan(plan, table) == lifted

@@ -1,7 +1,8 @@
-"""Differential properties: the columnar layout (both backends) agrees
-with the historic dict-of-floats layout on every operation the engines
-actually run — extend, truncate, prefix-for-tail, index probes — plus an
-import guard proving the whole stack works without numpy."""
+"""Differential properties: the columnar layout agrees with the historic
+dict-of-floats layout on every operation the engines actually run —
+extend, aggregate, prefix sums, row-subset folds, truncate,
+prefix-for-tail, index probes — plus an import guard proving the whole
+stack works without numpy."""
 
 import math
 import os
@@ -17,14 +18,12 @@ from repro.core.fact_distribution import TableFactDistribution
 from repro.core.tuple_independent import CountableTIPDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.relational import Schema
-from repro.relational.columns import ColumnStore, available_backends
+from repro.relational.columns import ColumnStore
 from repro.relational.index import FactIndex
-from repro.utils.probability import product_complement
+from repro.utils.probability import disjunction, product_complement
 
 schema = Schema.of(R=1, S=2)
 R, S = schema["R"], schema["S"]
-
-BACKENDS = available_backends()
 
 #: Dyadic marginals keep dict-vs-columnar sums exactly comparable.
 dyadic = st.integers(min_value=1, max_value=63).map(lambda k: k / 64)
@@ -40,39 +39,38 @@ class TestStoreMatchesDict:
     @settings(max_examples=80, deadline=None)
     def test_extend_then_aggregate(self, first, delta):
         """Building in one shot and building by delta extension agree
-        with the dict layout on every aggregate, on both backends."""
+        with the dict layout on every aggregate, bit for bit: the columns
+        fold the same values in the same order."""
         marginals = dict_layout(first + delta)
-        for backend in BACKENDS:
-            store = ColumnStore(backend)
-            store.extend_items(dict_layout(first).items())
-            store.extend_items(marginals.items())  # delta: overlap skipped
-            assert len(store) == len(marginals)
-            assert store.facts() == list(marginals)
-            assert store.sum_marginals() == pytest.approx(
-                sum(marginals.values()), abs=1e-12)
-            assert store.complement_product() == pytest.approx(
-                product_complement(marginals.values()), abs=1e-12)
-            gathered = list(store.gather_facts(marginals))
-            assert gathered == pytest.approx(
-                list(marginals.values()), abs=0)
+        values = list(marginals.values())
+        store = ColumnStore()
+        store.extend_items(dict_layout(first).items())
+        store.extend_items(marginals.items())  # delta: overlap skipped
+        assert len(store) == len(marginals)
+        assert store.facts() == list(marginals)
+        assert store.sum_marginals() == math.fsum(values)  # dyadic: exact
+        assert store.complement_product() == product_complement(values)
+        assert store.disjunction() == disjunction(values)
+        assert store.gather_facts(marginals) == values
 
-    @given(marginal_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_backends_agree(self, weights):
-        if len(BACKENDS) < 2:
-            pytest.skip("numpy not installed")
-        stores = []
-        for backend in BACKENDS:
-            store = ColumnStore(backend)
-            store.extend_items(dict_layout(weights).items())
-            stores.append(store)
-        py, np_store = stores
-        assert py.sum_marginals() == pytest.approx(
-            np_store.sum_marginals(), abs=1e-12)
-        assert py.complement_product() == pytest.approx(
-            np_store.complement_product(), abs=1e-12)
-        assert py.disjunction() == pytest.approx(
-            np_store.disjunction(), abs=1e-12)
+    @given(marginal_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_sums_and_row_subsets(self, weights, data):
+        """Cumulative masses and row-subset folds (the truncation search
+        and the per-answer rescoring) equal the dict path's scans."""
+        marginals = dict_layout(weights)
+        facts = list(marginals)
+        store = ColumnStore()
+        store.extend_items(marginals.items())
+        column = store.marginals
+        for n in range(len(facts) + 2):
+            assert column.prefix_sum(n) == math.fsum(weights[:n])
+        rows = data.draw(st.lists(
+            st.integers(0, len(facts) - 1), unique=True))
+        chosen = [marginals[facts[row]] for row in rows]
+        assert column.sum_rows(rows) == math.fsum(chosen)
+        assert column.complement_product(rows) == product_complement(chosen)
+        assert column.disjunction(rows) == disjunction(chosen)
 
 
 class TestTableMatchesDict:
@@ -193,28 +191,33 @@ NO_NUMPY_SCRIPT = """
 import sys
 sys.modules["numpy"] = None  # any import attempt raises ImportError
 
+from repro.finite.evaluation import query_probability
 from repro.finite.tuple_independent import TupleIndependentTable
+from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
-from repro.relational.columns import available_backends, resolve_backend
+from repro.sampling import available_backends
 from repro.utils.probability import numpy_or_none
 
 assert numpy_or_none() is None
 assert available_backends() == ("python",)
-assert resolve_backend("auto") == "python"
 
-schema = Schema.of(R=1)
-R = schema["R"]
-table = TupleIndependentTable(schema, {R(1): 0.5, R(2): 0.25})
-assert table.columns.backend == "python"
-assert abs(table.expected_size() - 0.75) < 1e-12
-assert abs(table.empty_world_probability() - 0.375) < 1e-12
+schema = Schema.of(R=1, S=2)
+R, S = schema["R"], schema["S"]
+table = TupleIndependentTable(
+    schema, {R(1): 0.5, R(2): 0.25, S(1, 2): 0.5, S(2, 2): 0.5})
+assert table.expected_size() == 1.75
+assert table.empty_world_probability() == 0.09375
+query = BooleanQuery(parse_formula("EXISTS x, y. R(x) AND S(x, y)", schema), schema)
+for strategy in ("lifted", "bdd", "auto"):
+    assert query_probability(query, table, strategy=strategy) == 0.34375, strategy
 print("OK")
 """
 
 
 def test_everything_works_without_numpy():
-    """Import guard: with numpy unimportable the auto backend resolves
-    to pure Python and the aggregate paths still run."""
+    """Import guard: with numpy unimportable the sampling kernels fall
+    back to pure Python, and the column aggregates and the lifted and
+    BDD strategies still run, to the same bits."""
     repo_root = pathlib.Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
     result = subprocess.run(

@@ -15,10 +15,10 @@ oracle (one :func:`query_probability` per grounded tuple):
   the grouped pass and for compiled (``"bdd"``) fan-outs;
 * through colliding answers (head values equal to query constants,
   repeated head values), disjuncts that omit a head variable, explicit
-  ``domain=``, and empty candidate sets;
+  ``domain=``, and empty candidate sets.
 
-on both columnar backends.  Queries without a head-bound plan take the
-per-answer route and must still match the oracle.
+Queries without a head-bound plan take the per-answer route and must
+still match the oracle.
 
 The fan-out scores only the support rows: the product of each head
 variable's values in a semi-join over the plan
@@ -32,12 +32,10 @@ must still give a cold call's bits.
 """
 
 import itertools
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import repro.utils.probability as probability_module
 from repro.core.fact_distribution import GeometricFactDistribution
 from repro.core.refine import RefinementSession
 from repro.core.tuple_independent import CountableTIPDB
@@ -66,11 +64,12 @@ from repro.logic.hierarchy import (
 from repro.logic.normalform import ConjunctiveQuery, extract_ucq, substitute
 from repro.logic.syntax import Atom, Constant, Or, Variable
 from repro.relational import Schema
-from repro.relational.columns import available_backends
 from repro.relational.facts import domain_sort_key
 from repro.universe import FactSpace, Naturals
 
-BACKENDS = available_backends()
+#: Columns and folds run on plain Python lists only; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+BACKENDS = ("python",)
 
 schema = Schema.of(R=1, S=2, T=1)
 R, S, T = schema["R"], schema["S"], schema["T"]
@@ -124,21 +123,6 @@ def free_queries(draw, arity):
     return Query(formula, schema, variables=head)
 
 
-@contextmanager
-def forced_backend(backend):
-    """Pin the columnar backend by patching the process-wide numpy
-    probe; tables and caches built inside resolve to ``backend``."""
-    if backend == "numpy":
-        yield
-        return
-    saved = probability_module._numpy_probe
-    probability_module._numpy_probe = None
-    try:
-        yield
-    finally:
-        probability_module._numpy_probe = saved
-
-
 def has_head_bound_plan(query):
     ucq = extract_ucq(query.formula)
     try:
@@ -180,11 +164,10 @@ class TestGroupedMatchesPerAnswer:
     @settings(max_examples=60, **SETTINGS)
     def test_differential(self, backend, arity, data, marginals):
         query = data.draw(free_queries(arity))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            got = marginal_answer_probabilities(
-                query, table, compile_cache=CompileCache())
-            want = per_answer(query, table)
+        table = TupleIndependentTable(schema, marginals)
+        got = marginal_answer_probabilities(
+            query, table, compile_cache=CompileCache())
+        want = per_answer(query, table)
         if has_head_bound_plan(query) and _candidate_values(
                 query, table, None):
             assert got.report.strategy == "lifted"
@@ -197,11 +180,10 @@ class TestGroupedMatchesPerAnswer:
         self, backend, arity, data, marginals
     ):
         query = data.draw(free_queries(arity))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            got = marginal_answer_probabilities(
-                query, table, compile_cache=CompileCache())
-            want = per_answer(query, table)
+        table = TupleIndependentTable(schema, marginals)
+        got = marginal_answer_probabilities(
+            query, table, compile_cache=CompileCache())
+        want = per_answer(query, table)
         assert_matches_oracle(got, want, exact=True)
 
     @given(data=st.data(), marginals=float_maps)
@@ -212,21 +194,20 @@ class TestGroupedMatchesPerAnswer:
         """An answer's value does not depend on which answers share its
         pass — what lets pool workers evaluate contiguous chunks."""
         query = data.draw(free_queries(arity))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            answers = list(itertools.product(
-                _candidate_values(query, table, None), repeat=arity))
-            whole = answer_marginals_lifted(
-                query, table, answers, plan_cache=CompileCache())
-            if whole is None:
-                return  # no head-bound plan: nothing grouped to split
-            cuts = sorted(data.draw(st.lists(
-                st.integers(0, len(answers)), max_size=4)))
-            merged = {}
-            for start, stop in zip([0] + cuts, cuts + [len(answers)]):
-                merged.update(answer_marginals_lifted(
-                    query, table, answers[start:stop],
-                    plan_cache=CompileCache()))
+        table = TupleIndependentTable(schema, marginals)
+        answers = list(itertools.product(
+            _candidate_values(query, table, None), repeat=arity))
+        whole = answer_marginals_lifted(
+            query, table, answers, plan_cache=CompileCache())
+        if whole is None:
+            return  # no head-bound plan: nothing grouped to split
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(answers)), max_size=4)))
+        merged = {}
+        for start, stop in zip([0] + cuts, cuts + [len(answers)]):
+            merged.update(answer_marginals_lifted(
+                query, table, answers[start:stop],
+                plan_cache=CompileCache()))
         assert list(merged.items()) == list(whole.items())
 
     @given(data=st.data(), marginals=float_maps)
@@ -236,11 +217,10 @@ class TestGroupedMatchesPerAnswer:
     ):
         query = data.draw(free_queries(arity))
         domain = data.draw(st.sets(st.integers(0, 4), max_size=4))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            got = marginal_answer_probabilities(
-                query, table, domain=domain, compile_cache=CompileCache())
-            want = per_answer(query, table, domain)
+        table = TupleIndependentTable(schema, marginals)
+        got = marginal_answer_probabilities(
+            query, table, domain=domain, compile_cache=CompileCache())
+        want = per_answer(query, table, domain)
         assert all(set(answer) <= domain for answer in got)
         assert_matches_oracle(got, want)
 
@@ -297,16 +277,15 @@ class TestSupportRows:
         query = data.draw(free_queries(arity))
         domain = data.draw(
             st.none() | st.sets(st.integers(0, 4), max_size=4))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            candidates = _candidate_set(query, table, domain)
-            full = answer_marginals_lifted(
-                query, table,
-                itertools.product(
-                    sorted(candidates, key=domain_sort_key), repeat=arity),
-                plan_cache=CompileCache())
-            support = answer_marginals_on_support(
-                query, table, candidates, plan_cache=CompileCache())
+        table = TupleIndependentTable(schema, marginals)
+        candidates = _candidate_set(query, table, domain)
+        full = answer_marginals_lifted(
+            query, table,
+            itertools.product(
+                sorted(candidates, key=domain_sort_key), repeat=arity),
+            plan_cache=CompileCache())
+        support = answer_marginals_on_support(
+            query, table, candidates, plan_cache=CompileCache())
         assert (support is None) == (full is None)
         if full is not None:
             assert list(support.items()) == list(full.items())
@@ -319,15 +298,14 @@ class TestSupportRows:
         query = data.draw(free_queries(arity))
         domain = data.draw(
             st.none() | st.sets(st.integers(0, 4), max_size=4))
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            candidates = _candidate_set(query, table, domain)
-            if not (candidates and has_head_bound_plan(query)):
-                return  # no grouped pass to count
-            cache = CompileCache()
-            got = marginal_answer_probabilities(
-                query, table, domain=domain, compile_cache=cache)
-            plan, _ = cache.lifted(query.formula, table)
+        table = TupleIndependentTable(schema, marginals)
+        candidates = _candidate_set(query, table, domain)
+        if not (candidates and has_head_bound_plan(query)):
+            return  # no grouped pass to count
+        cache = CompileCache()
+        got = marginal_answer_probabilities(
+            query, table, domain=domain, compile_cache=cache)
+        plan, _ = cache.lifted(query.formula, table)
         supports = scanned_supports(
             plan, list(table.marginals), set(query.variables))
         rows = 1
@@ -404,18 +382,17 @@ class TestResumedAnswerFolds:
         warm on one table grown in place and cold on fresh copies;
         the last warm step's counters."""
         cache = CompileCache()
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, dict(facts[:cuts[0]]))
-            start = cuts[0]
-            for stop in cuts + [len(facts)]:
-                table.extend(dict(facts[start:stop]))
-                start = max(start, stop)
-                warm = marginal_answer_probabilities(
-                    query, table, compile_cache=cache)
-                cold = marginal_answer_probabilities(
-                    query, TupleIndependentTable(schema, dict(facts[:stop])),
-                    compile_cache=CompileCache())
-                assert list(warm.items()) == list(cold.items())
+        table = TupleIndependentTable(schema, dict(facts[:cuts[0]]))
+        start = cuts[0]
+        for stop in cuts + [len(facts)]:
+            table.extend(dict(facts[start:stop]))
+            start = max(start, stop)
+            warm = marginal_answer_probabilities(
+                query, table, compile_cache=cache)
+            cold = marginal_answer_probabilities(
+                query, TupleIndependentTable(schema, dict(facts[:stop])),
+                compile_cache=CompileCache())
+            assert list(warm.items()) == list(cold.items())
         return warm.report.counters
 
 
@@ -459,17 +436,16 @@ class TestSweepsMatchColdOneShots:
             return CountableTIPDB(schema, GeometricFactDistribution(
                 space, first=first, ratio=ratio))
 
-        with forced_backend(backend):
-            session = RefinementSession(
-                query, pdb(), strategy=strategy, compile_cache=CompileCache())
-            for epsilon in self.SWEEP:
-                warm = session.refine_marginals(epsilon)
-                cold = RefinementSession(
-                    query, pdb(), strategy=strategy,
-                    compile_cache=CompileCache(),
-                ).refine_marginals(epsilon)
-                assert [(a, r.value, r.truncation) for a, r in warm.items()] \
-                    == [(a, r.value, r.truncation) for a, r in cold.items()]
+        session = RefinementSession(
+            query, pdb(), strategy=strategy, compile_cache=CompileCache())
+        for epsilon in self.SWEEP:
+            warm = session.refine_marginals(epsilon)
+            cold = RefinementSession(
+                query, pdb(), strategy=strategy,
+                compile_cache=CompileCache(),
+            ).refine_marginals(epsilon)
+            assert [(a, r.value, r.truncation) for a, r in warm.items()] \
+                == [(a, r.value, r.truncation) for a, r in cold.items()]
 
 
 # ------------------------------------------------------- pinned edge cases
@@ -496,11 +472,10 @@ def test_colliding_answers_match_per_answer(backend, text):
     assert has_head_bound_plan(query)
     marginals = {fact: 0.05 + 0.9 * i / len(FACT_POOL)
                  for i, fact in enumerate(FACT_POOL)}
-    with forced_backend(backend):
-        table = TupleIndependentTable(schema, marginals)
-        got = marginal_answer_probabilities(
-            query, table, compile_cache=CompileCache())
-        want = per_answer(query, table)
+    table = TupleIndependentTable(schema, marginals)
+    got = marginal_answer_probabilities(
+        query, table, compile_cache=CompileCache())
+    want = per_answer(query, table)
     assert got.report.strategy == "lifted"
     assert got.report.counters["fanout.answers"] == 3 ** query.arity
     assert_matches_oracle(got, want)
@@ -534,11 +509,10 @@ def test_rows_outside_the_support_are_not_scored(backend):
     """The active domain {1, 2, 3, 4} is larger than R's values {1, 2}:
     two rows are scored and two pruned."""
     query = Query(parse_formula("R(x)", schema), schema)
-    with forced_backend(backend):
-        table = TupleIndependentTable(schema, {
-            R(1): 0.5, R(2): 0.25, S(1, 2): 0.8, S(2, 1): 0.4, S(3, 4): 0.3})
-        got = marginal_answer_probabilities(
-            query, table, compile_cache=CompileCache())
+    table = TupleIndependentTable(schema, {
+        R(1): 0.5, R(2): 0.25, S(1, 2): 0.8, S(2, 1): 0.4, S(3, 4): 0.3})
+    got = marginal_answer_probabilities(
+        query, table, compile_cache=CompileCache())
     assert got == {(1,): 0.5, (2,): 0.25}
     assert got.report.counters["fanout.answers"] == 2
     assert got.report.counters["grounding.pruned_answers"] == 2

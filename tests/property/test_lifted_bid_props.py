@@ -3,7 +3,7 @@
 A block-independent-disjoint table keeps its alternatives mutually
 exclusive, so the independence a safe plan assumes holds only where the
 plan's operands read disjoint blocks.  Over random BID tables and a
-fixed list of query shapes, on both columnar backends:
+fixed list of query shapes:
 
 * ``strategy="lifted"`` either raises :class:`UnsafeQueryError` or
   equals world enumeration — bit for bit on dyadic masses, to 1e-12
@@ -15,12 +15,9 @@ share a block raise, a union or project over leaves that share a block
 takes the disjoint-union rule, and any other shared block raises.
 """
 
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.utils.probability as probability_module
 from repro import obs
 from repro.errors import UnsafeQueryError
 from repro.finite import query_probability
@@ -29,7 +26,10 @@ from repro.finite.compile_cache import CompileCache
 from repro.finite.evaluation import query_probability_by_worlds
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
-from repro.relational.columns import available_backends
+
+#: Columns and folds run on plain Python lists only; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+BACKENDS = ("python",)
 
 schema = Schema.of(R=1, S=2, T=1)
 R, S, T = schema["R"], schema["S"], schema["T"]
@@ -92,21 +92,6 @@ def bid_tables(draw):
     return BlockIndependentTable(schema, blocks), dyadic
 
 
-@contextmanager
-def forced_backend(backend):
-    """Pin the columnar backend by patching the process-wide numpy
-    probe; tables and caches built inside resolve to ``backend``."""
-    if backend == "numpy":
-        yield
-        return
-    saved = probability_module._numpy_probe
-    probability_module._numpy_probe = None
-    try:
-        yield
-    finally:
-        probability_module._numpy_probe = saved
-
-
 def query(text):
     return BooleanQuery(parse_formula(text, schema), schema)
 
@@ -117,7 +102,7 @@ def lifted(text, table):
         compile_cache=CompileCache()))
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestLiftedMatchesWorlds:
     @given(case=bid_tables())
     @settings(
@@ -129,51 +114,48 @@ class TestLiftedMatchesWorlds:
     ):
         table, dyadic = case
         worlds = table.expand()
-        with forced_backend(backend):
-            for text in QUERIES:
-                expected = query_probability_by_worlds(query(text), worlds)
-                try:
-                    value = lifted(text, table)
-                except UnsafeQueryError:
-                    pass
+        for text in QUERIES:
+            expected = query_probability_by_worlds(query(text), worlds)
+            try:
+                value = lifted(text, table)
+            except UnsafeQueryError:
+                pass
+            else:
+                if dyadic:
+                    assert value == expected, text
                 else:
-                    if dyadic:
-                        assert value == expected, text
-                    else:
-                        assert value == pytest.approx(expected, abs=1e-12), text
-                auto = float(query_probability(
-                    query(text), table, compile_cache=CompileCache()))
-                assert auto == pytest.approx(expected, abs=1e-12), text
+                    assert value == pytest.approx(expected, abs=1e-12), text
+            auto = float(query_probability(
+                query(text), table, compile_cache=CompileCache()))
+            assert auto == pytest.approx(expected, abs=1e-12), text
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestBlockRules:
     def test_join_operands_in_one_block_raise(self, backend):
         table = BlockIndependentTable(
             schema, [Block("k", {R(1): 0.25, R(2): 0.5})])
-        with forced_backend(backend), pytest.raises(UnsafeQueryError):
+        with pytest.raises(UnsafeQueryError):
             lifted("R(1) AND R(2)", table)
 
     def test_union_of_leaves_in_one_block_adds_their_masses(self, backend):
         table = BlockIndependentTable(
             schema, [Block("k", {R(1): 0.25, R(2): 0.5})])
-        with forced_backend(backend):
-            assert lifted("R(1) OR R(2)", table) == 0.75
+        assert lifted("R(1) OR R(2)", table) == 0.75
 
     def test_union_of_projects_sharing_a_block_raises(self, backend):
         table = BlockIndependentTable(schema, [
             Block("k", {R(1): 0.25, T(1): 0.5}),
             Block("r", {R(2): 0.125}),
         ])
-        with forced_backend(backend), pytest.raises(UnsafeQueryError):
+        with pytest.raises(UnsafeQueryError):
             lifted("(EXISTS x. R(x)) OR (EXISTS y. T(y))", table)
 
     def test_project_over_one_block_adds_its_masses(self, backend):
         table = BlockIndependentTable(schema, [
             Block("k", {R(1): 0.25, R(2): 0.125, R(3): 0.5}),
         ])
-        with forced_backend(backend):
-            assert lifted("EXISTS x. R(x)", table) == 0.875
+        assert lifted("EXISTS x. R(x)", table) == 0.875
 
     def test_project_values_sharing_a_block_raise(self, backend):
         table = BlockIndependentTable(schema, [
@@ -181,7 +163,7 @@ class TestBlockRules:
             Block("s1", {S(1, 1): 0.5}),
             Block("s2", {S(2, 1): 0.5}),
         ])
-        with forced_backend(backend), pytest.raises(UnsafeQueryError):
+        with pytest.raises(UnsafeQueryError):
             lifted("EXISTS x, y. R(x) AND S(x, y)", table)
 
     def test_a_saturated_fold_stops_before_a_shared_block(self, backend):
@@ -192,8 +174,7 @@ class TestBlockRules:
             Block("s1", {S(1, 1): 1.0}),
             Block("k", {R(2): 0.25, S(2, 1): 0.5}),
         ])
-        with forced_backend(backend):
-            assert lifted("EXISTS x, y. R(x) AND S(x, y)", table) == 1.0
+        assert lifted("EXISTS x, y. R(x) AND S(x, y)", table) == 1.0
 
     def test_a_zero_product_stops_before_a_shared_block(self, backend):
         """The join reads the absent R(1) first; its zero product ends
@@ -203,9 +184,8 @@ class TestBlockRules:
             Block("t1", {T(1): 0.5}),
             Block("t2", {T(2): 0.5}),
         ])
-        with forced_backend(backend):
-            assert lifted(
-                "R(1) AND (EXISTS x, y. S(x, y) AND T(x))", table) == 0.0
+        assert lifted(
+            "R(1) AND (EXISTS x, y. S(x, y) AND T(x))", table) == 0.0
 
     def test_a_bid_run_is_vectorized(self, backend):
         table = BlockIndependentTable(schema, [
@@ -213,7 +193,7 @@ class TestBlockRules:
             Block("k2", {R(3): 0.125}),
             Block("s", {S(1, 1): 0.5, S(1, 2): 0.25}),
         ])
-        with forced_backend(backend), obs.trace() as t:
+        with obs.trace() as t:
             lifted("EXISTS x. R(x)", table)
             lifted("EXISTS x, y. R(x) AND S(x, y)", table)
         assert t.counters.get("lifted.vectorized_nodes", 0) > 0

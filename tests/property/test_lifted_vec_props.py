@@ -3,17 +3,14 @@
 Over random tables and the plan shapes that exercise every grouped
 constructor (chain joins, star joins, shattered constants, unions with
 UCQ separators), the batched set-at-a-time executor must agree with the
-compiled-BDD strategy to 1e-12 on *both* columnar backends — and a
-refinement sweep's delta-extended re-runs must be bit-identical to
-fresh full evaluations at the same truncations.
+compiled-BDD strategy to 1e-12 — and a refinement sweep's
+delta-extended re-runs must be bit-identical to fresh full evaluations
+at the same truncations.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.utils.probability as probability_module
 from repro import obs
 from repro.core.fact_distribution import GeometricFactDistribution
 from repro.core.refine import RefinementSession
@@ -23,10 +20,11 @@ from repro.finite.compile_cache import CompileCache
 from repro.finite.lifted import query_probability_lifted
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
-from repro.relational.columns import available_backends
 from repro.universe import FactSpace, Naturals
 
-BACKENDS = available_backends()
+#: Columns and folds run on plain Python lists only; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+BACKENDS = ("python",)
 
 schema = Schema.of(R=1, S=2, T=1)
 R, S, T = schema["R"], schema["S"], schema["T"]
@@ -59,21 +57,6 @@ marginal_maps = st.dictionaries(
 )
 
 
-@contextmanager
-def forced_backend(backend):
-    """Pin the columnar backend by patching the process-wide numpy
-    probe; tables and caches built inside resolve to ``backend``."""
-    if backend == "numpy":
-        yield
-        return
-    saved = probability_module._numpy_probe
-    probability_module._numpy_probe = None
-    try:
-        yield
-    finally:
-        probability_module._numpy_probe = saved
-
-
 def boolean_query(text):
     return BooleanQuery(parse_formula(text, schema), schema)
 
@@ -88,13 +71,12 @@ class TestBatchedMatchesBDD:
     )
     def test_differential(self, shape, backend, marginals):
         query = boolean_query(SHAPES[shape])
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            batched = query_probability_lifted(
-                query, table, plan_cache=CompileCache())
-            bdd = query_probability(
-                query, table, strategy="bdd",
-                compile_cache=CompileCache())
+        table = TupleIndependentTable(schema, marginals)
+        batched = query_probability_lifted(
+            query, table, plan_cache=CompileCache())
+        bdd = query_probability(
+            query, table, strategy="bdd",
+            compile_cache=CompileCache())
         assert batched == pytest.approx(float(bdd), abs=1e-12)
 
 
@@ -115,20 +97,19 @@ class TestDeltaReuseIsExact:
         binding-table delta path, and the bound segments' resumed folds)
         is bit-identical to a cold evaluation of the grown table."""
         query = boolean_query(SHAPES["chain"])
-        with forced_backend(backend):
-            table = TupleIndependentTable(schema, marginals)
-            cache = CompileCache()
-            query_probability_lifted(query, table, plan_cache=cache)
-            for delta in deltas:
-                table.extend({
-                    fact: p for fact, p in delta.items()
-                    if fact not in table.marginals
-                })
-                warm = query_probability_lifted(
-                    query, table, plan_cache=cache)
-                cold = query_probability_lifted(
-                    query, table, plan_cache=CompileCache())
-                assert warm == cold
+        table = TupleIndependentTable(schema, marginals)
+        cache = CompileCache()
+        query_probability_lifted(query, table, plan_cache=cache)
+        for delta in deltas:
+            table.extend({
+                fact: p for fact, p in delta.items()
+                if fact not in table.marginals
+            })
+            warm = query_probability_lifted(
+                query, table, plan_cache=cache)
+            cold = query_probability_lifted(
+                query, table, plan_cache=CompileCache())
+            assert warm == cold
 
 
 class TestRefinementSweepDeltaParity:

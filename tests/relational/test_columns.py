@@ -1,5 +1,4 @@
-"""Columnar storage: backend resolution, append-only growth, gathers,
-aggregate folds, and python/numpy agreement."""
+"""Columnar storage: append-only growth, gathers and aggregate folds."""
 
 import pytest
 
@@ -13,45 +12,20 @@ from repro.relational.columns import (
     ColumnStore,
     FloatColumn,
     IntColumn,
-    available_backends,
-    resolve_backend,
 )
-from repro.utils.probability import numpy_or_none
 
 schema = Schema.of(R=1)
 R = schema["R"]
 
-BACKENDS = available_backends()
-
-
-class TestBackendResolution:
-    def test_python_always_available(self):
-        assert resolve_backend("python") == "python"
-        assert "python" in available_backends()
-
-    def test_auto_resolves(self):
-        assert resolve_backend("auto") in ("python", "numpy")
-        if numpy_or_none() is not None:
-            assert resolve_backend("auto") == "numpy"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown columnar backend"):
-            resolve_backend("exotic")
-
-    def test_numpy_without_numpy_rejected(self, monkeypatch):
-        import repro.relational.columns as columns
-
-        monkeypatch.setattr(columns, "numpy_or_none", lambda: None)
-        with pytest.raises(ValueError, match=r"\[fast\]"):
-            resolve_backend("numpy")
-        assert resolve_backend("auto") == "python"
-        assert available_backends() == ("python",)
+#: Columns and folds run on plain Python lists only; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+BACKENDS = ("python",)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFloatColumn:
     def test_append_and_access(self, backend):
-        col = FloatColumn(backend)
+        col = FloatColumn()
         assert col.extend([0.5, 0.25, 0.125]) == 3
         assert len(col) == 3
         assert col[1] == 0.25
@@ -63,7 +37,7 @@ class TestFloatColumn:
             col[-1]
 
     def test_prefix_sums_track_growth(self, backend):
-        col = FloatColumn(backend)
+        col = FloatColumn()
         col.extend([0.5, 0.25])
         assert col.prefix_sum(0) == 0.0
         assert col.prefix_sum(2) == 0.75
@@ -73,22 +47,22 @@ class TestFloatColumn:
         assert col.total() == 0.875
 
     def test_capacity_growth_past_initial_buffer(self, backend):
-        col = FloatColumn(backend)
-        values = [i / 100 for i in range(100)]  # > the 16-slot buffer
+        col = FloatColumn()
+        values = [i / 100 for i in range(100)]
         col.extend(values)
         assert len(col) == 100
         assert col.slice() == pytest.approx(values)
         assert col.total() == pytest.approx(sum(values), abs=1e-12)
 
     def test_gather_and_sum_rows(self, backend):
-        col = FloatColumn(backend)
+        col = FloatColumn()
         col.extend([0.5, 0.25, 0.125, 0.0625])
         gathered = col.gather([3, 0])
         assert list(gathered) == [0.0625, 0.5]
         assert col.sum_rows([3, 0]) == pytest.approx(0.5625, abs=1e-12)
 
     def test_probability_folds(self, backend):
-        col = FloatColumn(backend)
+        col = FloatColumn()
         col.extend([0.5, 0.5, 0.25])
         assert col.complement_product() == pytest.approx(0.1875, abs=1e-12)
         assert col.disjunction() == pytest.approx(0.8125, abs=1e-12)
@@ -96,20 +70,11 @@ class TestFloatColumn:
             0.25, abs=1e-12)
         assert col.disjunction([2]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_array_gated_to_numpy(self, backend):
-        col = FloatColumn(backend)
-        col.append(0.5)
-        if backend == "numpy":
-            assert list(col.array()) == [0.5]
-        else:
-            with pytest.raises(ValueError, match="numpy backend"):
-                col.array()
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestIntColumn:
     def test_append_and_access(self, backend):
-        col = IntColumn(backend)
+        col = IntColumn()
         assert col.extend([0, 0, 1]) == 3
         assert len(col) == 3
         assert col[2] == 1
@@ -118,7 +83,7 @@ class TestIntColumn:
             col[5]
 
     def test_capacity_growth(self, backend):
-        col = IntColumn(backend)
+        col = IntColumn()
         col.extend(range(100))
         assert col.slice() == list(range(100))
 
@@ -126,7 +91,7 @@ class TestIntColumn:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestColumnStore:
     def test_intern_is_idempotent_and_dense(self, backend):
-        store = ColumnStore(backend)
+        store = ColumnStore()
         assert store.intern(R(1), 0.5) == 0
         assert store.intern(R(2), 0.25, block=7) == 1
         assert store.intern(R(1), 0.5) == 0  # re-intern: same row
@@ -141,20 +106,20 @@ class TestColumnStore:
         assert store.facts() == [R(1), R(2)]
 
     def test_extend_items_is_delta(self, backend):
-        store = ColumnStore(backend)
+        store = ColumnStore()
         store.extend_items([(R(1), 0.5), (R(2), 0.25)])
         assert store.extend_items([(R(2), 0.25), (R(3), 0.125)]) == 1
         assert len(store) == 3
 
     def test_aggregates(self, backend):
-        store = ColumnStore(backend)
+        store = ColumnStore()
         store.extend_items([(R(1), 0.5), (R(2), 0.5)])
         assert store.sum_marginals() == 1.0
         assert store.complement_product() == pytest.approx(0.25, abs=1e-12)
         assert store.disjunction() == pytest.approx(0.75, abs=1e-12)
 
     def test_gather_facts(self, backend):
-        store = ColumnStore(backend)
+        store = ColumnStore()
         store.extend_items([(R(1), 0.5), (R(2), 0.25), (R(3), 0.125)])
         assert list(store.gather_facts([R(3), R(1)])) == [0.125, 0.5]
 
@@ -162,25 +127,15 @@ class TestColumnStore:
 class TestObservability:
     def test_counters_fire(self):
         with obs.trace() as t:
-            store = ColumnStore("python")
+            store = ColumnStore()
             store.extend_items([(R(1), 0.5), (R(2), 0.25)])
             store.intern(R(1), 0.5)  # hit: no intern counted
         assert t.counters[COLUMNS_INTERNED] == 2
         assert t.counters[COLUMNS_EXTENDS] == 1
 
-    def test_vector_ops_counted_on_numpy(self):
-        if numpy_or_none() is None:
-            pytest.skip("numpy not installed")
-        with obs.trace() as t:
-            col = FloatColumn("numpy")
-            col.extend([0.5, 0.25])
-            col.disjunction()
-            col.gather([0])
-        assert t.counters[COLUMNS_VECTOR_OPS] >= 2
-
     def test_no_vector_ops_on_python(self):
         with obs.trace() as t:
-            col = FloatColumn("python")
+            col = FloatColumn()
             col.extend([0.5, 0.25])
             col.disjunction()
             col.gather([0])

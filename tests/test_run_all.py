@@ -57,5 +57,5 @@ def test_stamp_only_without_names_stamps_everything(root):
 
 def test_stamp_only_rejects_a_name_without_artifact(root):
     with pytest.raises(SystemExit):
-        run_all.main(["--stamp-only", "columnar"], root=root)
+        run_all.main(["--stamp-only", "compiled_eval"], root=root)
     assert set(stamps(root).values()) == {"old"}

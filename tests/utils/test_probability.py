@@ -13,7 +13,6 @@ from repro.utils.probability import (
     log_product_complement,
     numpy_or_none,
     product_complement,
-    sum_values,
     vector_complement_product,
     vector_disjunction,
     vector_log_complement,
@@ -156,7 +155,3 @@ class TestVectorKernels:
     def test_tiny_marginals_survive_vectorized(self, np):
         a = np.full(100_000, 1e-20)
         assert vector_disjunction(np, a) == pytest.approx(1e-15, rel=1e-9)
-
-    def test_sum_values_dispatch(self, np):
-        assert sum_values([0.5, 0.25]) == 0.75
-        assert sum_values(np.asarray([0.5, 0.25]), np) == 0.75

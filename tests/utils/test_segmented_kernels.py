@@ -3,11 +3,11 @@ disjunctions, and log-complements over a flat value buffer with offset
 boundaries — the primitives the batched lifted executor folds separator
 groups with.
 
-The pure-Python leg must be *bit-identical* to folding each segment
-through :class:`~repro.utils.probability.ComplementAccumulator` (it is
-the same hybrid policy, segment at a time), and the numpy leg must agree
-with the Python leg to float tolerance everywhere and bit-for-bit on
-dyadic marginals (exact products, no rounding).
+The complement and disjunction folds must be *bit-identical* to folding
+each segment through :class:`~repro.utils.probability.ComplementAccumulator`
+(it is the same hybrid policy, segment at a time): on dyadic marginals,
+whose products are exact, on tiny marginals that fold in log space, and
+on segments whose product underflows.
 """
 
 import math
@@ -17,15 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.probability import (
     ComplementAccumulator,
-    numpy_or_none,
     segmented_complement_product,
     segmented_disjunction,
     segmented_fold,
     segmented_log_complement,
 )
-
-numpy = numpy_or_none()
-needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
 
 
 def segments_to_layout(segments):
@@ -91,6 +87,25 @@ class TestPythonLegMatchesAccumulator:
         assert comp == [accumulate(s).complement() for s in segments]
         assert disj == [accumulate(s).disjunction() for s in segments]
 
+    @given(dyadic_segments)
+    @settings(max_examples=150, deadline=None)
+    def test_dyadic_segments_bit_exact(self, segments):
+        """Dyadic marginals multiply exactly, so each segment's
+        complement is the exact product of its factors."""
+        values, offsets = segments_to_layout(segments)
+        assert segmented_complement_product(None, values, offsets) == [
+            math.prod(1.0 - p for p in s) for s in segments]
+        assert segmented_disjunction(None, values, offsets) == [
+            accumulate(s).disjunction() for s in segments]
+
+    def test_underflowing_segment_rescued(self):
+        """A segment whose complement product underflows the float
+        range folds on in log space instead of collapsing to 0.0."""
+        values, offsets = segments_to_layout([[0.5] * 1020])
+        (out,) = segmented_complement_product(None, values, offsets)
+        assert out == accumulate([0.5] * 1020).complement()
+        assert out == pytest.approx(2.0 ** -1020, rel=1e-9)
+
     def test_log_complement(self):
         segments = [[0.5, 0.25], [], [1.0, 0.5], [1e-18]]
         values, offsets = segments_to_layout(segments)
@@ -101,85 +116,15 @@ class TestPythonLegMatchesAccumulator:
         assert out[3] == pytest.approx(math.log1p(-1e-18))
 
 
-@needs_numpy
-class TestNumpyLegMatchesPython:
-    @given(segments_strategy)
-    @settings(max_examples=150, deadline=None)
-    def test_complement_and_disjunction_close(self, segments):
-        values, offsets = segments_to_layout(segments)
-        array = numpy.asarray(values, dtype=float)
-        reference_c = segmented_complement_product(None, values, offsets)
-        reference_d = segmented_disjunction(None, values, offsets)
-        out_c = segmented_complement_product(numpy, array, offsets)
-        out_d = segmented_disjunction(numpy, array, offsets)
-        for got, want in zip(out_c, reference_c):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-        for got, want in zip(out_d, reference_d):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-    @given(dyadic_segments)
-    @settings(max_examples=150, deadline=None)
-    def test_dyadic_segments_bit_exact(self, segments):
-        """Dyadic marginals multiply exactly in both legs, so the fold
-        must agree bit-for-bit — the regime the exact strategies'
-        differential tests pin down."""
-        values, offsets = segments_to_layout(segments)
-        array = numpy.asarray(values, dtype=float)
-        assert list(
-            segmented_complement_product(numpy, array, offsets)
-        ) == segmented_complement_product(None, values, offsets)
-        assert list(
-            segmented_disjunction(numpy, array, offsets)
-        ) == segmented_disjunction(None, values, offsets)
-
-    @pytest.mark.parametrize("segments", EDGE_SEGMENTS)
-    def test_edge_layouts(self, segments):
-        values, offsets = segments_to_layout(segments)
-        array = numpy.asarray(values, dtype=float)
-        out_c = segmented_complement_product(numpy, array, offsets)
-        out_d = segmented_disjunction(numpy, array, offsets)
-        for got, want in zip(
-            out_c, segmented_complement_product(None, values, offsets)
-        ):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-        for got, want in zip(
-            out_d, segmented_disjunction(None, values, offsets)
-        ):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-    def test_underflowing_segment_rescued(self):
-        """A segment whose complement product underflows the float
-        range re-folds in log space instead of collapsing to 0.0."""
-        segments = [[0.5] * 1020]
-        values, offsets = segments_to_layout(segments)
-        array = numpy.asarray(values, dtype=float)
-        (out,) = segmented_complement_product(numpy, array, offsets)
-        assert out > 0.0
-        assert out == pytest.approx(2.0 ** -1020, rel=1e-9)
-
-    def test_log_complement_matches_python(self):
-        segments = [[0.5, 0.25], [], [1.0], [1e-18, 0.875]]
-        values, offsets = segments_to_layout(segments)
-        array = numpy.asarray(values, dtype=float)
-        out = segmented_log_complement(numpy, array, offsets)
-        reference = segmented_log_complement(None, values, offsets)
-        for got, want in zip(out, reference):
-            if math.isinf(want):
-                assert math.isinf(got) and got < 0
-            else:
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-
 #: Probabilities that fold by plain multiplication: never tiny, never 1.
 ordinary = st.floats(min_value=1e-16, max_value=0.999999, allow_nan=False)
-LEGS = ["python"] + (["numpy"] if numpy is not None else [])
 
 
 class TestFoldState:
     """``segmented_fold``'s per-segment state, which the lifted
-    executor keeps to resume bound-segment folds: on the Python leg it
-    is the accumulator's, and on both legs a clean product continued
-    factor by factor gives the bits of the longer segment's fold."""
+    executor keeps to resume bound-segment folds: it is the
+    accumulator's, and a clean product continued factor by factor gives
+    the bits of the longer segment's fold."""
 
     @given(segments_strategy)
     @settings(max_examples=150, deadline=None)
@@ -198,19 +143,18 @@ class TestFoldState:
         ] == [(acc.product, acc.residual_log) for acc in accs
               if not acc.is_zero]
 
-    @pytest.mark.parametrize("leg", LEGS)
+    # The one-value parameter keeps the case's ``[python]`` test id.
+    @pytest.mark.parametrize("leg", ["python"])
     @given(head=st.lists(ordinary, max_size=40),
            tail=st.lists(ordinary, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_clean_product_continues_to_the_longer_fold(self, leg, head, tail):
-        np = numpy if leg == "numpy" else None
         whole = head + tail
-        _, (product,), _, _ = segmented_fold(np, head, [0, len(head)])
+        _, (product,), _, _ = segmented_fold(None, head, [0, len(head)])
         disjunctions, (full,), (residual,), _ = segmented_fold(
-            np, whole, [0, len(whole)])
-        product = float(product)
+            None, whole, [0, len(whole)])
         for p in tail:
             product *= 1.0 - p
         if residual == 0.0:  # the longer fold stayed clean
-            assert float(full) == product
-            assert float(disjunctions[0]) == 1.0 - product
+            assert full == product
+            assert disjunctions[0] == 1.0 - product
