@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.finite.bdd import ZERO, BDDManager, _VECTOR_RESCORE_MIN_NODES
 from repro.relational import Schema
 from repro.relational.columns import (
     COLUMNS_EXTENDS,
@@ -13,6 +14,7 @@ from repro.relational.columns import (
     FloatColumn,
     IntColumn,
 )
+from repro.utils.probability import numpy_or_none
 
 schema = Schema.of(R=1)
 R = schema["R"]
@@ -132,6 +134,28 @@ class TestObservability:
             store.intern(R(1), 0.5)  # hit: no intern counted
         assert t.counters[COLUMNS_INTERNED] == 2
         assert t.counters[COLUMNS_EXTENDS] == 1
+
+    def test_vector_ops_counted_on_numpy(self):
+        """With numpy installed, ``columns.vectorized_ops`` counts the
+        BDD's per-level rescoring passes: one per rescore of a diagram
+        of at least ``_VECTOR_RESCORE_MIN_NODES`` nodes.  Smaller
+        diagrams rescore node by node and count none."""
+        if numpy_or_none() is None:
+            pytest.skip("numpy not installed")
+        facts = [R(i) for i in range(_VECTOR_RESCORE_MIN_NODES)]
+        manager = BDDManager(facts)
+        chains = [ZERO]  # chains[k]: the disjunction of the last k facts
+        for fact in reversed(facts):
+            chains.append(manager.disjoin(manager.variable(fact), chains[-1]))
+        large, small = chains[-1], chains[-2]
+        marginal = {fact: 1 / (i + 50) for i, fact in enumerate(facts)}.get
+        with obs.trace() as t:
+            value = manager.rescore(large, marginal)
+            manager.rescore(large, marginal)
+            manager.rescore(small, marginal)
+        assert t.counters[COLUMNS_VECTOR_OPS] == 2
+        # The per-level pass computes each node's value as the recursion does.
+        assert value == manager.probability(large, marginal)
 
     def test_no_vector_ops_on_python(self):
         with obs.trace() as t:

@@ -7,7 +7,9 @@ The complement and disjunction folds must be *bit-identical* to folding
 each segment through :class:`~repro.utils.probability.ComplementAccumulator`
 (it is the same hybrid policy, segment at a time): on dyadic marginals,
 whose products are exact, on tiny marginals that fold in log space, and
-on segments whose product underflows.
+on segments whose product underflows.  Handed the numpy module in their
+leading slot and a float64 array of values, they run that same fold
+over the array's elements and return the list call's bits.
 """
 
 import math
@@ -17,11 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.probability import (
     ComplementAccumulator,
+    numpy_or_none,
     segmented_complement_product,
     segmented_disjunction,
     segmented_fold,
     segmented_log_complement,
 )
+
+numpy = numpy_or_none()
+needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
 
 
 def segments_to_layout(segments):
@@ -116,15 +122,72 @@ class TestPythonLegMatchesAccumulator:
         assert out[3] == pytest.approx(math.log1p(-1e-18))
 
 
+@needs_numpy
+class TestNumpyLegMatchesPython:
+    """The kernels keep a leading ``np`` slot, so a caller may pass the
+    numpy module and a float64 array of values.  No second fold sits
+    behind that call: each segment still runs through
+    ``ComplementAccumulator`` over the array's elements, so every
+    result has the list call's bits — including the regimes a
+    vectorized log-space fold would round differently."""
+
+    @staticmethod
+    def numpy_call(kernel, values, offsets):
+        return list(kernel(numpy, numpy.asarray(values, dtype=float), offsets))
+
+    @given(segments_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_complement_and_disjunction_close(self, segments):
+        values, offsets = segments_to_layout(segments)
+        for kernel in (segmented_complement_product, segmented_disjunction):
+            assert self.numpy_call(kernel, values, offsets) == kernel(
+                None, values, offsets)
+
+    @given(dyadic_segments)
+    @settings(max_examples=150, deadline=None)
+    def test_dyadic_segments_bit_exact(self, segments):
+        values, offsets = segments_to_layout(segments)
+        assert self.numpy_call(
+            segmented_complement_product, values, offsets) == [
+                math.prod(1.0 - p for p in s) for s in segments]
+        assert self.numpy_call(segmented_disjunction, values, offsets) == [
+            accumulate(s).disjunction() for s in segments]
+
+    @pytest.mark.parametrize("segments", EDGE_SEGMENTS)
+    def test_edge_layouts(self, segments):
+        values, offsets = segments_to_layout(segments)
+        array = numpy.asarray(values, dtype=float)
+        assert list(segmented_fold(numpy, array, offsets)) == list(
+            segmented_fold(None, values, offsets))
+        assert self.numpy_call(
+            segmented_complement_product, values, offsets) == [
+                accumulate(s).complement() for s in segments]
+
+    def test_underflowing_segment_rescued(self):
+        values, offsets = segments_to_layout([[0.5] * 1020])
+        (out,) = self.numpy_call(segmented_complement_product, values, offsets)
+        assert out == accumulate([0.5] * 1020).complement()
+        assert out == pytest.approx(2.0 ** -1020, rel=1e-9)
+
+    def test_log_complement_matches_python(self):
+        segments = [[0.5, 0.25], [], [1.0], [1e-18, 0.875]]
+        values, offsets = segments_to_layout(segments)
+        assert self.numpy_call(
+            segmented_log_complement, values, offsets) == (
+                segmented_log_complement(None, values, offsets))
+
+
 #: Probabilities that fold by plain multiplication: never tiny, never 1.
 ordinary = st.floats(min_value=1e-16, max_value=0.999999, allow_nan=False)
+LEGS = ["python"] + (["numpy"] if numpy is not None else [])
 
 
 class TestFoldState:
     """``segmented_fold``'s per-segment state, which the lifted
     executor keeps to resume bound-segment folds: it is the
     accumulator's, and a clean product continued factor by factor gives
-    the bits of the longer segment's fold."""
+    the bits of the longer segment's fold, from a list or, on the numpy
+    leg, from a float64 array."""
 
     @given(segments_strategy)
     @settings(max_examples=150, deadline=None)
@@ -143,16 +206,18 @@ class TestFoldState:
         ] == [(acc.product, acc.residual_log) for acc in accs
               if not acc.is_zero]
 
-    # The one-value parameter keeps the case's ``[python]`` test id.
-    @pytest.mark.parametrize("leg", ["python"])
+    @pytest.mark.parametrize("leg", LEGS)
     @given(head=st.lists(ordinary, max_size=40),
            tail=st.lists(ordinary, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_clean_product_continues_to_the_longer_fold(self, leg, head, tail):
+        np = numpy if leg == "numpy" else None
+        convert = np.asarray if np is not None else list
         whole = head + tail
-        _, (product,), _, _ = segmented_fold(None, head, [0, len(head)])
+        _, (product,), _, _ = segmented_fold(
+            np, convert(head), [0, len(head)])
         disjunctions, (full,), (residual,), _ = segmented_fold(
-            None, whole, [0, len(whole)])
+            np, convert(whole), [0, len(whole)])
         for p in tail:
             product *= 1.0 - p
         if residual == 0.0:  # the longer fold stayed clean
