@@ -223,10 +223,15 @@ def command_marginals(args: argparse.Namespace) -> int:
 
 def command_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import gc
     import os
 
     from repro.serve import QueryServer, SessionManager, load_snapshot
 
+    # The start-up heap (modules, classes, functions) lives as long as
+    # the server: take it out of the cycle collector's view, so that a
+    # full collection walks only what requests have built.
+    gc.freeze()
     if args.snapshot and os.path.exists(args.snapshot):
         manager = load_snapshot(args.snapshot)
         print(f"restored {len(manager)} session(s) from {args.snapshot}",

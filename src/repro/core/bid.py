@@ -259,12 +259,7 @@ class CountableBIDPDB(CountablePDB):
             )
         self.family = family
         self.tolerance = tolerance
-        super().__init__(
-            schema,
-            self._enumerate_worlds,
-            exhaustive=False,
-            mass_tail=self._world_mass_tail,
-        )
+        super().__init__(schema, None, exhaustive=False)
 
     # ------------------------------------------------------------ closed forms
     def marginal(self, fact: Fact) -> float:
@@ -308,7 +303,7 @@ class CountableBIDPDB(CountablePDB):
         return product
 
     # ------------------------------------------------------------ enumeration
-    def _enumerate_worlds(self) -> Iterator[Tuple[Instance, float]]:
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
         """Good instances ordered by the maximal block index they touch.
 
         For k = 0, 1, …: all good instances whose highest-indexed
@@ -363,6 +358,8 @@ class CountableBIDPDB(CountablePDB):
             else:
                 break
         return min(1.0, self.family.tail(covered))
+
+    _mass_tail = _world_mass_tail
 
     # ------------------------------------------------------------- truncation
     def truncate(self, n_blocks: int) -> BlockIndependentTable:

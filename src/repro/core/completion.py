@@ -72,12 +72,7 @@ class CompletedPDB(CountablePDB):
                 "so P′(Ω) = 0 and no completion exists"
             )
         self._p1_empty = empty_mass
-        super().__init__(
-            original.schema,
-            self._enumerate_worlds,
-            exhaustive=False,
-            mass_tail=None,
-        )
+        super().__init__(original.schema, None, exhaustive=False)
 
     # --------------------------------------------------------------- measure
     def decompose(self, instance: Instance) -> Tuple[Instance, Instance]:
@@ -125,7 +120,7 @@ class CompletedPDB(CountablePDB):
         return self.original.expected_size() + self.new_facts.expected_size()
 
     # ------------------------------------------------------------ enumeration
-    def _enumerate_worlds(self) -> Iterator[Tuple[Instance, float]]:
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
         pairs = diagonal_product(
             ((w, m) for w, m in self.original.worlds.items()),
             self.new_facts.worlds(),

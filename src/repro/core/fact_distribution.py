@@ -19,6 +19,7 @@ exercise the rejection path.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -98,10 +99,19 @@ class FactDistribution:
     def prefix_cache(self) -> PrefixCache:
         """This distribution's materialized prefix (created lazily, then
         shared by every ``prefix``/``marginals_dict``/``prefix_for_tail``
-        call and by the refinement session)."""
+        call and by the refinement session).
+
+        The cache's enumeration and tail run on a shallow copy made
+        before the cache exists, so the copy never refers to the cache
+        and the two form no reference cycle: when the last user lets go
+        of the distribution, reference counting frees its materialized
+        prefix at once, instead of the cycle collector freeing it during
+        whatever later call happens to trigger a full collection.
+        """
         cache = self.__dict__.get("_prefix_cache")
         if cache is None:
-            cache = PrefixCache(self._support_pairs(), self.tail)
+            source = copy.copy(self)
+            cache = PrefixCache(source._support_pairs(), source.tail)
             self._prefix_cache = cache
         return cache
 

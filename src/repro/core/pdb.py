@@ -36,12 +36,19 @@ class CountablePDB:
         The database schema τ.
     enumerate_worlds:
         Zero-argument callable yielding ``(Instance, mass)`` pairs,
-        distinct instances, running mass → 1.
+        distinct instances, running mass → 1; None in a subclass that
+        defines ``_enumerate`` itself.
     exhaustive:
         True iff the enumeration is finite.
     mass_tail:
         Optional certified bound on the un-enumerated mass after the
-        first n pairs.
+        first n pairs; a subclass may define ``_mass_tail`` instead.
+
+    Subclasses define the two hooks as methods rather than passing
+    their own bound methods: an instance that holds its own bound
+    methods is a reference cycle, so it and everything it holds (a
+    fact distribution with its materialized prefix, say) would outlive
+    its last user until the cycle collector's next full pass.
 
     >>> schema = Schema.of(R=1)
     >>> R = schema["R"]
@@ -51,17 +58,27 @@ class CountablePDB:
     0.5
     """
 
+    #: Certified bound on the un-enumerated mass after the first n
+    #: worlds, or None when there is none.
+    _mass_tail: Optional[Callable[[int], float]] = None
+
     def __init__(
         self,
         schema: Schema,
-        enumerate_worlds: Callable[[], Iterator[Tuple[Instance, float]]],
+        enumerate_worlds: Optional[Callable[[], Iterator[Tuple[Instance, float]]]],
         exhaustive: bool,
         mass_tail: Optional[Callable[[int], float]] = None,
     ):
         self.schema = schema
-        self._enumerate = enumerate_worlds
+        if enumerate_worlds is not None:
+            self._enumerate = enumerate_worlds
         self.exhaustive = exhaustive
-        self._mass_tail = mass_tail
+        if mass_tail is not None:
+            self._mass_tail = mass_tail
+
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
+        raise NotImplementedError(
+            "pass enumerate_worlds or define _enumerate in the subclass")
 
     # ---------------------------------------------------------------- measure
     def worlds(self) -> Iterator[Tuple[Instance, float]]:

@@ -44,12 +44,7 @@ class Example33PDB(CountablePDB):
         if schema is None:
             schema = Schema.of(R=1)
         self.symbol = schema["R"]
-        super().__init__(
-            schema,
-            self._enumerate_worlds,
-            exhaustive=False,
-            mass_tail=self._mass_tail,
-        )
+        super().__init__(schema, None, exhaustive=False)
 
     @staticmethod
     def world_probability(n: int) -> float:
@@ -66,7 +61,7 @@ class Example33PDB(CountablePDB):
             )
         return Instance(self.symbol(i) for i in range(1, 2**n + 1))
 
-    def _enumerate_worlds(self) -> Iterator[Tuple[Instance, float]]:
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
         for n in itertools.count(1):
             yield self.world(n), self.world_probability(n)
 
@@ -164,17 +159,12 @@ class MomentGapPDB(CountablePDB):
         self._normalizer = sum(
             1.0 / m**self._exponent for m in range(1, horizon)
         )
-        super().__init__(
-            schema,
-            self._enumerate_worlds,
-            exhaustive=False,
-            mass_tail=self._mass_tail,
-        )
+        super().__init__(schema, None, exhaustive=False)
 
     def world_probability(self, m: int) -> float:
         return (1.0 / m**self._exponent) / self._normalizer
 
-    def _enumerate_worlds(self) -> Iterator[Tuple[Instance, float]]:
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
         for m in itertools.count(1):
             instance = Instance(self.symbol(i) for i in range(1, m + 1))
             yield instance, self.world_probability(m)

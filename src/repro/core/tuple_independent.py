@@ -81,12 +81,7 @@ class CountableTIPDB(CountablePDB):
             )
         self.distribution = distribution
         self.tolerance = tolerance
-        super().__init__(
-            schema,
-            self._enumerate_worlds,
-            exhaustive=False,
-            mass_tail=self._world_mass_tail,
-        )
+        super().__init__(schema, None, exhaustive=False)
 
     # ------------------------------------------------------------ closed forms
     def marginal(self, fact: Fact) -> float:
@@ -179,7 +174,7 @@ class CountableTIPDB(CountablePDB):
         return self.instance_probability(Instance())
 
     # ----------------------------------------------------------- enumeration
-    def _enumerate_worlds(self) -> Iterator[Tuple[Instance, float]]:
+    def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
         """Enumerate ``D_ω`` (finite subsets of the support).
 
         Order: the empty instance, then for k = 1, 2, … all instances
@@ -237,6 +232,8 @@ class CountableTIPDB(CountablePDB):
             return 1.0
         k = worlds_enumerated.bit_length() - 1  # floor(log2)
         return min(1.0, self.distribution.tail(k))
+
+    _mass_tail = _world_mass_tail
 
     # ------------------------------------------------------------- truncation
     def truncate(self, n: int) -> TupleIndependentTable:

@@ -340,7 +340,7 @@ class CompileCache:
                         entry = ("plan", safe_plan_ucq(ucq), ucq)
                         obs.incr("lifted.plans")
                     except UnsafeQueryError as exc:
-                        entry = ("error", exc, ucq)
+                        entry = ("error", exc.with_traceback(None), ucq)
                 family.lifted["strict"] = entry
             else:
                 obs.incr("lifted.plan_cache_hits")
@@ -348,7 +348,7 @@ class CompileCache:
             if kind == "plan":
                 return payload, _grounded(pdb)
             if not partial:
-                raise payload
+                raise _fresh_error(payload)
             hybrid = family.lifted.get("partial")
             if hybrid is None:
                 plan = (
@@ -363,7 +363,7 @@ class CompileCache:
                     obs.incr("lifted.plans")
                 family.lifted["partial"] = hybrid
             if hybrid[0] == "error":
-                raise hybrid[1]
+                raise _fresh_error(hybrid[1])
             return hybrid[1], _grounded(pdb)
 
     def lifted_state(self, formula: Formula) -> LiftedExecState:
@@ -409,6 +409,14 @@ def _grounded(pdb) -> FactIndex:
     build and plan execution."""
     with obs.phase("ground"):
         return pdb.index
+
+
+def _fresh_error(cached: UnsafeQueryError) -> UnsafeQueryError:
+    """A new copy of a cached solver error, to raise.  Raising the cached
+    object itself would hang every raise's frames on its traceback, and
+    with them the tables and sessions those frames hold, for as long as
+    the cache keeps the error."""
+    return UnsafeQueryError(str(cached), subquery=cached.subquery)
 
 
 class CacheStats:

@@ -118,3 +118,55 @@ class TestSampling:
     def test_as_space_round_trip(self):
         space = finite_pdb().as_space()
         assert space.probability_of(Instance([R(1)])) == 0.5
+
+
+def test_subclasses_are_freed_without_the_cycle_collector():
+    """Each construction defines its world enumeration and mass tail as
+    methods, and a fact distribution's prefix cache does not refer back
+    to it, so dropping the last reference frees the PDB, the distribution
+    and its materialized prefix by reference counting alone."""
+    import gc
+    import weakref
+
+    from repro.core.bid import BlockFamily, CountableBIDPDB
+    from repro.core.completion import complete
+    from repro.core.fact_distribution import GeometricFactDistribution
+    from repro.core.size import Example33PDB, MomentGapPDB
+    from repro.core.tuple_independent import CountableTIPDB
+    from repro.finite.bid import Block
+    from repro.finite.tuple_independent import TupleIndependentTable
+    from repro.universe import FactSpace, Naturals
+
+    def geometric():
+        return GeometricFactDistribution(
+            FactSpace(schema, Naturals()), first=0.5, ratio=0.5)
+
+    pair = Schema.of(S=2)
+    family = BlockFamily.geometric(
+        make_block=lambda i: Block(i, {pair["S"](i, 1): 2.0 ** -(i + 2)}),
+        block_mass=lambda i: 2.0 ** -(i + 2), first=0.25, ratio=0.5)
+    pdbs = [
+        CountableTIPDB(schema, geometric()),
+        CountableBIDPDB(pair, family),
+        complete(TupleIndependentTable(schema, {R(1): 0.5}), geometric()),
+        Example33PDB(),
+        MomentGapPDB(1),
+    ]
+    refs = []
+    for pdb in pdbs:
+        list(itertools.islice(pdb.worlds(), 4))
+        if pdb._mass_tail is not None:
+            assert 0.0 <= pdb._mass_tail(3) <= 1.0
+        refs.append(weakref.ref(pdb))
+        distribution = getattr(getattr(pdb, "new_facts", pdb), "distribution", None)
+        if distribution is not None:
+            distribution.prefix(3)
+            refs.append(weakref.ref(distribution))
+            refs.append(weakref.ref(distribution.prefix_cache()))
+    del pdb, distribution
+    gc.disable()
+    try:
+        pdbs.clear()
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -1,6 +1,9 @@
 """SessionManager / ManagedSession: specs, ε-budget scheduling,
 admission control, and the serve obs counters."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import obs
@@ -194,6 +197,38 @@ class TestSessionManager:
         (summary,) = manager.summaries()
         assert summary["name"] == "s1"
         assert summary["best"]["epsilon"] == 0.1
+
+    @pytest.mark.parametrize("spec", [
+        dict(SPEC, strategy="auto"),
+        {"schema": {"R": 1, "S": 2, "T": 1},
+         "family": {"kind": "geometric", "first": 0.3, "ratio": 0.95},
+         "query": "EXISTS x, y. (R(x) AND S(x, y) AND T(y))"},
+        {"table": {"kind": "tuple-independent", "schema": {"R": 1},
+                   "facts": [["R", [1], 0.5], ["R", [2], 0.25]]},
+         "open_world": {"first": 0.3, "ratio": 0.5},
+         "query": "EXISTS x. R(x)"},
+    ], ids=["safe", "unsafe", "completion"])
+    def test_drop_frees_the_session_at_once(self, spec):
+        """No reference cycle runs through a session, so dropping it frees
+        its PDB, distribution, prefix and compiled state by reference
+        counting, with the cycle collector switched off."""
+        manager = fresh_manager()
+        managed = manager.create("s", spec)
+        for epsilon in (0.3, 0.2):
+            managed.submit(epsilon, wait=True)
+        session = managed.session
+        pdb = session.pdb
+        distribution = getattr(pdb, "new_facts", pdb).distribution
+        refs = [weakref.ref(obj) for obj in (
+            managed, session, session.compile_cache, pdb, distribution,
+            distribution.prefix_cache())]
+        del managed, session, pdb, distribution
+        gc.disable()
+        try:
+            manager.drop("s")
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_result_to_json_is_json_ready(self):
         import json
