@@ -105,9 +105,7 @@ from repro.core import (
 from repro.openworld import CredalInterval, OpenPDB, credal_query_probability
 from repro.sampling import (
     SampleStream,
-    available_backends,
     get_kernel,
-    numpy_available,
 )
 
 __version__ = "1.0.0"
@@ -157,9 +155,7 @@ __all__ = [
     "MonteCarloEstimate",
     # sampling kernels
     "SampleStream",
-    "available_backends",
     "get_kernel",
-    "numpy_available",
     # core (the paper)
     "FactDistribution",
     "GeometricFactDistribution",

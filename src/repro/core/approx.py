@@ -231,7 +231,7 @@ def approximate_query_probability(
     truncation Ω_n.  ``strategy="sampled"`` is the sampled fallback for
     truncations too large for exact evaluation: the conditional
     ``P(Q | Ω_n)`` is itself estimated by seeded batched Monte Carlo on
-    the :mod:`repro.sampling` kernels, so the returned value carries the
+    the :mod:`repro.sampling` kernel, so the returned value carries the
     truncation error ε *plus* the (reported-separately) sampling error
     of :data:`repro.finite.evaluation.SAMPLED_STRATEGY_SAMPLES` worlds.
 

@@ -35,15 +35,8 @@ from repro import obs
 from repro.errors import EvaluationError
 from repro.logic.lineage import Lineage
 from repro.relational.facts import Fact
-from repro.utils.probability import (
-    numpy_or_none,
-    record_fold_error,
-    wmc_error_bound,
-)
+from repro.utils.probability import record_fold_error, wmc_error_bound
 
-#: Reachable-node count above which :meth:`BDDManager.rescore` switches
-#: to the per-level vectorized pass (numpy available only).
-_VECTOR_RESCORE_MIN_NODES = 128
 #: Linearizations kept per manager (LRU by root id).
 _LINEAR_CACHE_SIZE = 16
 
@@ -302,11 +295,9 @@ class BDDManager:
         Node ids ascend children-first by construction (:meth:`make`
         allocates a parent only after both children exist), so sorting
         the reachable internal nodes by id *is* a topological order.
-        Returns ``(facts, low_pos, high_pos, level_groups)`` where
-        positions index the dense value vector (terminals at 0 and 1,
-        node k of the order at k+2) and ``level_groups`` — present only
-        with numpy — batches same-level node indices bottom-up for the
-        elementwise pass.
+        Returns ``(facts, low_pos, high_pos)``, where positions index the
+        dense value vector (terminals at 0 and 1, node k of the order at
+        k+2).
         """
         # Copy-on-read: the LRU dict is only ever touched under the
         # manager lock, and the payload handed out is an immutable tuple
@@ -336,25 +327,7 @@ class BDDManager:
         facts = [n.fact for n in nodes]
         low_pos = [position[self._id(n.low)] for n in nodes]
         high_pos = [position[self._id(n.high)] for n in nodes]
-        level_groups = None
-        # Probe numpy only for a diagram large enough to use it: a small
-        # one never needs numpy imported.
-        np = (numpy_or_none() if len(nodes) >= _VECTOR_RESCORE_MIN_NODES
-              else None)
-        if np is not None:
-            by_level: Dict[int, List[int]] = {}
-            for k, n in enumerate(nodes):
-                by_level.setdefault(self._level[n.fact], []).append(k)
-            level_groups = [
-                np.asarray(by_level[level], dtype=np.intp)
-                for level in sorted(by_level, reverse=True)
-            ]
-        payload = (
-            facts,
-            low_pos,
-            high_pos,
-            level_groups,
-        )
+        payload = (facts, low_pos, high_pos)
         with self._lock:
             self._linear_cache[root.id] = payload
             while len(self._linear_cache) > _LINEAR_CACHE_SIZE:
@@ -369,34 +342,15 @@ class BDDManager:
         truncations again and again.
 
         Bit-identical to :meth:`probability`: each node computes the
-        same ``p·v_high + (1 − p)·v_low`` exactly once, just without the
-        recursion (and, past ``_VECTOR_RESCORE_MIN_NODES`` nodes with
-        numpy, as per-level elementwise kernels over the marginal
-        slice).
+        same ``p·v_high + (1 − p)·v_low`` exactly once, in one linear
+        pass over the topological order instead of the recursion.
         """
         if isinstance(node, int):
             return 1.0 if node == ONE else 0.0
-        facts, low_pos, high_pos, level_groups = self._linearized(node)
-        weights = [marginal(fact) for fact in facts]
-        if level_groups is not None:
-            np = numpy_or_none()
-            from repro.relational.columns import COLUMNS_VECTOR_OPS
-
-            obs.incr(COLUMNS_VECTOR_OPS)
-            values = np.empty(len(facts) + 2, dtype=np.float64)
-            values[0], values[1] = 0.0, 1.0
-            p = np.asarray(weights, dtype=np.float64)
-            low = np.asarray(low_pos, dtype=np.intp)
-            high = np.asarray(high_pos, dtype=np.intp)
-            for sel in level_groups:
-                ps = p[sel]
-                values[sel + 2] = (
-                    ps * values[high[sel]] + (1.0 - ps) * values[low[sel]]
-                )
-            return float(values[-1])
+        facts, low_pos, high_pos = self._linearized(node)
         values = [0.0] * (len(facts) + 2)
         values[1] = 1.0
-        for k, p in enumerate(weights):
+        for k, p in enumerate(map(marginal, facts)):
             values[k + 2] = (
                 p * values[high_pos[k]] + (1.0 - p) * values[low_pos[k]]
             )

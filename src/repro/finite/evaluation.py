@@ -100,7 +100,7 @@ def query_probability(
       weighted-model-counting pass; repeated calls on the same query
       (ε-sweeps, growing truncations) reuse and extend the diagram.
     * ``"sampled"`` — seeded batched Monte Carlo on the
-      :mod:`repro.sampling` kernels (:data:`SAMPLED_STRATEGY_SAMPLES`
+      :mod:`repro.sampling` kernel (:data:`SAMPLED_STRATEGY_SAMPLES`
       worlds): the only non-exact strategy, for queries whose exact
       evaluation is out of reach on large truncations.
 

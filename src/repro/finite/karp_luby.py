@@ -161,8 +161,8 @@ def karp_luby_probability(
     """Unbiased DNF probability estimate via the Karp–Luby scheme.
 
     ``backend="scalar"`` runs the original fact-by-fact conditional
-    sampler; the batched backends draw term choices and base worlds
-    ``batch_size`` at a time from a :mod:`repro.sampling` kernel and
+    sampler; the batched path draws term choices and base worlds
+    ``batch_size`` at a time from the :mod:`repro.sampling` kernel and
     apply the term's forced facts afterwards (equivalent in
     distribution, since facts are independent).
 

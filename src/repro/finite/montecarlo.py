@@ -4,7 +4,7 @@ The sampling fallback for queries outside every exact engine's reach
 (non-hierarchical with large lineage), and the E8 ablation baseline:
 its error decays as ``n^{−1/2}`` while exact engines are exact.
 
-Sampling runs on the batched kernels of :mod:`repro.sampling` by
+Sampling runs on the batched kernel of :mod:`repro.sampling` by
 default (``backend="auto"``): the representation is compiled to a plan
 once, worlds are generated ``batch_size`` at a time, and model checking
 is memoised per distinct world.  ``backend="scalar"`` preserves the
@@ -177,7 +177,7 @@ def event_probability_monte_carlo(
     """Like :func:`query_probability_monte_carlo` for arbitrary events.
 
     ``event`` must be a deterministic predicate on instances: the
-    batched backends memoise its value per distinct sampled world.
+    batched path memoises its value per distinct sampled world.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")

@@ -46,9 +46,8 @@ counted in ``fanout.pool_reuse``.
 
 Workers are usually forked from a thread that is inside a traced call,
 often a serve request thread while other threads run.  A worker starts
-with an empty trace stack, and the pool settles the process's numpy
-probe before it forks, so the probe's lock is never taken in a worker;
-DESIGN.md ("Parallel execution") lists what else a worker touches.
+with an empty trace stack; DESIGN.md ("Parallel execution") lists what
+else a worker touches.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import EvaluationError
-from repro.utils.probability import numpy_or_none
 
 #: Trace counters of the shard pool (active only inside ``obs.trace()``).
 WORKER_RESTARTS = "fanout.worker_restarts"
@@ -220,10 +218,6 @@ class ShardPool:
         slot unstarted, so a later task tries again."""
         if worker.process is not None:
             return
-        # Settle the process's one-time numpy probe first: a fork taken
-        # while another thread holds the probe's lock would leave that
-        # lock held, and the probe undone, in the worker.
-        numpy_or_none()
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             try:

@@ -25,7 +25,6 @@ from repro.relational.algebra import (
     select,
     union,
 )
-from repro.relational.typed import AttributeType, TypedRelationSymbol, TypedSchema
 
 __all__ = [
     "RelationSymbol",
@@ -45,7 +44,4 @@ __all__ = [
     "union",
     "difference",
     "rename",
-    "AttributeType",
-    "TypedRelationSymbol",
-    "TypedSchema",
 ]

@@ -23,10 +23,8 @@ Every fold goes through :class:`~repro.utils.probability.ComplementAccumulator`'
 hybrid underflow policy, in row order, so the aggregates are
 bit-identical to the dict-of-floats path.
 
-Observability: ``columns.interned`` counts facts interned,
-``columns.extends`` counts delta extensions, and
-``columns.vectorized_ops`` counts numpy kernel dispatches (the BDD's
-per-level rescoring pass, :mod:`repro.finite.bdd`).
+Observability: ``columns.interned`` counts facts interned and
+``columns.extends`` counts delta extensions.
 
 >>> from repro.relational import RelationSymbol
 >>> R = RelationSymbol("R", 1)
@@ -43,7 +41,7 @@ per-level rescoring pass, :mod:`repro.finite.bdd`).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -75,19 +73,27 @@ __all__ = [
 COLUMNS_INTERNED = "columns.interned"
 #: Obs counter: delta extensions applied to a column store.
 COLUMNS_EXTENDS = "columns.extends"
-#: Obs counter: numpy kernel dispatches (BDD per-level rescoring).
-COLUMNS_VECTOR_OPS = "columns.vectorized_ops"
 
 #: No block: the block-id column's value for tuple-independent rows.
 NO_BLOCK = -1
 
 
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    """``Σ`` by plain adds from 0.0, in order.  Built-in ``sum``
+    compensates float sums from Python 3.12 on; this gives the same bits
+    on every version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class FloatColumn:
     """A growable float column with prefix sums and probability folds.
 
-    A plain list plus an incrementally maintained running-sum list (one
-    add per append — the exact arithmetic the prefix caches have always
-    used).
+    A plain list.  Sums fold it left to right when asked: only a BID
+    family's total mass and a table's expected size read them, while
+    every tightening step extends the columns.
 
     >>> col = FloatColumn()
     >>> col.extend([0.5, 0.25, 0.125])
@@ -98,26 +104,19 @@ class FloatColumn:
     (0.25, 3)
     """
 
-    __slots__ = ("_data", "_cumulative")
+    __slots__ = ("_data",)
 
     def __init__(self) -> None:
         self._data: List[float] = []
-        self._cumulative: List[float] = [0.0]
 
     # ------------------------------------------------------------- mutation
     def append(self, value: float) -> None:
-        value = float(value)
-        self._data.append(value)
-        self._cumulative.append(self._cumulative[-1] + value)
+        self._data.append(float(value))
 
     def extend(self, values: Iterable[float]) -> int:
-        """Append ``values`` in order, bit for bit as repeated
-        :meth:`append` would; returns how many were appended."""
+        """Append ``values`` in order; returns how many were appended."""
         values = list(map(float, values))
         self._data.extend(values)
-        # The same left-to-right adds as appending one at a time.
-        cumulative = self._cumulative
-        cumulative.extend(accumulate(values, initial=cumulative.pop()))
         return len(values)
 
     # -------------------------------------------------------------- access
@@ -145,15 +144,15 @@ class FloatColumn:
 
     # ---------------------------------------------------------- aggregates
     def prefix_sum(self, n: int) -> float:
-        """``Σ`` of the first ``n`` values (all of them past the end)."""
-        return self._cumulative[min(n, len(self._data))]
+        """``Σ`` of the first ``n`` values (all of them past the end),
+        added left to right."""
+        return _sum_left_to_right(islice(self._data, n))
 
     def total(self) -> float:
-        return self._cumulative[-1]
+        return _sum_left_to_right(self._data)
 
     def sum_rows(self, rows: Sequence[int]) -> float:
-        data = self._data
-        return sum(data[row] for row in rows)
+        return _sum_left_to_right(self._values(rows))
 
     def _values(self, rows: Optional[Sequence[int]]) -> Iterable[float]:
         if rows is None:

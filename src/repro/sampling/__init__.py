@@ -6,9 +6,8 @@ finite-world sampling, so this package centralises world generation:
 
 * :mod:`~repro.sampling.stream` — seeded :class:`SampleStream` objects
   making every estimate reproducible from ``(seed, batch_index)``;
-* :mod:`~repro.sampling.kernels` — the :class:`Kernel` protocol, the
-  pure-Python batched backend, and the lazily-loaded optional NumPy
-  backend (``pip install .[fast]``), with ``backend="auto"`` selection;
+* :mod:`~repro.sampling.kernels` — :class:`PythonKernel`, the one
+  batched kernel, which ``backend="auto"`` and ``backend="python"`` name;
 * :mod:`~repro.sampling.plans` — pre-materialised per-representation
   sampling plans (TI / BID / explicit worlds) with batch-level model
   checking (compile the query once, memoise truth per distinct world).
@@ -19,13 +18,10 @@ Engines keep their original one-draw-at-a-time code paths under
 
 from repro.sampling.kernels import (
     DEFAULT_BATCH_SIZE,
-    Kernel,
     PythonKernel,
     SCALAR,
-    available_backends,
     batch_rngs,
     get_kernel,
-    numpy_available,
     resolve_rng,
 )
 from repro.sampling.plans import (
@@ -40,17 +36,14 @@ from repro.sampling.stream import SampleStream, as_stream
 __all__ = [
     "BIDPlan",
     "DEFAULT_BATCH_SIZE",
-    "Kernel",
     "PythonKernel",
     "SCALAR",
     "SampleStream",
     "TIPlan",
     "WorldPlan",
     "as_stream",
-    "available_backends",
     "batch_rngs",
     "get_kernel",
-    "numpy_available",
     "plan_for",
     "resolve_rng",
     "sample_instances",

@@ -1,40 +1,28 @@
-"""Batched sampling kernels.
+"""The batched sampling kernel.
 
-A *kernel* is the backend that turns probability arrays into batches of
-random draws.  Engines (Monte Carlo, Karp–Luby, world sampling) never
-loop over ``random.Random`` fact-by-fact themselves; they pre-materialise
-a :mod:`~repro.sampling.plans` plan once and then ask a kernel for ``k``
-draws at a time.  Two kernels ship:
+The *kernel* turns probability arrays into batches of random draws.
+Engines (Monte Carlo, Karp–Luby, world sampling) never loop over
+``random.Random`` fact-by-fact themselves; they pre-materialise a
+:mod:`~repro.sampling.plans` plan once and then ask the kernel for
+``k`` draws at a time.  One kernel ships, :class:`PythonKernel`: pure
+Python, batching by hoisting all per-fact attribute/dict lookups out of
+the sampling loop.  ``backend="auto"`` and ``backend="python"`` both
+name it.  ``backend="scalar"`` is *not* a kernel: it names the engines'
+original one-draw-at-a-time reference paths, which they keep for
+differential testing.
 
-* ``"python"`` — pure Python, zero dependencies, batches by hoisting all
-  per-fact attribute/dict lookups out of the sampling loop;
-* ``"numpy"`` — vectorised over a ``k × n`` uniform matrix, available
-  when NumPy is importable (the ``[fast]`` extra).
-
-``backend="auto"`` selects numpy when available and falls back to the
-pure-Python kernel otherwise, so NumPy never silently becomes a hard
-dependency.  ``backend="scalar"`` is *not* a kernel: it names the
-engines' original one-draw-at-a-time reference paths, which they keep
-for differential testing.
-
-Determinism contract: a kernel seeded with the same integer produces
-bit-identical draws on every run *of the same backend*.  Different
-backends consume randomness differently and agree only statistically —
-the differential suite in ``tests/sampling`` checks both properties.
+Determinism contract: the kernel seeded with the same integer produces
+bit-identical draws on every run and every install.  The scalar paths
+consume randomness differently and agree only statistically — the
+differential suite in ``tests/sampling`` checks both properties.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Sequence, Tuple
 
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-from repro.sampling.stream import SampleStream, as_stream
+from repro.sampling.stream import as_stream
 
 #: Engine-level name for the unbatched reference paths (not a kernel).
 SCALAR = "scalar"
@@ -43,59 +31,32 @@ SCALAR = "scalar"
 DEFAULT_BATCH_SIZE = 2048
 
 
-class Kernel(Protocol):
-    """Backend protocol for batched random draws.
-
-    RNG objects are opaque to callers: obtain one from :meth:`make_rng`
-    (seeded, per batch) or :meth:`adapt_rng` (wrap a caller-supplied
-    ``random.Random``) and pass it back into the draw methods.
-    """
-
-    name: str
-
-    def make_rng(self, seed: int):
-        """A fresh backend RNG seeded with ``seed``."""
-
-    def adapt_rng(self, rng: random.Random):
-        """Adapt a caller-supplied ``random.Random`` for this backend."""
-
-    def bernoulli_rows(self, probs: Sequence[float], k: int, rng) -> List[Tuple[int, ...]]:
-        """``k`` independent Bernoulli field draws.
-
-        Each row is the sorted tuple of indices ``i`` whose coin
-        ``u_i < probs[i]`` came up heads.
-        """
-
-    def categorical(
-        self,
-        cumulative: Sequence[float],
-        k: int,
-        rng,
-        scale: Optional[float] = None,
-    ) -> List[int]:
-        """``k`` draws from the categorical with cumulative weights.
-
-        Draws ``u ~ U[0, scale)`` (default ``scale = cumulative[-1]``)
-        and returns the insertion index; an index equal to
-        ``len(cumulative)`` selects the remainder mass
-        ``scale − cumulative[-1]`` (the BID ``p_⊥``).
-        """
-
-
 class PythonKernel:
-    """Pure-Python batched kernel (the zero-dependency default)."""
+    """Pure-Python batched draws from a ``random.Random``.
+
+    RNG objects come from :meth:`make_rng` (seeded, per batch) or
+    :meth:`adapt_rng` (a caller-supplied ``random.Random``, checked) and
+    go back into the draw methods.
+    """
 
     name = "python"
 
     def make_rng(self, seed: int) -> random.Random:
+        """A fresh RNG seeded with ``seed``."""
         return random.Random(seed)
 
     def adapt_rng(self, rng: random.Random) -> random.Random:
+        """Check a caller-supplied RNG."""
         if not isinstance(rng, random.Random):
             raise TypeError(f"python kernel needs random.Random, got {type(rng)!r}")
         return rng
 
     def bernoulli_rows(self, probs, k, rng):
+        """``k`` independent Bernoulli field draws.
+
+        Each row is the sorted tuple of indices ``i`` whose coin
+        ``u_i < probs[i]`` came up heads.
+        """
         uniform = rng.random
         indexed = tuple(enumerate(probs))
         return [
@@ -103,6 +64,13 @@ class PythonKernel:
         ]
 
     def categorical(self, cumulative, k, rng, scale=None):
+        """``k`` draws from the categorical with cumulative weights.
+
+        Draws ``u ~ U[0, scale)`` (default ``scale = cumulative[-1]``)
+        and returns the insertion index; an index equal to
+        ``len(cumulative)`` selects the remainder mass
+        ``scale − cumulative[-1]`` (the BID ``p_⊥``).
+        """
         top = cumulative[-1] if scale is None else scale
         uniform = rng.random
         locate = bisect.bisect_right
@@ -110,51 +78,16 @@ class PythonKernel:
 
 
 _PYTHON = PythonKernel()
-_NUMPY_KERNEL = None
 
 
-def numpy_available() -> bool:
-    """True iff the optional NumPy backend can be used."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _numpy_kernel():
-    global _NUMPY_KERNEL
-    if _NUMPY_KERNEL is None:
-        from repro.sampling.numpy_kernel import NumpyKernel
-
-        _NUMPY_KERNEL = NumpyKernel()
-    return _NUMPY_KERNEL
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Kernel backends usable right now (excludes ``"scalar"``)."""
-    if numpy_available():
-        return ("python", "numpy")
-    return ("python",)
-
-
-def get_kernel(backend: str = "auto") -> Kernel:
-    """Resolve a backend name to a kernel instance.
+def get_kernel(backend: str = "auto") -> PythonKernel:
+    """Resolve a backend name to the kernel.
 
     >>> get_kernel("python").name
     'python'
     """
-    if backend == "auto":
-        return _numpy_kernel() if numpy_available() else _PYTHON
-    if backend == "python":
+    if backend in ("auto", "python"):
         return _PYTHON
-    if backend == "numpy":
-        if not numpy_available():
-            raise ValueError(
-                "backend 'numpy' requested but numpy is not installed; "
-                "install the [fast] extra or use backend='python'"
-            )
-        return _numpy_kernel()
     if backend == SCALAR:
         raise ValueError(
             "backend 'scalar' is the engines' unbatched reference path, "
@@ -163,8 +96,8 @@ def get_kernel(backend: str = "auto") -> Kernel:
     raise ValueError(f"unknown sampling backend {backend!r}")
 
 
-def resolve_rng(kernel: Kernel, rng=None, seed=None, batch_index: int = 0):
-    """One backend RNG from either a caller RNG or a ``(seed, batch)`` pair."""
+def resolve_rng(kernel: PythonKernel, rng=None, seed=None, batch_index: int = 0):
+    """One kernel RNG from either a caller RNG or a ``(seed, batch)`` pair."""
     if rng is not None:
         return kernel.adapt_rng(rng)
     if seed is not None:
@@ -172,12 +105,12 @@ def resolve_rng(kernel: Kernel, rng=None, seed=None, batch_index: int = 0):
     raise ValueError("provide rng= or seed=")
 
 
-def batch_rngs(kernel: Kernel, rng=None, seed=None):
+def batch_rngs(kernel: PythonKernel, rng=None, seed=None):
     """A ``batch_index -> rng`` provider for multi-batch estimators.
 
     With ``seed`` every batch gets an independent RNG derived from
-    ``(seed, batch_index)``; with a caller ``rng`` the single adapted RNG
-    is consumed sequentially across batches.
+    ``(seed, batch_index)``; with a caller ``rng`` the single checked
+    RNG is consumed sequentially across batches.
     """
     if seed is not None:
         stream = as_stream(seed)

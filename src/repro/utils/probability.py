@@ -27,8 +27,8 @@ one :func:`product_complement` has always used (moved here verbatim from
 :class:`ComplementAccumulator` is the streaming form of the same policy,
 for evaluator loops that need early exit, and the one fold behind every
 lifted, column (:mod:`repro.relational.columns`) and ``segmented_*``
-path.  The ``vector_*`` helpers fold numpy arrays in log space; no
-engine path calls them.
+path.  The ``vector_*`` helpers fold arrays in log space, with the
+array module passed in; no engine path calls them.
 
 >>> product_complement([0.5, 0.5])
 0.25
@@ -41,7 +41,6 @@ True
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable
 
 from repro import obs
@@ -54,7 +53,6 @@ __all__ = [
     "UNIT_ROUNDOFF",
     "disjunction",
     "log_product_complement",
-    "numpy_or_none",
     "product_complement",
     "segmented_complement_product",
     "segmented_disjunction",
@@ -112,36 +110,6 @@ def worlds_error_bound(worlds: int, facts: int) -> float:
     factors (relative error ≤ (2·facts + 4)·u) and the sum over at most
     ``worlds`` masses totalling ≤ 1 adds ≤ u per term."""
     return round_up(UNIT_ROUNDOFF * (worlds + 2 * facts + 4))
-
-
-_NUMPY_PROBE_LOCK = threading.Lock()
-_NUMPY_UNPROBED = object()
-_numpy_probe = _NUMPY_UNPROBED
-
-
-def numpy_or_none():
-    """The imported numpy module, or None without the ``[fast]`` extra.
-
-    Probed exactly once per process, under a lock: concurrent first
-    imports of a *failing* numpy (e.g. a raising stub on the path)
-    can transiently leave a half-initialized module in ``sys.modules``,
-    letting two threads disagree on availability — and a sampling
-    kernel or BDD rescore that saw numpy while the next call says
-    absent would fail midway.  Memoizing pins one answer for the
-    process lifetime.  Only the sampling kernels and the BDD's
-    large-diagram rescoring ask; nothing probes at import.
-    """
-    global _numpy_probe
-    if _numpy_probe is _NUMPY_UNPROBED:
-        with _NUMPY_PROBE_LOCK:
-            if _numpy_probe is _NUMPY_UNPROBED:
-                try:
-                    import numpy
-                except ImportError:
-                    _numpy_probe = None
-                else:
-                    _numpy_probe = numpy
-    return _numpy_probe
 
 
 class ComplementAccumulator:
@@ -294,11 +262,12 @@ def log_product_complement(probabilities: Iterable[float]) -> float:
     return total
 
 
-# --------------------------------------------------------------- numpy batch
-# Log-space folds over numpy arrays, taking the numpy module explicitly.
-# No engine path calls them (columns fold plain lists through the
-# segmented forms below); the names stay because perfbench's span
-# wrappers patch them here and in :mod:`repro.relational.columns`.
+# --------------------------------------------------------------- array batch
+# Log-space folds over numpy arrays, taking the numpy module as their
+# first argument; this module never imports it.  No engine path calls
+# them (columns fold plain lists through the segmented forms below); the
+# names stay because perfbench's span wrappers patch them here and in
+# :mod:`repro.relational.columns`.
 
 def vector_log_complement(np, marginals) -> float:
     """``Σ log1p(−p_i)`` over a float array; −inf if any ``p_i = 1``."""

@@ -9,7 +9,6 @@ a worker starts with no active trace and takes no lock that another
 parent thread may hold."""
 
 import threading
-import time
 
 from repro import obs
 from repro.finite import Block, BlockIndependentTable
@@ -28,7 +27,6 @@ from repro.parallel.pool import (
 )
 from repro.parallel.shipping import pooled_answer_marginals
 from repro.relational import Schema
-from repro.utils import probability
 
 schema = Schema.of(R=1, S=2)
 R, S = schema["R"], schema["S"]
@@ -55,11 +53,6 @@ def _bid_table():
 
 def _has_trace():
     return obs.current_trace() is not None
-
-
-def _numpy_probe_matches(available):
-    """Run in a worker: probe numpy and compare with the parent."""
-    return (probability.numpy_or_none() is not None) == available
 
 
 def _hold(lock):
@@ -135,29 +128,3 @@ def test_workers_forked_while_another_thread_holds_the_default_cache():
     assert not thread.is_alive()
     assert pooled == serial
 
-
-def test_pool_settles_the_numpy_probe_before_it_forks(monkeypatch):
-    """A fork taken while another thread is inside the process's first
-    numpy probe would leave the probe's lock held, and the probe undone,
-    in the worker; the pool waits for the probe instead."""
-    settled = probability.numpy_or_none()
-    monkeypatch.setattr(
-        probability, "_numpy_probe", probability._NUMPY_UNPROBED)
-    held = threading.Event()
-
-    def probe_in_flight():
-        with probability._NUMPY_PROBE_LOCK:
-            held.set()
-            time.sleep(0.2)
-            probability._numpy_probe = settled
-
-    thread = threading.Thread(target=probe_in_flight, daemon=True)
-    thread.start()
-    assert held.wait(TIMEOUT_S)
-    pool = ShardPool(1, timeout=TIMEOUT_S)
-    try:
-        assert pool.run_on(0, _numpy_probe_matches, settled is not None)
-    finally:
-        thread.join(TIMEOUT_S)
-        pool.close()
-    assert not thread.is_alive()

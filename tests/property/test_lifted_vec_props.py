@@ -3,8 +3,7 @@
 Over random tables and the plan shapes that exercise every grouped
 constructor (chain joins, star joins, shattered constants, unions with
 UCQ separators), the batched set-at-a-time executor must agree with the
-compiled-BDD strategy to 1e-12, whether the diagram is rescored node by
-node or by numpy's per-level pass — and a refinement sweep's
+compiled-BDD strategy to 1e-12 — and a refinement sweep's
 delta-extended re-runs must be bit-identical to fresh full evaluations
 at the same truncations.
 """
@@ -12,7 +11,6 @@ at the same truncations.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.finite.bdd as bdd_module
 from repro import obs
 from repro.core.fact_distribution import GeometricFactDistribution
 from repro.core.refine import RefinementSession
@@ -22,20 +20,15 @@ from repro.finite.compile_cache import CompileCache
 from repro.finite.lifted import query_probability_lifted
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
-from repro.relational.columns import COLUMNS_VECTOR_OPS
 from repro.universe import FactSpace, Naturals
-from repro.utils.probability import numpy_or_none
 
 #: Columns and folds run on plain Python lists only; the one-value
 #: parameter keeps each case's ``[python]`` test id.
 BACKENDS = ("python",)
 
-#: How the BDD reference rescores its diagram: node by node in Python,
-#: as diagrams below ``_VECTOR_RESCORE_MIN_NODES`` nodes do, and, where
-#: numpy is installed, by the per-level numpy pass of large diagrams,
-#: forced here on every size.
-RESCORE_LEGS = ("python",) + (
-    ("numpy",) if numpy_or_none() is not None else ())
+#: The BDD reference rescores its diagram node by node in Python; the
+#: one-value parameter keeps each case's ``[shape-python]`` test id.
+RESCORE_LEGS = ("python",)
 
 schema = Schema.of(R=1, S=2, T=1)
 R, S, T = schema["R"], schema["S"], schema["T"]
@@ -80,23 +73,14 @@ class TestBatchedMatchesBDD:
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_differential(self, shape, rescore, marginals, monkeypatch):
-        if rescore == "numpy":
-            monkeypatch.setattr(bdd_module, "_VECTOR_RESCORE_MIN_NODES", 0)
+    def test_differential(self, shape, rescore, marginals):
         query = boolean_query(SHAPES[shape])
         table = TupleIndependentTable(schema, marginals)
         batched = query_probability_lifted(
             query, table, plan_cache=CompileCache())
-        with obs.trace() as trace:
-            bdd = float(query_probability(
-                query, table, strategy="bdd",
-                compile_cache=CompileCache()))
+        bdd = float(query_probability(
+            query, table, strategy="bdd", compile_cache=CompileCache()))
         assert batched == pytest.approx(bdd, abs=1e-12)
-        if rescore == "python":
-            assert COLUMNS_VECTOR_OPS not in trace.counters
-        elif 0.0 < bdd < 1.0:
-            # The diagram has a node, so the numpy pass scored it.
-            assert trace.counters[COLUMNS_VECTOR_OPS] >= 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

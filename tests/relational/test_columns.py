@@ -3,18 +3,15 @@
 import pytest
 
 from repro import obs
-from repro.finite.bdd import ZERO, BDDManager, _VECTOR_RESCORE_MIN_NODES
 from repro.relational import Schema
 from repro.relational.columns import (
     COLUMNS_EXTENDS,
     COLUMNS_INTERNED,
-    COLUMNS_VECTOR_OPS,
     NO_BLOCK,
     ColumnStore,
     FloatColumn,
     IntColumn,
 )
-from repro.utils.probability import numpy_or_none
 
 schema = Schema.of(R=1)
 R = schema["R"]
@@ -135,32 +132,3 @@ class TestObservability:
         assert t.counters[COLUMNS_INTERNED] == 2
         assert t.counters[COLUMNS_EXTENDS] == 1
 
-    def test_vector_ops_counted_on_numpy(self):
-        """With numpy installed, ``columns.vectorized_ops`` counts the
-        BDD's per-level rescoring passes: one per rescore of a diagram
-        of at least ``_VECTOR_RESCORE_MIN_NODES`` nodes.  Smaller
-        diagrams rescore node by node and count none."""
-        if numpy_or_none() is None:
-            pytest.skip("numpy not installed")
-        facts = [R(i) for i in range(_VECTOR_RESCORE_MIN_NODES)]
-        manager = BDDManager(facts)
-        chains = [ZERO]  # chains[k]: the disjunction of the last k facts
-        for fact in reversed(facts):
-            chains.append(manager.disjoin(manager.variable(fact), chains[-1]))
-        large, small = chains[-1], chains[-2]
-        marginal = {fact: 1 / (i + 50) for i, fact in enumerate(facts)}.get
-        with obs.trace() as t:
-            value = manager.rescore(large, marginal)
-            manager.rescore(large, marginal)
-            manager.rescore(small, marginal)
-        assert t.counters[COLUMNS_VECTOR_OPS] == 2
-        # The per-level pass computes each node's value as the recursion does.
-        assert value == manager.probability(large, marginal)
-
-    def test_no_vector_ops_on_python(self):
-        with obs.trace() as t:
-            col = FloatColumn()
-            col.extend([0.5, 0.25])
-            col.disjunction()
-            col.gather([0])
-        assert COLUMNS_VECTOR_OPS not in t.counters

@@ -11,7 +11,6 @@ from repro.utils.probability import (
     ComplementAccumulator,
     disjunction,
     log_product_complement,
-    numpy_or_none,
     product_complement,
     vector_complement_product,
     vector_disjunction,
@@ -123,17 +122,12 @@ class TestIterableForms:
 class TestVectorKernels:
     @pytest.fixture(autouse=True)
     def np(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy not installed")
-        return np
+        return pytest.importorskip("numpy")
 
     @given(probabilities)
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_path(self, values):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy not installed")
+        np = pytest.importorskip("numpy")
         a = np.asarray(values, dtype=np.float64)
         assert vector_complement_product(np, a) == pytest.approx(
             product_complement(values), abs=1e-12)

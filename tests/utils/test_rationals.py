@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ProbabilityError
-from repro.utils.probability import numpy_or_none
 from repro.utils.rationals import (
     as_fraction,
     complement,
@@ -72,9 +71,7 @@ class TestFloatFastPath:
         assert is_probability(value) is fraction_oracle(value)
 
     def test_numpy_float64_matches_the_oracle(self):
-        numpy = numpy_or_none()
-        if numpy is None:
-            pytest.skip("numpy not installed")
+        numpy = pytest.importorskip("numpy")
         for value in EDGE_VALUES[:9]:
             wide = numpy.float64(value)
             assert bool(is_probability(wide)) is fraction_oracle(wide)

@@ -19,14 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.probability import (
     ComplementAccumulator,
-    numpy_or_none,
     segmented_complement_product,
     segmented_disjunction,
     segmented_fold,
     segmented_log_complement,
 )
 
-numpy = numpy_or_none()
+try:
+    import numpy
+except ImportError:
+    numpy = None
 needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
 
 
