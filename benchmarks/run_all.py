@@ -38,14 +38,24 @@ ARTIFACT_MODULES = {
 }
 
 
-def git_sha():
+def git_sha(root=REPO_ROOT):
+    """HEAD's commit SHA, with ``-dirty`` appended when a tracked file
+    differs from HEAD.  The ``BENCH_*.json`` artifacts do not count: a
+    regeneration always modifies them before they are stamped."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root,
+            capture_output=True, text=True, check=True)
+        changed = subprocess.run(
+            ["git", "diff", "--name-only", "HEAD", "--", ".",
+             ":(exclude)BENCH_*.json"], cwd=root,
             capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip() or None
+    sha = head.stdout.strip()
+    if sha and changed.stdout.strip():
+        return f"{sha}-dirty"
+    return sha or None
 
 
 def run_module(module):

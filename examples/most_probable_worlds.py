@@ -31,15 +31,10 @@ def main() -> None:
         print(f"  {probability:.4f}  {facts}")
 
     # Open-world completion: unseen birthplace facts become possible.
+    # Its truncation to the 6 most likely new facts is again a TI table:
+    # the original facts followed by those 6.
     completed = open_world(kb, total_open_mass=0.2, decay=0.5)
-    truncated = completed.truncate(6)  # original ⊗ 6 most likely new facts
-    # Collapse the completed finite PDB back to a TI table for ranking:
-    # the product of the original TI table and the truncated new table
-    # is itself tuple-independent.
-    marginals = dict(kb.marginals)
-    for fact, probability in completed.new_facts.distribution.prefix(6):
-        marginals[fact] = probability
-    open_table = TupleIndependentTable(schema, marginals)
+    open_table = completed.truncate(6)
 
     print("\nTop 5 worlds after open-world completion "
           "(budget 0.2 of new mass):")
@@ -50,7 +45,6 @@ def main() -> None:
     print("\nThe mode (MAP repair) is unchanged; worlds containing "
           "never-extracted facts\nnow appear in the ranking with small "
           "positive probability instead of 0.")
-    assert truncated is not None  # the finite PDB view, for further queries
 
 
 if __name__ == "__main__":

@@ -95,13 +95,19 @@ def _add_stats_flag(subparser: argparse.ArgumentParser) -> None:
              "(FORMAT: human [default] or json)")
 
 
-def _parse_open_world(spec: str):
+def _open_world(table, spec: str):
+    """The table completed (Theorem 5.5) with the geometric family of
+    ``--open-world first,ratio`` over its fact space."""
+    if not isinstance(table, TupleIndependentTable):
+        raise SystemExit("--open-world requires a tuple-independent table")
     try:
         first_text, ratio_text = spec.split(",")
-        return float(first_text), float(ratio_text)
+        first, ratio = float(first_text), float(ratio_text)
     except ValueError:
         raise SystemExit(
             f"--open-world expects 'first,ratio', got {spec!r}")
+    return complete(table, GeometricFactDistribution(
+        FactSpace(table.schema, Naturals()), first=first, ratio=ratio))
 
 
 def _parse_sweep(spec: str):
@@ -142,14 +148,7 @@ def command_query(args: argparse.Namespace) -> int:
     formula = parse_formula(args.query, table.schema)
     query = BooleanQuery(formula, table.schema)
     if args.open_world:
-        if not isinstance(table, TupleIndependentTable):
-            raise SystemExit("--open-world requires a tuple-independent table")
-        first, ratio = _parse_open_world(args.open_world)
-        completed = complete(
-            table,
-            GeometricFactDistribution(
-                FactSpace(table.schema, Naturals()), first=first, ratio=ratio),
-        )
+        completed = _open_world(table, args.open_world)
         if args.sweep:
             from repro.core.refine import RefinementSession
 
@@ -184,17 +183,10 @@ def command_marginals(args: argparse.Namespace) -> int:
     query = Query(formula, table.schema)
     workers = args.workers if args.workers and args.workers > 1 else None
     if args.open_world:
-        if not isinstance(table, TupleIndependentTable):
-            raise SystemExit("--open-world requires a tuple-independent table")
         from repro.core.refine import RefinementSession
 
-        first, ratio = _parse_open_world(args.open_world)
-        completed = complete(
-            table,
-            GeometricFactDistribution(
-                FactSpace(table.schema, Naturals()), first=first, ratio=ratio),
-        )
-        session = RefinementSession(query, completed)
+        session = RefinementSession(
+            query, _open_world(table, args.open_world))
         epsilons = (
             _parse_sweep(args.sweep) if args.sweep else [args.epsilon])
         for epsilon in epsilons:

@@ -174,7 +174,7 @@ def choose_block_truncation(
 
 
 def record_certificate(
-    trace: "obs.EvalTrace", epsilon: float, n: int, tail: float
+    trace: "obs.EvalTrace", epsilon: float, n: int, tail: float, table
 ) -> Tuple[float, float, float]:
     """Record one refinement's certificate in the active traces — n,
     δ = tail(n), α, ε, the fold-error bound and the stopping rule — and
@@ -183,13 +183,17 @@ def record_certificate(
     The fold error is the largest bound an evaluator recorded in
     ``trace``.  An exact evaluation that recorded none (a compiled
     fan-out on pool workers, whose traces stay in the workers) gets the
-    weighted-model-counting bound over the n facts, the only kernel the
-    pool runs for it."""
+    weighted-model-counting bound over the facts of the truncation
+    ``table`` (the pool takes TI and BID tables only), the only kernel
+    the pool runs for it: its diagrams have one variable per fact, while
+    n counts blocks of a BID PDB and only the new facts of a
+    completion."""
     alpha = alpha_from_tail(tail)
     sampling_error = trace.gauges.get("sampling.half_width", 0.0)
     fold_error = trace.gauges.get(FOLD_ERROR_GAUGE)
     if fold_error is None:
-        fold_error = 0.0 if sampling_error else wmc_error_bound(n)
+        fold_error = 0.0 if sampling_error else wmc_error_bound(
+            len(table.possible_facts()))
     obs.gauge("truncation.n", n)
     obs.gauge("truncation.tail", tail)
     obs.gauge("truncation.alpha", alpha)
@@ -205,13 +209,14 @@ def _finish_approximation(
     epsilon: float,
     truncation: int,
     tail: float,
+    table,
 ) -> ApproximationResult:
     """Assemble an :class:`ApproximationResult` from a finished entry
     point: record the certificate (:func:`record_certificate`), widen
     the enclosure by the fold-error and Monte-Carlo bounds, and attach
     the :class:`~repro.obs.EvalReport`."""
     alpha, sampling_error, fold_error = record_certificate(
-        trace, epsilon, truncation, tail)
+        trace, epsilon, truncation, tail, table)
     result = ApproximationResult(
         float(value), epsilon, truncation, alpha, sampling_error,
         tail, fold_error)
@@ -267,10 +272,12 @@ def approximate_query_probability_completed(
     countable TI PDB on new facts; conditioning on Ω_n (no new fact
     beyond the first n) again factorizes, so the proof's error analysis
     applies verbatim — only the finite evaluation now runs on the
-    (original × truncated-new) finite PDB.  ``strategy`` and
-    ``max_facts`` are forwarded exactly as in
-    :func:`approximate_query_probability`, and n is chosen by the same
-    union-bound rule on the new facts' tail.
+    original plus the first n new facts.  For a TI or BID original that
+    is one table (Remark 5.6), which every table engine evaluates and a
+    session grows in place; explicit worlds are multiplied out with the
+    subsets of the new facts.  ``strategy`` and ``max_facts`` are
+    forwarded exactly as in :func:`approximate_query_probability`, and
+    n is chosen by the same union-bound rule on the new facts' tail.
     """
     from repro.core.refine import RefinementSession
 

@@ -12,6 +12,11 @@ completion is the product
 of the original PDB and the Theorem 4.8 tuple-independent PDB ``P₁`` on
 the new facts.  :class:`CompletedPDB` implements exactly that product.
 
+A TI or BID original stays a table: conditioned on ``Ω_n`` (no new
+fact beyond the first n) the product is that table plus the first n new
+facts (Remark 5.6), which every table engine evaluates.  Only explicit,
+possibly correlated worlds are multiplied out world by world.
+
 Also here: the closed-world "completion" (Remark 5.2), the closure
 extension with mass ``c`` for originals whose sample space is not closed
 under subsets/union, and the completion-condition verifier.
@@ -19,8 +24,7 @@ under subsets/union, and the completion-condition verifier.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.core.fact_distribution import (
     FactDistribution,
@@ -30,7 +34,7 @@ from repro.core.fact_distribution import (
 from repro.core.pdb import CountablePDB
 from repro.core.tuple_independent import CountableTIPDB
 from repro.errors import CompletionError, ProbabilityError
-from repro.finite.bid import BlockIndependentTable
+from repro.finite.bid import Block, BlockIndependentTable
 from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.relational.facts import Fact
@@ -44,13 +48,16 @@ OriginalPDB = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
 class CompletedPDB(CountablePDB):
     """The Theorem 5.5 product completion ``P′ = P × P₁``.
 
-    ``original`` is an explicit finite PDB; ``new_facts`` a countable
-    tuple-independent PDB whose support is disjoint from the original
-    facts and contains no probability-1 fact (else ``P′(Ω) = 0`` and the
-    completion condition is ill-defined).
+    ``original`` is the finite PDB as given: a TI or BID table, or
+    explicit worlds; ``new_facts`` a countable tuple-independent PDB
+    whose support is disjoint from the original facts and contains no
+    probability-1 fact (else ``P′(Ω) = 0`` and the completion condition
+    is ill-defined).  It truncates and grows its truncation like a
+    :class:`~repro.core.tuple_independent.CountableTIPDB`, with n
+    counting new facts.
     """
 
-    def __init__(self, original: FinitePDB, new_facts: CountableTIPDB):
+    def __init__(self, original: OriginalPDB, new_facts: CountableTIPDB):
         self.original = original
         self.new_facts = new_facts
         self.original_facts = frozenset(original.facts())
@@ -65,6 +72,13 @@ class CompletedPDB(CountablePDB):
             raise CompletionError(
                 f"new-fact distribution overlaps F(D): {overlap[:3]}"
             )
+        if isinstance(original, BlockIndependentTable) and any(
+            block.name.startswith(NEW_BLOCK_PREFIX)
+            for block in original.blocks
+        ):
+            raise CompletionError(
+                f"block names starting {NEW_BLOCK_PREFIX!r} collide with "
+                "the new facts' singleton blocks")
         empty_mass = new_facts.empty_world_probability()
         if empty_mass <= 0:
             raise CompletionError(
@@ -86,7 +100,7 @@ class CompletedPDB(CountablePDB):
     def instance_probability(self, instance: Instance) -> float:
         """``P′({D ⊎ C}) = P({D}) · P₁({C})``."""
         original_part, new_part = self.decompose(instance)
-        base = self.original.probability_of(original_part)
+        base = self.original.instance_probability(original_part)
         if base == 0.0:
             return 0.0
         return base * self.new_facts.instance_probability(new_part)
@@ -95,15 +109,8 @@ class CompletedPDB(CountablePDB):
         """``P′(E_f)``: the original marginal for original facts, the
         open-world probability for new facts (product independence)."""
         if fact in self.original_facts:
-            return self.original.fact_marginal(fact)
+            return self.original.marginal(fact)
         return self.new_facts.marginal(fact)
-
-    def is_original(self, instance: Instance) -> bool:
-        """Membership in Ω (the original sample space, as an event)."""
-        _, new_part = self.decompose(instance)
-        return new_part.size == 0 and self.original.probability_of(instance) >= 0 and (
-            instance in self.original.worlds
-        )
 
     def original_space_probability(self) -> float:
         """``P′(Ω) = P₁({∅}) > 0`` (eq. (11) territory)."""
@@ -111,7 +118,7 @@ class CompletedPDB(CountablePDB):
 
     def conditioned_on_original(self, instance: Instance) -> float:
         """``P′({D} | Ω)`` — the left side of the completion condition."""
-        if instance not in self.original.worlds:
+        if not instance.facts <= self.original_facts:
             return 0.0
         return self.instance_probability(instance) / self._p1_empty
 
@@ -121,31 +128,73 @@ class CompletedPDB(CountablePDB):
 
     # ------------------------------------------------------------ enumeration
     def _enumerate(self) -> Iterator[Tuple[Instance, float]]:
+        # Exhaustive by definition, so a table original is expanded.
         pairs = diagonal_product(
-            ((w, m) for w, m in self.original.worlds.items()),
-            self.new_facts.worlds(),
-        )
+            self.original.expand().worlds.items(), self.new_facts.worlds())
         for (original_world, base), (new_world, extra) in pairs:
             yield original_world | new_world, base * extra
 
     # ------------------------------------------------------------- truncation
-    def truncate(self, n: int) -> FinitePDB:
+    def truncate(self, n: int) -> OriginalPDB:
         """The finite PDB conditioned on "no new fact beyond the first n
-        occurs": original worlds × subsets of the first n new facts.
+        occurs".
 
         Because ``P′`` is a product measure, this conditional is again a
-        product — the original PDB times the truncated TI table.
+        product: the original times the first n new facts, each
+        independent (Remark 5.6).  A TI original gives the TI table of
+        its facts followed by the first n new facts; a BID original, its
+        blocks followed by one singleton block per new fact.  Explicit
+        worlds are multiplied out with every subset of the new facts.
         """
-        table = self.new_facts.truncate(n)
-        new_part = table.expand()
+        original = self.original
+        if isinstance(original, TupleIndependentTable):
+            marginals = dict(original.marginals)
+            marginals.update(self.new_facts.distribution.marginals_dict(n))
+            return TupleIndependentTable(self.schema, marginals)
+        if isinstance(original, BlockIndependentTable):
+            return BlockIndependentTable(
+                self.schema, original.blocks + self._new_blocks(0, n))
+        new_part = self.new_facts.truncate(n).expand()
         worlds: Dict[Instance, float] = {}
-        for original_world, base in self.original.worlds.items():
+        for original_world, base in original.worlds.items():
             for extra_world in new_part.instances():
                 combined = original_world | extra_world
                 mass = base * new_part.probability_of(extra_world)
                 if mass > 0:
                     worlds[combined] = worlds.get(combined, 0.0) + mass
         return FinitePDB(self.schema, worlds)
+
+    def extend_truncation(
+        self, table: Union[TupleIndependentTable, BlockIndependentTable],
+        n: int,
+    ) -> int:
+        """Grow a table produced by :meth:`truncate` to the first ``n``
+        new facts *in place*, equal to ``truncate(n)``; returns the
+        number of new facts it already held.  A world product does not
+        grow: :meth:`truncate` rebuilds it."""
+        original = self.original
+        if isinstance(original, FinitePDB):
+            raise CompletionError(
+                "an explicit-world truncation is rebuilt, not extended")
+        if isinstance(original, BlockIndependentTable):
+            held = len(table.blocks) - len(original.blocks)
+            if n > held:
+                table.extend(self._new_blocks(held, n))
+            return held
+        held = len(table) - len(original)
+        if n > held:
+            table.extend(dict(
+                self.new_facts.distribution.prefix_cache().pairs(held, n)))
+        return held
+
+    def _new_blocks(self, start: int, stop: int) -> Tuple[Block, ...]:
+        """New facts ``start..stop-1`` as singleton blocks, each named
+        after its position in the new-fact enumeration."""
+        pairs = self.new_facts.distribution.prefix_cache().pairs(start, stop)
+        return tuple(
+            Block(f"{NEW_BLOCK_PREFIX}{index}", {fact: probability})
+            for index, (fact, probability) in enumerate(pairs, start)
+        )
 
     def approximate_query_probability(self, query, epsilon: float):
         """Proposition 6.1 applied to the completion; see
@@ -181,9 +230,14 @@ class CompletedPDB(CountablePDB):
 
     def __repr__(self) -> str:
         return (
-            f"CompletedPDB(original_worlds={len(self.original.worlds)}, "
+            f"CompletedPDB(original={self.original!r}, "
             f"new_expected={self.new_facts.expected_size():.4g})"
         )
+
+
+#: A completed BID original keeps new fact i in a singleton block of
+#: this name plus i; its own block names must not start so.
+NEW_BLOCK_PREFIX = "new fact "
 
 
 def _safe_prefix(distribution: FactDistribution, bound: float = 1e-9) -> int:
@@ -203,9 +257,9 @@ def complete(
     """Build the Theorem 5.5 independent-fact completion.
 
     The distribution is automatically restricted to facts outside
-    ``F(D)`` and checked for probability-1 facts.  The original PDB is
-    expanded to explicit worlds if given as a TI/BID table (such tables
-    are closed under subsets, per Remark 5.6).
+    ``F(D)`` and checked for probability-1 facts.  The original is kept
+    as given: a TI or BID table stays a table, which its truncations
+    extend (Remark 5.6), and explicit worlds stay explicit.
 
     >>> from repro.relational import Schema
     >>> schema = Schema.of(R=1)
@@ -217,10 +271,8 @@ def complete(
     >>> round(completed.conditioned_on_original(Instance([R(1)])), 10)
     0.8
     """
-    finite = original if isinstance(original, FinitePDB) else original.expand()
-    original_facts = frozenset(finite.facts())
     filtered = FilteredFactDistribution.excluding(
-        new_fact_distribution, original_facts
+        new_fact_distribution, frozenset(original.facts())
     )
     # Probability-1 facts would zero out P′(Ω).  A declared bound < 1
     # settles it outright; otherwise every fact past the prefix where
@@ -239,8 +291,8 @@ def complete(
                     f"new fact {fact} has probability 1; completion would "
                     "assign P′(Ω) = 0"
                 )
-    new_pdb = CountableTIPDB(finite.schema, filtered, tolerance=tolerance)
-    return CompletedPDB(finite, new_pdb)
+    new_pdb = CountableTIPDB(original.schema, filtered, tolerance=tolerance)
+    return CompletedPDB(original, new_pdb)
 
 
 def open_world(
@@ -285,16 +337,15 @@ def open_world(
         raise CompletionError(f"decay must be in (0, 1), got {decay}")
     if universe is None:
         universe = Naturals()
-    finite = original if isinstance(original, FinitePDB) else original.expand()
     space = FactSpace(
-        finite.schema, universe, position_universes=position_universes)
+        original.schema, universe, position_universes=position_universes)
     first = total_open_mass * (1.0 - decay)
     if first >= 1.0:
         raise CompletionError(
             "total_open_mass · (1 − decay) must stay below 1 (no fact "
             "may have probability ≥ 1)")
     distribution = GeometricFactDistribution(space, first=first, ratio=decay)
-    return complete(finite, distribution, tolerance=tolerance)
+    return complete(original, distribution, tolerance=tolerance)
 
 
 def closed_world_completion(original: OriginalPDB) -> CompletedPDB:
@@ -393,7 +444,7 @@ def verify_completion_condition(
     True
     """
     worst = 0.0
-    for instance, mass in completed.original.worlds.items():
+    for instance, mass in completed.original.expand().worlds.items():
         conditional = completed.conditioned_on_original(instance)
         worst = max(worst, abs(conditional - mass))
     if worst > tolerance:

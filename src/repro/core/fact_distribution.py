@@ -20,6 +20,7 @@ exercise the rejection path.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -367,6 +368,12 @@ class DivergentFactDistribution(_RankBasedDistribution):
         return math.inf
 
 
+def _outside(facts: frozenset, fact: Fact) -> bool:
+    """``fact ∉ facts``: the :meth:`FilteredFactDistribution.excluding`
+    predicate, a module function so that completions pickle."""
+    return fact not in facts
+
+
 class FilteredFactDistribution(FactDistribution):
     """Restriction of a distribution to facts passing a predicate.
 
@@ -412,7 +419,8 @@ class FilteredFactDistribution(FactDistribution):
         """
         excluded = frozenset(facts)
         removed = sum(base.probability(f) for f in excluded)
-        filtered = cls(base, lambda f: f not in excluded, removed_mass=removed)
+        filtered = cls(
+            base, functools.partial(_outside, excluded), removed_mass=removed)
         filtered._excluded_facts = excluded
         return filtered
 

@@ -10,8 +10,9 @@ table, recompile the lineage.  A :class:`RefinementSession` binds one
   the already-materialized prefix instead of re-enumerating it;
 * the truncated table grows *in place*
   (:meth:`~repro.core.tuple_independent.CountableTIPDB.extend_truncation`
-  and its BID analogue) — the facts shared with the previous truncation
-  are reused, counted in the ``refine.reused_facts`` trace counter;
+  and its BID and completion analogues) — the facts shared with the
+  previous truncation are reused, counted in the ``refine.reused_facts``
+  trace counter;
 * evaluation warm-starts: Boolean queries run through a
   :class:`~repro.finite.compile_cache.CompileCache` whose per-query
   plan and manager extend across truncations, over the table's own
@@ -51,13 +52,15 @@ from repro.finite.evaluation import (
     marginal_answer_probabilities,
     query_probability,
 )
+from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.analysis import constants_of
 from repro.logic.queries import BooleanQuery, Query
 from repro.relational.facts import Value
 
-#: Trace counter: facts (TI) or blocks (BID) the current refinement
-#: reused from the previous truncation instead of re-materializing.
+#: Trace counter: facts (TI), blocks (BID) or new facts (completions)
+#: the current refinement reused from the previous truncation instead
+#: of re-materializing.
 REFINE_REUSED_FACTS = "refine.reused_facts"
 
 
@@ -103,7 +106,8 @@ class RefinementSession:
     (:class:`~repro.core.tuple_independent.CountableTIPDB`), countable
     BID PDBs (:class:`~repro.core.bid.CountableBIDPDB`, where the
     truncation unit is blocks), and Theorem 5.5 completions
-    (:class:`~repro.core.completion.CompletedPDB`).
+    (:class:`~repro.core.completion.CompletedPDB`, where n counts new
+    facts and the table is the original table plus those facts).
 
     ``compile_cache`` defaults to the process-wide
     :data:`~repro.finite.compile_cache.DEFAULT_COMPILE_CACHE`; pass a
@@ -203,7 +207,7 @@ class RefinementSession:
                 self._boolean, table, strategy=self.strategy,
                 compile_cache=self.compile_cache)
             result = _finish_approximation(
-                t, value, epsilon, n, self._tail(n))
+                t, value, epsilon, n, self._tail(n), table)
             self.history.append(result)
         return result
 
@@ -283,7 +287,7 @@ class RefinementSession:
             # applies to every answer's result.
             tail = self._tail(n)
             alpha, sampling_error, fold_error = record_certificate(
-                t, epsilon, n, tail)
+                t, epsilon, n, tail, table)
             report = obs.EvalReport.from_trace(t)
         return {
             answer: obs.attach_report(
@@ -295,24 +299,25 @@ class RefinementSession:
         }
 
     # ------------------------------------------------------------ internals
+    def _certifier(self):
+        """What certifies n: the fact distribution (a completion's new
+        facts) or, for a BID PDB, the block family."""
+        if self._kind == "ti":
+            return self.pdb.distribution
+        if self._kind == "completed":
+            return self.pdb.new_facts.distribution
+        return self.pdb.family
+
     def _choose(self, epsilon: float) -> int:
         """Truncation size for ε, over the shared prefix cache."""
-        if self._kind == "ti":
-            return choose_truncation(
-                self.pdb.distribution, epsilon, max_facts=self.max_facts)
-        if self._kind == "completed":
-            return choose_truncation(
-                self.pdb.new_facts.distribution, epsilon,
-                max_facts=self.max_facts)
-        return choose_block_truncation(
-            self.pdb.family, epsilon, max_blocks=self.max_facts)
+        if self._kind == "bid":
+            return choose_block_truncation(
+                self.pdb.family, epsilon, max_blocks=self.max_facts)
+        return choose_truncation(
+            self._certifier(), epsilon, max_facts=self.max_facts)
 
     def _tail(self, n: int) -> float:
-        if self._kind == "ti":
-            return self.pdb.distribution.tail(n)
-        if self._kind == "completed":
-            return self.pdb.new_facts.distribution.tail(n)
-        return self.pdb.family.tail(n)
+        return self._certifier().tail(n)
 
     def _materialize(self, n: int):
         """The finite truncation of size exactly ``n`` plus the number
@@ -320,18 +325,16 @@ class RefinementSession:
 
         The session's own table only ever grows; a loosened ε (smaller
         n) is served by a fresh table built from the shared prefix cache
-        so results stay bit-identical to a one-shot call at that ε.
+        so results stay bit-identical to a one-shot call at that ε.  A
+        completion of explicit worlds truncates to a world product,
+        which cannot grow, so it is rebuilt at every call.
         """
-        if self._kind == "completed":
-            # The completion truncation is a world product rebuilt per
-            # call; the new-fact prefix underneath it is still cached.
-            reused = min(n, self._n)
-            self._n = max(self._n, n)
-            return self.pdb.truncate(n), reused
         if self._table is None:
-            self._table = self.pdb.truncate(n)
-            self._n = n
-            return self._table, 0
+            table = self.pdb.truncate(n)
+            if not isinstance(table, FinitePDB):
+                self._table = table
+            reused, self._n = min(n, self._n), max(n, self._n)
+            return table, reused
         if n > self._n:
             reused = self.pdb.extend_truncation(self._table, n)
             self._n = n

@@ -64,14 +64,28 @@ class FinitePDB:
         return self.worlds.get(instance, 0.0)
 
     def probability(self, event: Callable[[Instance], bool]) -> float:
-        """``P({D : event(D)})`` by exhaustive summation."""
-        return sum(
-            mass for instance, mass in self.worlds.items() if event(instance)
-        )
+        """``P({D : event(D)})`` by exhaustive summation, folded left to
+        right in world order.  The built-in ``sum`` compensates float
+        sums from Python 3.12 on, so it would give this oracle other
+        bits on other interpreters."""
+        total = 0.0
+        for instance, mass in self.worlds.items():
+            if event(instance):
+                total += mass
+        return total
 
     def fact_marginal(self, fact: Fact) -> float:
         """``P(E_f)`` — the probability that ``fact`` occurs."""
         return self.probability(lambda instance: fact in instance)
+
+    # The tables' names for the same measures, so that code taking any
+    # finite PDB (a completion's original) reads all three alike.
+    instance_probability = probability_of
+    marginal = fact_marginal
+
+    def expand(self) -> "FinitePDB":
+        """The explicit worlds: this PDB itself, as a table expands to."""
+        return self
 
     def facts(self) -> Set[Fact]:
         """``F(D)``: all facts appearing in some instance (any mass)."""
@@ -81,8 +95,12 @@ class FinitePDB:
         return found
 
     def expected_size(self) -> float:
-        """``E(S_D) = Σ_D P({D}) ‖D‖`` (paper §3.2 eq. (5))."""
-        return sum(mass * instance.size for instance, mass in self.worlds.items())
+        """``E(S_D) = Σ_D P({D}) ‖D‖`` (paper §3.2 eq. (5)), folded left
+        to right like :meth:`probability`."""
+        total = 0.0
+        for instance, mass in self.worlds.items():
+            total += mass * instance.size
+        return total
 
     def size_distribution(self) -> Dict[int, float]:
         """``P(S_D = n)`` for every attained size n."""

@@ -34,7 +34,6 @@ from repro.logic.analysis import (
 from repro.logic.queries import BooleanQuery, Query, FOView, View
 from repro.logic.hierarchy import is_hierarchical, safe_plan, SafePlan
 from repro.logic.lineage import Lineage, lineage_of
-from repro.logic.compile_ra import compile_and_evaluate
 
 __all__ = [
     "Formula",
@@ -68,5 +67,4 @@ __all__ = [
     "SafePlan",
     "Lineage",
     "lineage_of",
-    "compile_and_evaluate",
 ]

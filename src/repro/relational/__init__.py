@@ -1,5 +1,5 @@
-"""Relational database substrate: schemas, facts, instances and a small
-relational algebra engine.
+"""Relational database substrate: schemas, facts, instances, and the
+columnar stores and fact index the table engines read.
 
 This package implements the classical relational model of Section 2.1 of
 the paper: a schema ``τ`` of relation symbols with arities, facts
@@ -16,15 +16,6 @@ from repro.relational.columns import (
 )
 from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
-from repro.relational.algebra import (
-    Relation,
-    difference,
-    join,
-    project,
-    rename,
-    select,
-    union,
-)
 
 __all__ = [
     "RelationSymbol",
@@ -37,11 +28,4 @@ __all__ = [
     "domain_sort_key",
     "parse_fact",
     "Instance",
-    "Relation",
-    "select",
-    "project",
-    "join",
-    "union",
-    "difference",
-    "rename",
 ]

@@ -10,15 +10,19 @@ from repro.core.completion import (
     closed_world_completion,
     complete,
     extend_to_closure,
+    open_world,
     verify_completion_condition,
 )
 from repro.core.fact_distribution import (
     GeometricFactDistribution,
     TableFactDistribution,
 )
+from repro.core.refine import RefinementSession
 from repro.errors import CompletionError
+from repro.finite.bid import Block, BlockIndependentTable
 from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
+from repro.logic import BooleanQuery, Query, parse_formula
 from repro.relational import Instance, Schema
 from repro.universe import FactSpace, Naturals
 
@@ -29,6 +33,11 @@ space = FactSpace(schema, Naturals())
 
 def original_table():
     return TupleIndependentTable(schema, {R(1): 0.8, R(2): 0.4})
+
+
+def original_blocks():
+    return BlockIndependentTable(schema, [
+        Block("k1", {R(1): 0.5, R(2): 0.25}), Block("k2", {R(4): 0.75})])
 
 
 def geometric_new_facts():
@@ -99,7 +108,7 @@ class TestOpenWorldSemantics:
         d_part = Instance([R(1)])
         c_part = Instance([R(4)])
         joint = completed.instance_probability(d_part | c_part)
-        base = completed.original.probability_of(d_part)
+        base = completed.original.instance_probability(d_part)
         extra = completed.new_facts.instance_probability(c_part)
         assert joint == pytest.approx(base * extra, rel=1e-9)
 
@@ -177,16 +186,62 @@ class TestClosureExtension:
 
 class TestTruncationOfCompletion:
     def test_truncate_gives_finite_pdb(self):
+        """A TI original truncates to its own table plus the first n new
+        facts; explicit worlds truncate to the world product."""
         completed = complete(original_table(), geometric_new_facts())
-        finite = completed.truncate(3)
+        table = completed.truncate(3)
+        assert isinstance(table, TupleIndependentTable)
+        new_facts = completed.new_facts.distribution.marginals_dict(3)
+        assert list(table.marginals.items()) == (
+            list(original_table().marginals.items())
+            + list(new_facts.items()))
+        worlds = complete(original_table().expand(), geometric_new_facts())
+        finite = worlds.truncate(3)
+        assert isinstance(finite, FinitePDB)
+        assert len(finite) == 2 ** 5
         assert sum(finite.worlds.values()) == pytest.approx(1.0)
 
     def test_truncation_marginals(self):
         completed = complete(original_table(), geometric_new_facts())
-        finite = completed.truncate(4)
-        assert finite.fact_marginal(R(1)) == pytest.approx(0.8)
+        table = completed.truncate(4)
+        assert table.marginal(R(1)) == 0.8
         # R(3) is among the first new facts kept.
-        assert finite.fact_marginal(R(3)) == pytest.approx(0.125)
+        assert table.marginal(R(3)) == 0.125
+
+    def test_bid_original_gains_one_singleton_block_per_new_fact(self):
+        original = original_blocks()
+        completed = complete(original, geometric_new_facts())
+        table = completed.truncate(3)
+        assert isinstance(table, BlockIndependentTable)
+        assert table.blocks[:2] == original.blocks
+        assert [block.alternatives for block in table.blocks[2:]] == [
+            {fact: p} for fact, p
+            in completed.new_facts.distribution.prefix(3)]
+
+    def test_new_block_names_must_not_collide(self):
+        taken = BlockIndependentTable(
+            schema, [Block("new fact 0", {R(1): 0.5})])
+        with pytest.raises(CompletionError, match="collide"):
+            complete(taken, geometric_new_facts())
+
+    @pytest.mark.parametrize("make_original", [original_table, original_blocks])
+    def test_extend_truncation_grows_to_truncate(self, make_original):
+        completed = complete(make_original(), geometric_new_facts())
+        table = completed.truncate(2)
+        assert completed.extend_truncation(table, 5) == 2
+        assert completed.extend_truncation(table, 5) == 5
+        fresh = completed.truncate(5)
+        if isinstance(table, TupleIndependentTable):
+            assert list(table.marginals.items()) == list(
+                fresh.marginals.items())
+        else:
+            assert [(b.name, b.alternatives) for b in table.blocks] == [
+                (b.name, b.alternatives) for b in fresh.blocks]
+
+    def test_explicit_worlds_are_rebuilt_not_extended(self):
+        completed = complete(original_table().expand(), geometric_new_facts())
+        with pytest.raises(CompletionError, match="rebuilt"):
+            completed.extend_truncation(completed.truncate(2), 3)
 
     def test_sampling_completion(self):
         completed = complete(original_table(), geometric_new_facts())
@@ -194,3 +249,51 @@ class TestTruncationOfCompletion:
         samples = [completed.sample(rng) for _ in range(1500)]
         rate = sum(1 for s in samples if R(1) in s) / len(samples)
         assert abs(rate - 0.8) < 0.04
+
+
+class TestTableOriginalsStayTables:
+    """Nothing but the exhaustive checks expands a table original, so a
+    completion of a table too large to expand still answers."""
+
+    likes_schema = Schema.of(Likes=2)
+    Likes = likes_schema["Likes"]
+
+    @classmethod
+    def tables(cls):
+        Likes = cls.Likes
+        yield TupleIndependentTable(
+            cls.likes_schema, {Likes(i, i + 1): 0.9 for i in range(30)})
+        yield BlockIndependentTable(cls.likes_schema, [
+            Block(f"k{i}", {Likes(i, 100 + i): 0.5, Likes(i, 200 + i): 0.25})
+            for i in range(15)])
+
+    def test_thirty_fact_tables_never_expand(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a table original was expanded")
+
+        monkeypatch.setattr(TupleIndependentTable, "expand", refuse)
+        monkeypatch.setattr(BlockIndependentTable, "expand", refuse)
+        schema2 = self.likes_schema
+        boolean = BooleanQuery(parse_formula(
+            "EXISTS x, y. Likes(x, y) AND Likes(y, x)", schema2), schema2)
+        answers = Query(parse_formula("EXISTS y. Likes(x, y)", schema2),
+                        schema2)
+        for table in self.tables():
+            completed = complete(table, GeometricFactDistribution(
+                FactSpace(schema2, Naturals()), first=0.1, ratio=0.5))
+            assert open_world(table, total_open_mass=0.2).original is table
+            result = RefinementSession(boolean, completed).refine(0.01)
+            assert result.truncation > 0 and 0.0 <= result.value <= 1.0
+            marginals = RefinementSession(
+                answers, completed).refine_marginals(0.05)
+            assert marginals
+            fact = next(iter(table.possible_facts()))
+            assert completed.fact_marginal(fact) == table.marginal(fact)
+            world = Instance([fact])
+            assert completed.instance_probability(world) == pytest.approx(
+                table.instance_probability(world)
+                * completed.original_space_probability())
+            assert completed.conditioned_on_original(world) == pytest.approx(
+                table.instance_probability(world))
+            assert completed.expected_size() == (
+                table.expected_size() + completed.new_facts.expected_size())

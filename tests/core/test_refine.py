@@ -96,20 +96,35 @@ class TestBooleanParity:
             assert_same_result(refined, fresh)
 
     def test_completed_sweep_matches_fresh_calls(self):
-        table = TupleIndependentTable(schema, {R(1): 0.8})
-        query = BooleanQuery(
-            parse_formula("EXISTS x. R(x)", schema), schema)
+        table = TupleIndependentTable(schema, {R(1): 0.8, R(3): 0.5})
 
         def fresh_completed():
             return complete(table, GeometricFactDistribution(
                 space, first=0.2, ratio=0.5))
 
+        # A safe query, and a self-join disjunction compiled to a BDD.
+        for text, strategy in [("EXISTS x. R(x)", "auto"),
+                               ("EXISTS x. R(x) AND (R(1) OR R(2))", "bdd")]:
+            query = BooleanQuery(parse_formula(text, schema), schema)
+            session = RefinementSession(
+                query, fresh_completed(), strategy=strategy)
+            for epsilon in SWEEP:
+                refined = session.refine(epsilon)
+                fresh = approximate_query_probability_completed(
+                    query, fresh_completed(), epsilon, strategy=strategy)
+                assert_same_result(refined, fresh)
+                assert refined.fold_error == fresh.fold_error
+
+        # An answer-marginal sweep grows the same completed table.
+        query = Query(parse_formula("R(x)", schema), schema)
         session = RefinementSession(query, fresh_completed())
         for epsilon in SWEEP:
-            refined = session.refine(epsilon)
-            fresh = approximate_query_probability_completed(
+            refined = session.refine_marginals(epsilon)
+            fresh = approximate_answer_marginals(
                 query, fresh_completed(), epsilon)
-            assert_same_result(refined, fresh)
+            assert list(refined) == list(fresh)
+            for answer in fresh:
+                assert_same_result(refined[answer], fresh[answer])
 
     def test_loosened_epsilon_matches_fresh_call(self):
         query = BooleanQuery(

@@ -69,6 +69,47 @@ class TestMeasure:
             {0: 0.2, 1: 0.3, 2: 0.5})
 
 
+class TestLeftToRightSums:
+    """The worlds oracle folds masses left to right in world order, so it
+    gives the same bits on every interpreter: the built-in ``sum``
+    compensates float sums from Python 3.12 on."""
+
+    @staticmethod
+    def non_dyadic_worlds():
+        from repro.finite import TupleIndependentTable
+
+        h0 = Schema.of(R=1, S=2, T=1)
+        rng = random.Random(3)
+        facts = [h0["R"](i) for i in range(3)] + [h0["T"](i) for i in range(3)]
+        facts += [h0["S"](i, j) for i in range(3) for j in range(3)][:7]
+        table = TupleIndependentTable(
+            h0, {fact: rng.uniform(0.1, 0.9) for fact in facts})
+        return h0, table
+
+    def test_query_probability_is_a_plain_fold(self):
+        from repro.finite import query_probability
+        from repro.logic import BooleanQuery, parse_formula
+
+        h0, table = self.non_dyadic_worlds()
+        query = BooleanQuery(parse_formula(
+            "EXISTS x, y. R(x) AND S(x, y) AND T(y)", h0), h0)
+        pdb = table.expand()
+        expected = 0.0
+        for instance, mass in pdb.worlds.items():
+            if query.holds_in(instance):
+                expected += mass
+        assert query_probability(query, pdb, strategy="worlds") == expected
+        assert query_probability(query, table, strategy="worlds") == expected
+
+    def test_expected_size_is_a_plain_fold(self):
+        _, table = self.non_dyadic_worlds()
+        pdb = table.expand()
+        expected = 0.0
+        for instance, mass in pdb.worlds.items():
+            expected += mass * instance.size
+        assert pdb.expected_size() == expected
+
+
 class TestConditioning:
     def test_condition_renormalizes(self):
         conditioned = simple_pdb().condition(lambda D: D.size >= 1)

@@ -8,6 +8,10 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.core.bid import BlockFamily, CountableBIDPDB
+from repro.core.completion import complete
+from repro.core.fact_distribution import GeometricFactDistribution
+from repro.core.refine import RefinementSession
 from repro.finite import Block, BlockIndependentTable
 from repro.finite.evaluation import marginal_answer_probabilities
 from repro.finite.tuple_independent import TupleIndependentTable
@@ -22,6 +26,7 @@ from repro.parallel.shipping import (
     shipper_for,
 )
 from repro.relational import Schema
+from repro.universe import FactSpace, Naturals
 
 schema = Schema.of(R=1, S=2)
 R, S = schema["R"], schema["S"]
@@ -262,6 +267,49 @@ def test_unsupported_table_type_raises_ship_error(pool):
     with pytest.raises(ShipError, match="TI or BID"):
         pooled_answer_marginals(
             pool, _query(), object(), [], strategy="auto")
+
+
+# ------------------------------------------------------ session certificates
+def _countable_bid():
+    """Blocks of three alternatives: n counts blocks, a third of the
+    truncation's facts."""
+    family = BlockFamily.geometric(
+        make_block=lambda i: Block(
+            f"k{i}", {S(i + 1, j): 0.25 * 0.5**i for j in (1, 2, 3)}),
+        block_mass=lambda i: 0.75 * 0.5**i, first=0.75, ratio=0.5)
+    return CountableBIDPDB(schema, family)
+
+
+def _completion():
+    """A 12-fact table completed: n counts only the new facts."""
+    table = TupleIndependentTable(schema, {
+        S(i, j): 0.5 for i in range(1, 5) for j in range(1, 4)})
+    return complete(table, GeometricFactDistribution(
+        FactSpace(schema, Naturals()), first=0.25, ratio=0.5))
+
+
+@pytest.mark.parametrize("make_pdb, text", [
+    (_countable_bid, "EXISTS y. S(x, y)"),
+    (_completion, "EXISTS z. S(x, z) AND S(y, z)"),
+], ids=["bid", "completion"])
+def test_pooled_session_certifies_like_the_serial_one(pool, make_pdb, text):
+    """Pool workers keep their traces, so the parent certifies a pooled
+    fan-out's fold error itself: over the truncation's facts, the
+    variables of the diagrams the workers score, as a serial fan-out
+    does."""
+    query = _query(text)
+    serial = RefinementSession(query, make_pdb(), strategy="bdd")
+    pooled = RefinementSession(query, make_pdb(), strategy="bdd", pool=pool)
+    for epsilon in (0.2, 0.05):
+        expected = serial.refine_marginals(epsilon)
+        with obs.trace() as t:
+            got = pooled.refine_marginals(epsilon, workers=2)
+        assert "fanout.pool" in [event.name for event in t.events]
+        assert list(got) == list(expected)
+        for answer, result in expected.items():
+            assert got[answer].value == result.value
+            assert got[answer].truncation == result.truncation
+            assert got[answer].fold_error == result.fold_error > 0.0
 
 
 # ----------------------------------------------------------- shipper state

@@ -32,6 +32,16 @@ UNSAFE_SPEC = {
     "strategy": "bdd",
 }
 SAFE_SPEC = dict(UNSAFE_SPEC, query="EXISTS x. R(x)", strategy="auto")
+#: A completed 30-fact table: the session grows the table plus the
+#: open-world facts.
+COMPLETION_SPEC = {
+    "table": {
+        "kind": "tuple-independent", "schema": {"Likes": 2},
+        "facts": [["Likes", [i, i + 1], 0.9] for i in range(30)],
+    },
+    "open_world": {"first": 0.2, "ratio": 0.5},
+    "query": "EXISTS x, y. Likes(x, y) AND Likes(y, x)",
+}
 
 
 def warmed_manager(spec=UNSAFE_SPEC):
@@ -42,8 +52,8 @@ def warmed_manager(spec=UNSAFE_SPEC):
 
 
 # ------------------------------------------------------------- round trips
-@pytest.mark.parametrize("spec", [UNSAFE_SPEC, SAFE_SPEC],
-                         ids=["bdd", "lifted"])
+@pytest.mark.parametrize("spec", [UNSAFE_SPEC, SAFE_SPEC, COMPLETION_SPEC],
+                         ids=["bdd", "lifted", "completion"])
 def test_mid_sweep_round_trip_is_bit_identical(tmp_path, spec):
     """Continue the same sweep on the original and on a restored copy:
     every subsequent answer must agree bit-for-bit."""

@@ -3,6 +3,7 @@
 committed ``BENCH_*.json`` files are left alone."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -59,3 +60,26 @@ def test_stamp_only_rejects_a_name_without_artifact(root):
     with pytest.raises(SystemExit):
         run_all.main(["--stamp-only", "compiled_eval"], root=root)
     assert set(stamps(root).values()) == {"old"}
+
+
+def test_git_sha_marks_a_dirty_tree_but_not_its_artifacts(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+             *args], cwd=tmp_path, capture_output=True, text=True,
+            check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "source.py").write_text("value = 1\n")
+    run_all.artifact_path("lifted", tmp_path).write_text(json.dumps(OLD))
+    git("add", "source.py", "BENCH_lifted.json")
+    git("commit", "-q", "-m", "initial")
+    sha = git("rev-parse", "HEAD")
+    assert run_all.git_sha(tmp_path) == sha
+
+    # A regeneration rewrites the artifacts it stamps.
+    run_all.artifact_path("lifted", tmp_path).write_text(json.dumps({}))
+    assert run_all.git_sha(tmp_path) == sha
+
+    (tmp_path / "source.py").write_text("value = 2\n")
+    assert run_all.git_sha(tmp_path) == f"{sha}-dirty"
