@@ -33,7 +33,6 @@ ARTIFACT_MODULES = {
     "grounding": "bench_grounding.py",
     "lifted": "bench_lifted.py",
     "refinement": "bench_refinement.py",
-    "sampling_kernels": "bench_sampling_kernels.py",
     "serve": "bench_serve.py",
 }
 

@@ -103,10 +103,7 @@ from repro.core import (
     verify_completion_condition,
 )
 from repro.openworld import CredalInterval, OpenPDB, credal_query_probability
-from repro.sampling import (
-    SampleStream,
-    get_kernel,
-)
+from repro.sampling import SampleStream
 
 __version__ = "1.0.0"
 
@@ -153,9 +150,8 @@ __all__ = [
     "marginal_answer_probabilities",
     "query_probability_monte_carlo",
     "MonteCarloEstimate",
-    # sampling kernels
+    # sampling
     "SampleStream",
-    "get_kernel",
     # core (the paper)
     "FactDistribution",
     "GeometricFactDistribution",

@@ -23,6 +23,11 @@ one :class:`repro.core.refine.RefinementSession` — loosest ε first, each
 tighter guarantee extending the previous truncation and reusing its
 compiled evaluation — and prints one line per ε.
 
+``--strategy`` picks the finite evaluator in the closed and the open
+world alike.  ``--strategy sampled`` answers with a seeded Monte-Carlo
+estimate, printed with its half-width as ``p ± h  (sampled estimate;
+…)``.
+
 ``marginals`` answers a safe query on a tuple-independent table
 (``--strategy auto`` or ``lifted``) with one in-process grouped lifted
 pass over all candidate answers; ``--workers`` does not apply there.
@@ -53,6 +58,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.approx import approximate_query_probability_completed
 from repro.core.completion import complete
 from repro.core.fact_distribution import GeometricFactDistribution
 from repro.errors import ReproError
@@ -110,6 +116,22 @@ def _open_world(table, spec: str):
         FactSpace(table.schema, Naturals()), first=first, ratio=ratio))
 
 
+def _answer(value: float, note: str, sampling_error: float) -> str:
+    """A printed probability with its note; a sampled one carries its
+    Monte-Carlo half-width and is labelled an estimate."""
+    if sampling_error:
+        return f"{value:.6f} ± {sampling_error:.3g}  (sampled estimate; {note})"
+    return f"{value:.6f}  ({note})"
+
+
+def _open_world_answer(result) -> str:
+    return _answer(
+        result.value,
+        f"±{result.epsilon}, truncated at n = {result.truncation} "
+        "open-world facts",
+        result.sampling_error)
+
+
 def _parse_sweep(spec: str):
     """The validated sweep schedule of ``--sweep``: floats routed
     through :func:`repro.core.refine.normalize_epsilons`, so non-positive
@@ -152,24 +174,24 @@ def command_query(args: argparse.Namespace) -> int:
         if args.sweep:
             from repro.core.refine import RefinementSession
 
-            session = RefinementSession(query, completed)
+            session = RefinementSession(
+                query, completed, strategy=args.strategy)
             for epsilon, result in session.sweep(
                     _parse_sweep(args.sweep)).items():
-                print(f"P(Q) = {result.value:.6f}  (±{result.epsilon}, "
-                      f"truncated at n = {result.truncation} "
-                      "open-world facts)")
+                print(f"P(Q) = {_open_world_answer(result)}")
                 _emit_stats(result, args.stats)
         else:
-            result = completed.approximate_query_probability(
-                query, epsilon=args.epsilon)
-            print(f"P(Q) = {result.value:.6f}  (±{result.epsilon}, "
-                  f"truncated at n = {result.truncation} open-world facts)")
+            result = approximate_query_probability_completed(
+                query, completed, args.epsilon, strategy=args.strategy)
+            print(f"P(Q) = {_open_world_answer(result)}")
             _emit_stats(result, args.stats)
     else:
         if args.sweep:
             raise SystemExit("--sweep requires --open-world")
         value = query_probability(query, table, strategy=args.strategy)
-        print(f"P(Q) = {value:.6f}  (exact, closed world)")
+        error = value.report.sampling_error
+        note = "closed world" if error else "exact, closed world"
+        print(f"P(Q) = {_answer(value, note, error)}")
         _emit_stats(value, args.stats)
     return 0
 
@@ -186,15 +208,14 @@ def command_marginals(args: argparse.Namespace) -> int:
         from repro.core.refine import RefinementSession
 
         session = RefinementSession(
-            query, _open_world(table, args.open_world))
+            query, _open_world(table, args.open_world),
+            strategy=args.strategy)
         epsilons = (
             _parse_sweep(args.sweep) if args.sweep else [args.epsilon])
         for epsilon in epsilons:
             results = session.refine_marginals(epsilon, workers=workers)
             for answer, result in results.items():
-                print(f"{answer} : {result.value:.6f}  (±{result.epsilon}, "
-                      f"truncated at n = {result.truncation} "
-                      "open-world facts)")
+                print(f"{answer} : {_open_world_answer(result)}")
             if not results:
                 print(f"(no answers with positive probability at "
                       f"epsilon = {epsilon})")

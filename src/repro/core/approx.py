@@ -235,8 +235,8 @@ def approximate_query_probability(
     ``strategy`` is forwarded to the finite evaluator run on the
     truncation Ω_n.  ``strategy="sampled"`` is the sampled fallback for
     truncations too large for exact evaluation: the conditional
-    ``P(Q | Ω_n)`` is itself estimated by seeded batched Monte Carlo on
-    the :mod:`repro.sampling` kernel, so the returned value carries the
+    ``P(Q | Ω_n)`` is itself estimated by seeded batched Monte Carlo
+    (:mod:`repro.sampling`), so the returned value carries the
     truncation error ε *plus* the (reported-separately) sampling error
     of :data:`repro.finite.evaluation.SAMPLED_STRATEGY_SAMPLES` worlds.
 

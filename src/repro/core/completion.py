@@ -24,6 +24,7 @@ under subsets/union, and the completion-condition verifier.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.core.fact_distribution import (
@@ -125,6 +126,13 @@ class CompletedPDB(CountablePDB):
     def expected_size(self, **_ignored) -> float:
         """``E(S′) = E(S) + Σ_{new f} p_f`` (independent sum)."""
         return self.original.expected_size() + self.new_facts.expected_size()
+
+    def sample(self, rng: random.Random, tolerance: float = 1e-9) -> Instance:
+        """One draw of the product: a world of the original united with
+        an independent draw of the new facts (whose omitted tail jointly
+        occurs with probability ≤ ``tolerance``), with no world
+        enumeration."""
+        return self.original.sample(rng) | self.new_facts.sample(rng, tolerance)
 
     # ------------------------------------------------------------ enumeration
     def _enumerate(self) -> Iterator[Tuple[Instance, float]]:

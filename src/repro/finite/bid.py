@@ -26,6 +26,7 @@ from repro.relational.facts import Fact
 from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
+from repro.utils.probability import sum_left_to_right
 from repro.utils.rationals import is_probability, probability_error
 
 
@@ -104,10 +105,8 @@ class BlockIndependentTable:
         if len(set(names)) != len(names):
             raise ProbabilityError("block names must be distinct")
         self._block_of: Dict[Fact, Block] = {}
-        #: Lazy columnar mirror (facts, marginals, block ordinals);
-        #: kept in sync by :meth:`extend` once built, not pickled.
-        self._columns = None
-        #: The fact index (see :attr:`index`), likewise.
+        #: The fact index (see :attr:`index`): built lazily, grown by
+        #: :meth:`extend`, not pickled.
         self._index: Optional[FactIndex] = None
         self._index_lock = threading.Lock()
         for block in self.blocks:
@@ -144,12 +143,6 @@ class BlockIndependentTable:
             self._block_of.update(added)
             if self._index is not None and added:
                 obs.incr("grounding.delta_facts", self._index.extend(added))
-        if self._columns is not None:
-            # O(delta): new blocks append below the existing rows.
-            base = len(self.blocks)
-            for ordinal, block in enumerate(new_blocks, start=base):
-                self._columns.extend_items(
-                    block.alternatives.items(), block=ordinal)
         self.blocks = self.blocks + new_blocks
 
     @property
@@ -166,26 +159,10 @@ class BlockIndependentTable:
                     index = self._index = FactIndex(self._block_of)
         return index
 
-    @property
-    def columns(self):
-        """Columnar mirror: one row per alternative fact, with its
-        marginal and its block's ordinal in :attr:`blocks` (see
-        :class:`repro.relational.columns.ColumnStore`)."""
-        if self._columns is None:
-            from repro.relational.columns import ColumnStore
-
-            store = ColumnStore()
-            for ordinal, block in enumerate(self.blocks):
-                store.extend_items(
-                    block.alternatives.items(), block=ordinal)
-            self._columns = store
-        return self._columns
-
     def __getstate__(self):
-        """Drop the columnar mirror and the index from pickles (fan-out
-        payloads rebuild them lazily in the worker)."""
+        """Drop the index from pickles (fan-out payloads rebuild it
+        lazily in the worker)."""
         state = dict(self.__dict__)
-        state["_columns"] = None
         del state["_index"], state["_index_lock"]
         return state
 
@@ -215,8 +192,10 @@ class BlockIndependentTable:
         return block.probability(fact)
 
     def expected_size(self) -> float:
-        """``Σ_f p_f`` — finite, per Lemma 4.14's convergence."""
-        return self.columns.sum_marginals()
+        """``Σ_f p_f`` — finite, per Lemma 4.14's convergence — added
+        left to right in block order."""
+        return sum_left_to_right(
+            p for block in self.blocks for p in block.alternatives.values())
 
     def is_good(self, instance: Instance) -> bool:
         """Good instances contain at most one fact per block (paper
@@ -293,33 +272,6 @@ class BlockIndependentTable:
             if fact is not None:
                 facts.append(fact)
         return Instance(facts)
-
-    def sample_batch(
-        self,
-        n: int,
-        rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
-        backend: str = "auto",
-        batch_index: int = 0,
-    ) -> List[Instance]:
-        """Draw ``n`` worlds at once with a :mod:`repro.sampling` kernel.
-
-        The batched path pre-materialises each block's cumulative
-        weights once instead of re-sorting alternatives per draw;
-        ``backend="scalar"`` keeps the per-block :meth:`sample` loop.
-        """
-        if backend == "scalar":
-            if rng is None:
-                if seed is None:
-                    raise ValueError("provide rng= or seed=")
-                rng = random.Random(seed)
-            return [self.sample(rng) for _ in range(n)]
-        from repro.sampling import sample_instances
-
-        return sample_instances(
-            self, n, rng=rng, seed=seed, backend=backend,
-            batch_index=batch_index,
-        )
 
     def __repr__(self) -> str:
         return (

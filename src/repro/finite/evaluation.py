@@ -99,9 +99,8 @@ def query_probability(
       (:mod:`repro.finite.compile_cache`) and score it by one linear
       weighted-model-counting pass; repeated calls on the same query
       (ε-sweeps, growing truncations) reuse and extend the diagram.
-    * ``"sampled"`` — seeded batched Monte Carlo on the
-      :mod:`repro.sampling` kernel (:data:`SAMPLED_STRATEGY_SAMPLES`
-      worlds): the only non-exact strategy, for queries whose exact
+    * ``"sampled"`` — seeded batched Monte Carlo
+      (:mod:`repro.sampling`, :data:`SAMPLED_STRATEGY_SAMPLES` worlds): the only non-exact strategy, for queries whose exact
       evaluation is out of reach on large truncations.
 
     The exact strategies agree exactly; the E8 benchmark measures their
@@ -139,7 +138,7 @@ def _dispatch_query_probability(
 
         estimate = query_probability_monte_carlo(
             query, pdb, SAMPLED_STRATEGY_SAMPLES,
-            seed=SAMPLED_STRATEGY_SEED, backend="auto",
+            seed=SAMPLED_STRATEGY_SEED,
         )
         return estimate.estimate, "sampled"
     if strategy == "worlds":

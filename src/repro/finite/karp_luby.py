@@ -24,7 +24,9 @@ from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.lineage import Lineage, lineage_of
 from repro.logic.queries import BooleanQuery
 from repro.relational.facts import Fact
-from repro.sampling import DEFAULT_BATCH_SIZE, batch_rngs, get_kernel
+from repro.sampling import (
+    DEFAULT_BATCH_SIZE, batch_rngs, bernoulli_rows, categorical,
+)
 
 
 class DNFTerm(NamedTuple):
@@ -154,17 +156,15 @@ def karp_luby_probability(
     table: TupleIndependentTable,
     samples: int,
     rng: Optional[random.Random] = None,
-    backend: str = "auto",
     seed: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> KarpLubyEstimate:
     """Unbiased DNF probability estimate via the Karp–Luby scheme.
 
-    ``backend="scalar"`` runs the original fact-by-fact conditional
-    sampler; the batched path draws term choices and base worlds
-    ``batch_size`` at a time from the :mod:`repro.sampling` kernel and
-    apply the term's forced facts afterwards (equivalent in
-    distribution, since facts are independent).
+    Term choices and base worlds are drawn
+    :data:`~repro.sampling.DEFAULT_BATCH_SIZE` at a time with the
+    :mod:`repro.sampling` draws, and the chosen term's forced facts are
+    applied afterwards (equivalent in distribution to sampling a world
+    conditioned on the term, since facts are independent).
 
     >>> from repro.relational import Schema
     >>> schema = Schema.of(R=1)
@@ -179,7 +179,7 @@ def karp_luby_probability(
     if samples <= 0:
         raise EvaluationError("samples must be positive")
     with obs.trace() as t:
-        obs.note(strategy=f"karp-luby[{backend}]")
+        obs.note(strategy="karp-luby")
         if not terms:
             return obs.attach_report(
                 KarpLubyEstimate(0.0, samples, 0.0),
@@ -197,17 +197,8 @@ def karp_luby_probability(
             cumulative.append(acc)
         all_facts = table.facts()
         with obs.phase("sample"):
-            if backend == "scalar":
-                if rng is None:
-                    if seed is None:
-                        raise EvaluationError("provide rng= or seed=")
-                    rng = random.Random(seed)
-                hits = _scalar_hits(terms, table, samples, rng, cumulative,
-                                    term_mass, all_facts)
-            else:
-                hits = _batched_hits(terms, table, samples, rng, seed,
-                                     backend, batch_size, cumulative,
-                                     term_mass, all_facts)
+            hits = _batched_hits(terms, table, samples, rng, seed,
+                                 cumulative, term_mass, all_facts)
         obs.incr("sampling.samples", samples)
         # The estimator is term_mass · (hits/samples): its standard error
         # is term_mass · sqrt(p̂(1−p̂)/samples) for p̂ = hits/samples.
@@ -220,50 +211,23 @@ def karp_luby_probability(
     return obs.attach_report(estimate, obs.EvalReport.from_trace(t))
 
 
-def _scalar_hits(terms, table, samples, rng, cumulative, term_mass,
-                 all_facts) -> int:
-    """The original one-draw-at-a-time reference implementation."""
-    hits = 0
-    for _ in range(samples):
-        # 1. Pick a term ∝ its probability.
-        u = rng.random() * term_mass
-        index = _bisect(cumulative, u)
-        term = terms[index]
-        # 2. Sample a world conditioned on the term being satisfied.
-        world: Set[Fact] = set(term.positive)
-        for fact in all_facts:
-            if fact in term.positive or fact in term.negative:
-                continue
-            if rng.random() < table.marginal(fact):
-                world.add(fact)
-        # 3. Count iff the chosen term is the *first* satisfied term.
-        first = next(
-            i for i, t in enumerate(terms) if t.satisfied_by(world)
-        )
-        if first == index:
-            hits += 1
-    return hits
-
-
-def _batched_hits(terms, table, samples, rng, seed, backend, batch_size,
-                  cumulative, term_mass, all_facts) -> int:
-    kernel = get_kernel(backend)
-    rng_for = batch_rngs(kernel, rng=rng, seed=seed)
+def _batched_hits(terms, table, samples, rng, seed, cumulative, term_mass,
+                  all_facts) -> int:
+    rng_for = batch_rngs(rng=rng, seed=seed)
     probs = table.marginal_values(all_facts)
     last_term = len(terms) - 1
     hits = 0
     done = 0
     batch_index = 0
     while done < samples:
-        k = min(batch_size, samples - done)
-        backend_rng = rng_for(batch_index)
+        k = min(DEFAULT_BATCH_SIZE, samples - done)
+        batch_rng = rng_for(batch_index)
         # 1. Batch of term picks ∝ term probability (clamped against the
         # measure-zero float edge u == term_mass).
-        indices = kernel.categorical(cumulative, k, backend_rng,
-                                     scale=term_mass)
+        indices = categorical(cumulative, k, batch_rng, scale=term_mass)
         # 2. Batch of unconditioned worlds; conditioning on the chosen
         # term just overrides its positive/negative facts.
-        rows = kernel.bernoulli_rows(probs, k, backend_rng)
+        rows = bernoulli_rows(probs, k, batch_rng)
         for index, row in zip(indices, rows):
             index = min(index, last_term)
             term = terms[index]
@@ -282,25 +246,12 @@ def _batched_hits(terms, table, samples, rng, seed, backend, batch_size,
     return hits
 
 
-def _bisect(cumulative: List[float], value: float) -> int:
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cumulative[mid] <= value:
-            low = mid + 1
-        else:
-            high = mid
-    return low
-
-
 def query_probability_karp_luby(
     query: BooleanQuery,
     table: TupleIndependentTable,
     samples: int,
     rng: Optional[random.Random] = None,
-    backend: str = "auto",
     seed: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     max_terms: int = DEFAULT_MAX_DNF_TERMS,
 ) -> KarpLubyEstimate:
     """Karp–Luby estimate for a Boolean query via its lineage DNF.
@@ -330,8 +281,5 @@ def query_probability_karp_luby(
         with obs.phase("lineage"):
             expr = lineage_of(query.formula, set(table.marginals))
             terms = lineage_to_dnf(expr, max_terms=max_terms)
-        estimate = karp_luby_probability(
-            terms, table, samples, rng,
-            backend=backend, seed=seed, batch_size=batch_size,
-        )
+        estimate = karp_luby_probability(terms, table, samples, rng, seed=seed)
     return obs.attach_report(estimate, obs.EvalReport.from_trace(t))

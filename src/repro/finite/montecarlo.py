@@ -4,11 +4,10 @@ The sampling fallback for queries outside every exact engine's reach
 (non-hierarchical with large lineage), and the E8 ablation baseline:
 its error decays as ``n^{−1/2}`` while exact engines are exact.
 
-Sampling runs on the batched kernel of :mod:`repro.sampling` by
-default (``backend="auto"``): the representation is compiled to a plan
-once, worlds are generated ``batch_size`` at a time, and model checking
-is memoised per distinct world.  ``backend="scalar"`` preserves the
-original one-draw-at-a-time loop as the differential-testing reference.
+Sampling runs on the batched draws of :mod:`repro.sampling`: the
+representation is compiled to a plan once, worlds are generated
+:data:`~repro.sampling.DEFAULT_BATCH_SIZE` at a time, and model
+checking is memoised per distinct world.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.queries import BooleanQuery
 from repro.relational.instance import Instance
-from repro.sampling import DEFAULT_BATCH_SIZE, batch_rngs, get_kernel, plan_for
+from repro.sampling import DEFAULT_BATCH_SIZE, batch_rngs, plan_for
 
 Samplable = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
 
@@ -87,22 +86,14 @@ def _wald_estimate(hits: int, samples: int, z: float) -> MonteCarloEstimate:
     return MonteCarloEstimate(estimate, samples, half_width)
 
 
-def _batched_hits(
-    check_row: Callable,
-    plan,
-    samples: int,
-    kernel,
-    rng,
-    seed,
-    batch_size: int,
-) -> int:
-    rng_for = batch_rngs(kernel, rng=rng, seed=seed)
+def _batched_hits(check_row: Callable, plan, samples: int, rng, seed) -> int:
+    rng_for = batch_rngs(rng=rng, seed=seed)
     hits = 0
     done = 0
     batch_index = 0
     while done < samples:
-        k = min(batch_size, samples - done)
-        for row in plan.sample_rows(kernel, k, rng_for(batch_index)):
+        k = min(DEFAULT_BATCH_SIZE, samples - done)
+        for row in plan.sample_rows(k, rng_for(batch_index)):
             if check_row(row):
                 hits += 1
         done += k
@@ -111,15 +102,28 @@ def _batched_hits(
     return hits
 
 
+def _monte_carlo(checker_of, pdb, samples, rng, confidence, seed):
+    """Sample ``samples`` worlds of ``pdb`` and count those that the
+    plan's checker (``checker_of(plan)``) accepts."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    z = z_quantile(confidence)
+    with obs.trace() as t:
+        obs.note(strategy="monte-carlo")
+        with obs.phase("sample"):
+            plan = plan_for(pdb)
+            hits = _batched_hits(checker_of(plan), plan, samples, rng, seed)
+        estimate = _wald_estimate(hits, samples, z)
+    return obs.attach_report(estimate, obs.EvalReport.from_trace(t))
+
+
 def query_probability_monte_carlo(
     query: BooleanQuery,
     pdb: Samplable,
     samples: int,
     rng: Optional[random.Random] = None,
     confidence: float = 0.95,
-    backend: str = "auto",
     seed: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> MonteCarloEstimate:
     """Estimate ``P(Q)`` by sampling worlds and model checking.
 
@@ -137,31 +141,9 @@ def query_probability_monte_carlo(
     >>> est.contains(0.5)
     True
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    z = z_quantile(confidence)
-    with obs.trace() as t:
-        obs.note(strategy=f"monte-carlo[{backend}]")
-        with obs.phase("sample"):
-            if backend == "scalar":
-                if rng is None:
-                    if seed is None:
-                        raise ValueError("provide rng= or seed=")
-                    rng = random.Random(seed)
-                hits = 0
-                for _ in range(samples):
-                    world = pdb.sample(rng)
-                    if query.holds_in(world):
-                        hits += 1
-            else:
-                kernel = get_kernel(backend)
-                plan = plan_for(pdb)
-                hits = _batched_hits(
-                    plan.model_checker(query), plan, samples, kernel, rng,
-                    seed, batch_size,
-                )
-        estimate = _wald_estimate(hits, samples, z)
-    return obs.attach_report(estimate, obs.EvalReport.from_trace(t))
+    return _monte_carlo(
+        lambda plan: plan.model_checker(query), pdb, samples, rng,
+        confidence, seed)
 
 
 def event_probability_monte_carlo(
@@ -170,34 +152,13 @@ def event_probability_monte_carlo(
     samples: int,
     rng: Optional[random.Random] = None,
     confidence: float = 0.95,
-    backend: str = "auto",
     seed: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> MonteCarloEstimate:
     """Like :func:`query_probability_monte_carlo` for arbitrary events.
 
-    ``event`` must be a deterministic predicate on instances: the
-    batched path memoises its value per distinct sampled world.
+    ``event`` must be a deterministic predicate on instances: its value
+    is memoised per distinct sampled world.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    z = z_quantile(confidence)
-    with obs.trace() as t:
-        obs.note(strategy=f"monte-carlo[{backend}]")
-        with obs.phase("sample"):
-            if backend == "scalar":
-                if rng is None:
-                    if seed is None:
-                        raise ValueError("provide rng= or seed=")
-                    rng = random.Random(seed)
-                hits = sum(
-                    1 for _ in range(samples) if event(pdb.sample(rng)))
-            else:
-                kernel = get_kernel(backend)
-                plan = plan_for(pdb)
-                hits = _batched_hits(
-                    plan.event_checker(event), plan, samples, kernel, rng,
-                    seed, batch_size,
-                )
-        estimate = _wald_estimate(hits, samples, z)
-    return obs.attach_report(estimate, obs.EvalReport.from_trace(t))
+    return _monte_carlo(
+        lambda plan: plan.event_checker(event), pdb, samples, rng,
+        confidence, seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.errors import ProbabilityError
 from repro.measure.space import DiscreteProbabilitySpace
@@ -126,33 +126,6 @@ class FinitePDB:
         if last is None:
             raise ProbabilityError("empty PDB")
         return last
-
-    def sample_batch(
-        self,
-        n: int,
-        rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
-        backend: str = "auto",
-        batch_index: int = 0,
-    ) -> List[Instance]:
-        """Draw ``n`` worlds at once with a :mod:`repro.sampling` kernel.
-
-        The batched path builds the sorted cumulative world table once
-        instead of re-sorting per draw; ``backend="scalar"`` keeps the
-        per-draw :meth:`sample` loop.
-        """
-        if backend == "scalar":
-            if rng is None:
-                if seed is None:
-                    raise ValueError("provide rng= or seed=")
-                rng = random.Random(seed)
-            return [self.sample(rng) for _ in range(n)]
-        from repro.sampling import sample_instances
-
-        return sample_instances(
-            self, n, rng=rng, seed=seed, backend=backend,
-            batch_index=batch_index,
-        )
 
     # ------------------------------------------------------------ conditioning
     def condition(self, event: Callable[[Instance], bool]) -> "FinitePDB":

@@ -25,6 +25,7 @@ from repro.relational.index import FactIndex
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.utils.iteration import powerset
+from repro.utils.probability import sum_left_to_right
 from repro.utils.rationals import is_probability, probability_error
 
 _RELATION = attrgetter("relation")
@@ -45,10 +46,8 @@ class TupleIndependentTable:
     def __init__(self, schema: Schema, marginals: Mapping[Fact, float]):
         self.schema = schema
         self.marginals: Dict[Fact, float] = {}
-        #: Lazy columnar mirror (see :meth:`columns`); kept in sync by
-        #: :meth:`extend` once built, dropped from pickles.
-        self._columns = None
-        #: The fact index (see :attr:`index`), likewise.
+        #: The fact index (see :attr:`index`): built lazily, grown by
+        #: :meth:`extend`, dropped from pickles.
         self._index: Optional[FactIndex] = None
         self._index_lock = threading.Lock()
         self.marginals.update(self._new_marginals(marginals))
@@ -60,15 +59,11 @@ class TupleIndependentTable:
         rejected (the incremental-truncation caller must never rewrite
         history).  All-or-nothing: the whole batch is checked before the
         first fact goes in, so a rejected batch leaves the table (and
-        its columnar mirror and index) untouched.
+        its index) untouched.
         """
         added = self._new_marginals(marginals)
         if not added:
             return
-        if self._columns is not None:
-            # O(delta): the columnar mirror grows in place, so warm
-            # ε-sweep state stays valid across truncation growth.
-            self._columns.extend_items(added.items())
         with self._index_lock:
             self.marginals.update(added)
             if self._index is not None:
@@ -129,24 +124,6 @@ class TupleIndependentTable:
                     index = self._index = FactIndex(self.marginals)
         return index
 
-    @property
-    def columns(self):
-        """The table's columnar mirror — interned facts plus a marginal
-        column (:class:`repro.relational.columns.ColumnStore`).
-
-        Built lazily on first use (row order = dict insertion order),
-        then maintained in place by :meth:`extend`; serves the
-        aggregate paths (:meth:`expected_size`,
-        :meth:`empty_world_probability`, marginal-slice gathers).
-        """
-        if self._columns is None:
-            from repro.relational.columns import ColumnStore
-
-            store = ColumnStore()
-            store.extend_items(self.marginals.items())
-            self._columns = store
-        return self._columns
-
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
         return len(self.marginals)
@@ -166,12 +143,14 @@ class TupleIndependentTable:
         return self.marginals.get(fact, 0.0)
 
     def expected_size(self) -> float:
-        """``E(S) = Σ p_f`` (eq. (5) of the paper, finite case)."""
-        return self.columns.sum_marginals()
+        """``E(S) = Σ p_f`` (eq. (5) of the paper, finite case), added
+        left to right in insertion order."""
+        return sum_left_to_right(self.marginals.values())
 
-    def marginal_values(self, facts: Iterable[Fact]):
+    def marginal_values(self, facts: Iterable[Fact]) -> List[float]:
         """Marginal slice for the given (listed) facts, as a list."""
-        return self.columns.gather_facts(facts)
+        marginals = self.marginals
+        return [marginals[fact] for fact in facts]
 
     def instance_probability(self, instance: Instance) -> float:
         """The Theorem 4.8 product
@@ -191,8 +170,9 @@ class TupleIndependentTable:
         return product * product_complement(absent)
 
     def empty_world_probability(self) -> float:
-        """``P({∅}) = Π (1 − p_f)`` — the ``P₁({∅})`` of Theorem 5.5."""
-        return self.columns.complement_product()
+        """``P({∅}) = Π (1 − p_f)`` — the ``P₁({∅})`` of Theorem 5.5,
+        folded in insertion order."""
+        return product_complement(self.marginals.values())
 
     # ------------------------------------------------------------- conversions
     def expand(self) -> FinitePDB:
@@ -234,44 +214,14 @@ class TupleIndependentTable:
             fact for fact, p in self.marginals.items() if rng.random() < p
         )
 
-    def sample_many(self, n: int, rng: random.Random) -> List[Instance]:
-        return [self.sample(rng) for _ in range(n)]
-
-    def sample_batch(
-        self,
-        n: int,
-        rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
-        backend: str = "auto",
-        batch_index: int = 0,
-    ) -> List[Instance]:
-        """Draw ``n`` worlds at once with a :mod:`repro.sampling` kernel.
-
-        Reproducible from ``(seed, batch_index)``; ``backend="scalar"``
-        falls back to the per-fact :meth:`sample` loop.
-        """
-        if backend == "scalar":
-            if rng is None:
-                if seed is None:
-                    raise ValueError("provide rng= or seed=")
-                rng = random.Random(seed)
-            return self.sample_many(n, rng)
-        from repro.sampling import sample_instances
-
-        return sample_instances(
-            self, n, rng=rng, seed=seed, backend=backend,
-            batch_index=batch_index,
-        )
-
     # ---------------------------------------------------------------- pickling
     def __getstate__(self):
-        """Drop the columnar mirror and the index, like
+        """Drop the index, like
         :class:`~repro.core.fact_distribution.FactDistribution` drops
         its prefix cache: the ``workers=`` process-pool fan-out must not
         ship what is pure derived state (it rebuilds lazily on first use
         in the worker)."""
         state = dict(self.__dict__)
-        state["_columns"] = None
         del state["_index"], state["_index_lock"]
         return state
 

@@ -53,6 +53,7 @@ from repro.utils.probability import (
     segmented_complement_product,
     segmented_fold,
     segmented_log_complement,
+    sum_left_to_right,
 )
 
 # Not called here: perfbench's span wrappers patch these names in this module.
@@ -78,22 +79,12 @@ COLUMNS_EXTENDS = "columns.extends"
 NO_BLOCK = -1
 
 
-def _sum_left_to_right(values: Iterable[float]) -> float:
-    """``Σ`` by plain adds from 0.0, in order.  Built-in ``sum``
-    compensates float sums from Python 3.12 on; this gives the same bits
-    on every version."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 class FloatColumn:
     """A growable float column with prefix sums and probability folds.
 
     A plain list.  Sums fold it left to right when asked: only a BID
-    family's total mass and a table's expected size read them, while
-    every tightening step extends the columns.
+    family's total mass reads them, while every tightening step extends
+    the columns.
 
     >>> col = FloatColumn()
     >>> col.extend([0.5, 0.25, 0.125])
@@ -146,13 +137,13 @@ class FloatColumn:
     def prefix_sum(self, n: int) -> float:
         """``Σ`` of the first ``n`` values (all of them past the end),
         added left to right."""
-        return _sum_left_to_right(islice(self._data, n))
+        return sum_left_to_right(islice(self._data, n))
 
     def total(self) -> float:
-        return _sum_left_to_right(self._data)
+        return sum_left_to_right(self._data)
 
     def sum_rows(self, rows: Sequence[int]) -> float:
-        return _sum_left_to_right(self._values(rows))
+        return sum_left_to_right(self._values(rows))
 
     def _values(self, rows: Optional[Sequence[int]]) -> Iterable[float]:
         if rows is None:

@@ -1,12 +1,12 @@
 """Pre-materialised sampling plans and batch-level model checking.
 
-A *plan* freezes everything about a finite PDB representation that the
-scalar samplers recompute per draw — canonical fact order, probability
-arrays, per-block cumulative weights, the sorted world table — so a
-kernel can generate thousands of worlds without touching the table
-again.  Worlds travel as compact *rows* (tuples of small ints), and are
-only decoded to :class:`~repro.relational.instance.Instance` objects at
-the API boundary.
+A *plan* freezes everything about a finite PDB representation that a
+one-draw sampler recomputes per draw — canonical fact order, probability
+arrays, per-block cumulative weights, the sorted world table — so the
+batched draws can generate thousands of worlds without touching the
+table again.  Worlds travel as compact *rows* (tuples of small ints),
+and are only decoded to :class:`~repro.relational.instance.Instance`
+objects at the API boundary.
 
 Batch-level model checking: a plan compiles a query once — to its
 lineage over the plan's possible facts where it can, to a cached
@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.relational.instance import Instance
+from repro.sampling.kernels import bernoulli_rows, categorical, resolve_rng
 
 Row = Tuple[int, ...]
 
@@ -40,13 +41,11 @@ class TIPlan:
 
     @classmethod
     def from_table(cls, table) -> "TIPlan":
-        # Canonical fact order + one marginal-slice gather off the
-        # table's columnar mirror.
         facts = table.facts()
         return cls(facts, table.marginal_values(facts))
 
-    def sample_rows(self, kernel, k: int, rng) -> List[Row]:
-        return kernel.bernoulli_rows(self.probs, k, rng)
+    def sample_rows(self, k: int, rng) -> List[Row]:
+        return bernoulli_rows(self.probs, k, rng)
 
     def decode(self, row: Row) -> Instance:
         facts = self.facts
@@ -95,11 +94,11 @@ class BIDPlan:
             block_cumulative.append(cumulative)
         return cls(block_facts, block_cumulative)
 
-    def sample_rows(self, kernel, k: int, rng) -> List[Row]:
+    def sample_rows(self, k: int, rng) -> List[Row]:
         # One categorical per block, k draws each; u ≥ total mass lands
         # on index len(block) — the p_⊥ outcome.
         per_block = [
-            kernel.categorical(cumulative, k, rng, scale=1.0)
+            categorical(cumulative, k, rng, scale=1.0)
             for cumulative in self.block_cumulative
         ]
         return list(zip(*per_block)) if per_block else [()] * k
@@ -149,12 +148,12 @@ class WorldPlan:
             cumulative.append(acc)
         return cls(instances, cumulative)
 
-    def sample_rows(self, kernel, k: int, rng) -> List[Row]:
+    def sample_rows(self, k: int, rng) -> List[Row]:
         last = len(self.instances) - 1
-        draws = kernel.categorical(self.cumulative, k, rng, scale=1.0)
+        draws = categorical(self.cumulative, k, rng, scale=1.0)
         # Clamp the measure-zero float edge u ≥ cumulative[-1] (total
-        # mass 1 up to rounding), mirroring the scalar sampler's
-        # fall-through to the last world.
+        # mass 1 up to rounding), like FinitePDB.sample's fall-through
+        # to the last world.
         return [(index if index <= last else last,) for index in draws]
 
     def decode(self, row: Row) -> Instance:
@@ -224,20 +223,17 @@ def sample_instances(
     n: int,
     rng=None,
     seed=None,
-    backend: str = "auto",
     batch_index: int = 0,
 ) -> List[Instance]:
-    """Draw ``n`` worlds from a finite representation with a kernel.
+    """Draw ``n`` worlds from a finite representation: every TI, BID and
+    explicit-world PDB's batch sampler.
 
     Reproducible from ``(seed, batch_index)``; with ``rng`` the caller's
-    stream is consumed instead.  This is the batched engine behind the
-    tables' ``sample_batch`` methods.
+    stream is consumed instead.
     """
-    from repro.sampling.kernels import get_kernel, resolve_rng
-
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    kernel = get_kernel(backend)
     plan = plan_for(pdb)
-    backend_rng = resolve_rng(kernel, rng=rng, seed=seed, batch_index=batch_index)
-    return [plan.decode(row) for row in plan.sample_rows(kernel, n, backend_rng)]
+    rows = plan.sample_rows(
+        n, resolve_rng(rng=rng, seed=seed, batch_index=batch_index))
+    return [plan.decode(row) for row in rows]

@@ -3,8 +3,7 @@
 A :class:`SampleStream` turns one root seed into an unbounded family of
 statistically independent per-batch seeds, so that every batch of every
 estimate is reproducible from ``(seed, batch_index)`` alone — regardless
-of batch size scheduling, platform, or which kernel backend consumes the
-stream.  Child seeds are derived with SHA-256 rather than Python's
+of batch size scheduling or platform.  Child seeds are derived with SHA-256 rather than Python's
 ``hash`` so they are stable across processes and interpreter versions
 (``PYTHONHASHSEED`` does not affect them).
 """

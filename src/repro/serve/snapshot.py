@@ -21,7 +21,10 @@ recompiling them (observable as ``cache.extension`` /
 ``lifted.plan_cache_hits`` without fresh ``lifted.plans``).
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-snapshot
-never corrupts the previous good snapshot.
+never corrupts the previous good snapshot.  A state that cannot be
+pickled and a path that cannot be written or read raise
+:class:`~repro.errors.SnapshotError`, which the server answers like any
+other failed request.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ SNAPSHOT_BYTES_COUNTER = "serve.snapshot_bytes"
 
 def dump_snapshot(manager: SessionManager) -> bytes:
     """The snapshot file contents for ``manager``, as bytes."""
-    payload = pickle.dumps(manager, protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        payload = pickle.dumps(manager, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as err:
+        raise SnapshotError(f"session state cannot be pickled: {err}") from err
     envelope = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -60,18 +66,21 @@ def save_snapshot(manager: SessionManager, path: str) -> int:
     """Atomically write ``manager`` to ``path``; returns bytes written."""
     data = dump_snapshot(manager)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".snapshot-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=".snapshot-", suffix=".tmp")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        raise SnapshotError(f"cannot write snapshot {path!r}: {err}") from err
     obs.incr(SNAPSHOT_BYTES_COUNTER, len(data))
     return len(data)
 
@@ -115,8 +124,12 @@ def load_snapshot(path: str) -> SessionManager:
     """Restore a :class:`SessionManager` from a snapshot file.
 
     Raises :class:`~repro.errors.SnapshotError` on format or version
-    mismatch — checked before the session payload is unpickled.
+    mismatch — checked before the session payload is unpickled — and
+    when the file cannot be read.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise SnapshotError(f"cannot read snapshot {path!r}: {err}") from err
     return loads_snapshot(data)

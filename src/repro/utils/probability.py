@@ -58,6 +58,7 @@ __all__ = [
     "segmented_disjunction",
     "segmented_fold",
     "segmented_log_complement",
+    "sum_left_to_right",
     "vector_complement_product",
     "vector_disjunction",
     "vector_log_complement",
@@ -184,6 +185,20 @@ class ComplementAccumulator:
         if self.product == 1.0:
             return -math.expm1(self.residual_log)
         return -math.expm1(math.log(self.product) + self.residual_log)
+
+
+def sum_left_to_right(values: Iterable[float]) -> float:
+    """``Σ`` by plain adds from 0.0, in order.  Built-in ``sum``
+    compensates float sums from Python 3.12 on; this gives the same bits
+    on every version.
+
+    >>> sum_left_to_right([0.5, 0.25])
+    0.75
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def product_complement(probabilities: Iterable[float]) -> float:

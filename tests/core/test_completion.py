@@ -251,6 +251,36 @@ class TestTruncationOfCompletion:
         assert abs(rate - 0.8) < 0.04
 
 
+class TestCompletionSampling:
+    """A draw of the completion is a draw of the original times one of
+    the new facts: no world of the product is enumerated."""
+
+    def test_a_thirty_fact_table_samples(self):
+        Likes = TestTableOriginalsStayTables.Likes
+        table = TupleIndependentTable(
+            TestTableOriginalsStayTables.likes_schema,
+            {Likes(i, i + 1): 0.9 for i in range(30)})
+        completed = open_world(table, total_open_mass=0.2)
+        world = completed.sample(random.Random(1))
+        original_part, _ = completed.decompose(world)
+        assert 0 < original_part.size <= 30
+
+    @pytest.mark.parametrize("make", [original_table, original_blocks])
+    def test_fact_frequencies_match_the_marginals(self, make):
+        draws = 4000
+        completed = complete(make(), geometric_new_facts())
+        rng = random.Random(7)
+        worlds = [completed.sample(rng) for _ in range(draws)]
+        original = sorted(make().possible_facts(), key=repr)[:2]
+        new = [fact for fact, _ in completed.new_facts.distribution.prefix(2)]
+        z = 2.5758  # two-sided 99%
+        for fact in original + new:
+            p = completed.fact_marginal(fact)
+            frequency = sum(fact in world for world in worlds) / draws
+            assert abs(frequency - p) <= z * math.sqrt(p * (1 - p) / draws), (
+                fact, frequency, p)
+
+
 class TestTableOriginalsStayTables:
     """Nothing but the exhaustive checks expands a table original, so a
     completion of a table too large to expand still answers."""

@@ -83,21 +83,22 @@ def test_unpicklable_payload_degrades_to_serial_with_event():
 
 
 def test_fanout_does_not_ship_columnar_arrays():
-    """A table with a warm columnar mirror fans out without shipping it
-    (the pickled state carries ``_columns=None``), and the pooled
-    answers still match the serial path bit-for-bit."""
+    """A table with a warm fact index (its columnar row store) fans out
+    without shipping it (the pickled state carries no ``_index``), and
+    the pooled answers still match the serial path bit-for-bit."""
     query, table = _r_query(), _table()
-    table.columns  # warm the columnar mirror before the fan-out
+    table.index  # warm the index before the fan-out
+    assert "_index" not in table.__getstate__()
     state = pickle.loads(pickle.dumps(table)).__dict__
-    assert state["_columns"] is None
+    assert state["_index"] is None
     serial = marginal_answer_probabilities(query, _table(), strategy="bdd")
     pooled = marginal_answer_probabilities(
         query, table, workers=2, strategy="bdd")
     assert dict(pooled) == dict(serial)
     events = {e["name"] for e in pooled.report.events}
     assert "fanout.pool" in events
-    # The parent-side mirror survives the round-trip untouched.
-    assert table._columns is not None
+    # The parent-side index survives the round-trip untouched.
+    assert table._index is not None
     assert table.expected_size() == _table().expected_size()
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.errors import EvaluationError
+from repro.finite.evaluation import query_probability
 from repro.finite.karp_luby import (
     DEFAULT_MAX_DNF_TERMS,
     lineage_to_dnf,
@@ -17,6 +18,7 @@ from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.parser import parse_formula
 from repro.logic.queries import BooleanQuery
 from repro.relational import Schema
+from repro.sampling import DEFAULT_BATCH_SIZE
 
 schema = Schema.of(R=1, S=2, T=1)
 R, S, T = schema["R"], schema["S"], schema["T"]
@@ -93,19 +95,21 @@ def test_batched_estimates_reproducible_from_seed():
 
 
 def test_batch_boundaries_draw_independent_streams():
-    # Batches are seeded per (seed, batch_index): splitting the same
-    # sample count differently still yields a deterministic result per
-    # batch_size, and each batch_size is self-consistent.
+    # Batches are seeded per (seed, batch_index): a run that crosses a
+    # batch boundary replays bit for bit, and its second batch changes
+    # the estimate of a one-batch run on the same seed.
     table, query = _join_table(), _join_query()
+    truth = query_probability(query, table, strategy="worlds")
+    crossing = DEFAULT_BATCH_SIZE + 500
+    split = query_probability_karp_luby(query, table, crossing, seed=5)
+    assert split.report.sample_batches == 2
+    assert split == query_probability_karp_luby(query, table, crossing, seed=5)
     whole = query_probability_karp_luby(
-        query, table, 1000, seed=5, batch_size=1000)
-    split = query_probability_karp_luby(
-        query, table, 1000, seed=5, batch_size=250)
-    assert whole == query_probability_karp_luby(
-        query, table, 1000, seed=5, batch_size=1000)
-    assert split == query_probability_karp_luby(
-        query, table, 1000, seed=5, batch_size=250)
-    assert abs(whole.estimate - split.estimate) < 0.2
+        query, table, DEFAULT_BATCH_SIZE, seed=5)
+    assert whole.report.sample_batches == 1
+    assert whole != split
+    for estimate in (whole, split):
+        assert abs(estimate.estimate - truth) < 0.2
 
 
 def test_sampling_never_touches_module_level_random_state():
@@ -113,5 +117,5 @@ def test_sampling_never_touches_module_level_random_state():
     random.seed(123456)
     before = random.getstate()
     query_probability_karp_luby(query, table, 500, seed=3)
-    query_probability_karp_luby(query, table, 500, seed=3, backend="python")
+    query_probability_karp_luby(query, table, 500, random.Random(4))
     assert random.getstate() == before

@@ -67,9 +67,6 @@ class TestEstimates:
         with pytest.raises(ValueError):
             # No randomness source at all.
             query_probability_monte_carlo(q("R(1)"), table, 10)
-        with pytest.raises(ValueError):
-            query_probability_monte_carlo(q("R(1)"), table, 10, rng,
-                                          backend="fortran")
 
 
 class TestZQuantile:

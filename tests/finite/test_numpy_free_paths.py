@@ -37,6 +37,7 @@ from repro.finite.montecarlo import query_probability_monte_carlo
 from repro.logic import BooleanQuery, Query, parse_formula
 from repro.parallel.pool import ShardPool
 from repro.relational import Schema
+from repro.sampling import sample_instances
 from repro.universe import FactSpace, Naturals
 
 schema = Schema.of(R=1, S=2, T=1)
@@ -120,7 +121,7 @@ assert query_probability_monte_carlo(H0, small_table(), 500, seed=1).estimate > 
 assert query_probability_karp_luby(H0, small_table(), 500, seed=1).estimate > 0
 """,
     "sample-batch": """
-assert len(small_table().sample_batch(50, seed=1)) == 50
+assert len(sample_instances(small_table(), 50, seed=1)) == 50
 """,
     "shard-pool": """
 pool = ShardPool(1)

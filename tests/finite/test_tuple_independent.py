@@ -70,16 +70,19 @@ class TestExtend:
     ], ids=["out-of-range", "changed", "foreign-relation"])
     def test_a_rejected_batch_leaves_the_table_untouched(self, bad):
         table = TupleIndependentTable(schema, {R(1): 0.5})
-        mirror = table.columns  # build the columnar mirror first
+        index = table.index  # build the index first
         batch = {R(2): 0.25, **bad}
         with pytest.raises((ProbabilityError, SchemaError)):
             table.extend(batch)
         assert table.marginals == {R(1): 0.5}
-        assert len(table) == len(mirror) == 1
-        assert R(2) not in mirror
+        assert len(table) == len(index) == 1
+        assert R(2) not in index
+        assert table.expected_size() == table.empty_world_probability() == 0.5
         table.extend({R(2): 0.25})
         assert list(table.possible_facts()) == [R(1), R(2)]
-        assert len(mirror) == 2
+        assert len(index) == 2
+        assert table.expected_size() == 0.75
+        assert table.empty_world_probability() == 0.375
 
 
 class TestFactOrder:
@@ -176,7 +179,7 @@ class TestSampling:
     def test_marginal_frequencies(self):
         table = TupleIndependentTable(schema, {R(1): 0.25, R(2): 0.75})
         rng = random.Random(3)
-        samples = table.sample_many(4000, rng)
+        samples = [table.sample(rng) for _ in range(4000)]
         rate1 = sum(1 for s in samples if R(1) in s) / len(samples)
         rate2 = sum(1 for s in samples if R(2) in s) / len(samples)
         assert abs(rate1 - 0.25) < 0.03 and abs(rate2 - 0.75) < 0.03
@@ -185,6 +188,6 @@ class TestSampling:
         """Empirical joint ≈ product of empirical marginals."""
         table = TupleIndependentTable(schema, {R(1): 0.5, R(2): 0.5})
         rng = random.Random(4)
-        samples = table.sample_many(6000, rng)
+        samples = [table.sample(rng) for _ in range(6000)]
         both = sum(1 for s in samples if R(1) in s and R(2) in s) / len(samples)
         assert abs(both - 0.25) < 0.03

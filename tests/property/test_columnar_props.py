@@ -11,7 +11,6 @@ import pickle
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fact_distribution import TableFactDistribution
@@ -99,20 +98,25 @@ class TestTableMatchesDict:
     @given(any_marginal_lists, st.lists(any_marginal_lists, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_extend_keeps_columns_in_sync(self, first, deltas):
+        """The aggregates read the table's own marginals in insertion
+        order: after growth by extension they equal the plain
+        left-to-right sum and the complement fold, bit for bit, and a
+        table built in one go."""
         table = TupleIndependentTable(schema, dict_layout(first))
-        # Force the columnar mirror, then grow the table under it.
-        assert table.columns.facts() == table.facts()
+        assert table.expected_size() == left_to_right(first)
         weights = first
         for delta in deltas:
             weights = weights + delta
             table.extend(dict_layout(weights))
         marginals = table.marginals
-        assert len(table.columns) == len(marginals)
-        assert list(table.marginal_values(marginals)) == list(
-            marginals.values())
-        assert table.expected_size() == left_to_right(marginals.values())
-        assert table.empty_world_probability() == pytest.approx(
-            product_complement(marginals.values()), abs=1e-12)
+        assert list(marginals.values()) == weights
+        assert table.marginal_values(marginals) == weights
+        assert table.expected_size() == left_to_right(weights)
+        assert table.empty_world_probability() == product_complement(weights)
+        built = TupleIndependentTable(schema, dict_layout(weights))
+        assert built.expected_size() == table.expected_size()
+        assert built.empty_world_probability() == (
+            table.empty_world_probability())
 
     @given(any_marginal_lists, st.lists(any_marginal_lists, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -129,7 +133,8 @@ class TestTableMatchesDict:
             ]
 
         table = BlockIndependentTable(schema, blocks(first, 0))
-        assert len(table.columns) == 2 * len(first)  # force the mirror
+        assert table.expected_size() == left_to_right(
+            w / 2 for w in first for _ in range(2))
         added = len(first)
         for delta in deltas:
             table.extend(blocks(delta, added))
@@ -142,13 +147,13 @@ class TestTableMatchesDict:
     @settings(max_examples=40, deadline=None)
     def test_pickle_round_trip_drops_and_rebuilds(self, weights):
         """The ``workers=`` fan-out path: pickled state carries no
-        columnar arrays, and the clone rebuilds them to the same values."""
+        derived index, and the clone's aggregates keep their bits."""
         table = TupleIndependentTable(schema, dict_layout(weights))
-        table.columns  # force the mirror before pickling
+        table.index  # build the index before pickling
         state = table.__getstate__()
-        assert state["_columns"] is None
+        assert "_index" not in state
         clone = pickle.loads(pickle.dumps(table))
-        assert clone._columns is None  # not shipped
+        assert clone._index is None  # not shipped
         assert clone.expected_size() == table.expected_size()
         assert clone.empty_world_probability() == (
             table.empty_world_probability())

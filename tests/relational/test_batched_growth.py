@@ -169,12 +169,13 @@ class TestTableValidation:
     ])
     def test_extend_raises_for_the_first_offender(self, batch, error):
         table = TupleIndependentTable(schema, {R(1): 0.5, S(1, 2): 0.25})
-        index, columns = table.index, table.columns
+        index = table.index
         before = list(table.marginals.items())
         assert raised(lambda: table.extend(batch)) == error
         assert list(table.marginals.items()) == before
         assert list(index) == [R(1), S(1, 2)]
-        assert len(columns) == 2
+        assert table.expected_size() == 0.75
+        assert table.empty_world_probability() == 0.375
 
     @pytest.mark.parametrize("batch, error", [
         ({R(1): 0.5, R(2): 1.5, T(1): 0.5}, BAD_MARGINAL),

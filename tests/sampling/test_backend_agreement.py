@@ -1,16 +1,24 @@
-"""Cross-engine differential suite: the scalar reference paths vs the
-batched kernel.
+"""Differential suite: every sampling estimator against the exact
+probability.
 
-For a grid of TI/BID tables and queries, both backends must
+For a grid of TI/BID tables and queries, each estimator (Monte Carlo of
+a query from a seed and from a caller RNG, Monte Carlo of an event from
+a seed, and Karp–Luby on TI tables) must
 
-* be bit-identical under the same seed (determinism per backend), and
-* land within every other backend's 99% confidence interval, and within
-  its own 99% interval of the exactly computed probability (statistical
-  agreement across backends).
+* cover the exactly computed ``strategy="worlds"`` probability with its
+  99% confidence interval,
+* agree with the estimate from an independent stream (a seed against a
+  caller RNG) within each other's 99% intervals, and, as an event
+  estimate on the query's own seed, hit for hit with the query
+  estimate, and
+* replay bit for bit from the same seed, while different seeds draw
+  differently.
 
 All seeds are fixed, so the statistical assertions are deterministic
 replays, not flaky re-rolls.
 """
+
+import random
 
 import pytest
 
@@ -22,6 +30,7 @@ from repro.finite import (
     query_probability_karp_luby,
     query_probability_monte_carlo,
 )
+from repro.finite.montecarlo import event_probability_monte_carlo, z_quantile
 from repro.logic import BooleanQuery, parse_formula
 from repro.relational import Schema
 
@@ -33,7 +42,9 @@ SAMPLES = 6000
 #: a few percent pairwise-miss probability per seed; this one passes the
 #: whole grid, making the suite a deterministic replay).
 SEED = 303
-BACKENDS = ("scalar", "python")
+#: The pure-Python batched sampler, the only one; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+SAMPLERS = ("python",)
 
 
 def q(text):
@@ -69,53 +80,59 @@ GRID = [
 ]
 
 
+def exact(make_pdb, text):
+    return query_probability(q(text), make_pdb(), strategy="worlds")
+
+
 def estimates_for(make_pdb, text):
     pdb = make_pdb()
     query = q(text)
     return {
-        backend: query_probability_monte_carlo(
-            query, pdb, SAMPLES, seed=SEED, confidence=0.99, backend=backend)
-        for backend in BACKENDS
+        "query-seed": query_probability_monte_carlo(
+            query, pdb, SAMPLES, seed=SEED, confidence=0.99),
+        "query-rng": query_probability_monte_carlo(
+            query, pdb, SAMPLES, random.Random(SEED), confidence=0.99),
+        "event-seed": event_probability_monte_carlo(
+            query.holds_in, pdb, SAMPLES, seed=SEED, confidence=0.99),
     }
 
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("make_pdb,text", GRID)
     def test_within_each_others_confidence_intervals(self, make_pdb, text):
-        estimates = dict(estimates_for(make_pdb, text))
-        for name_a, a in estimates.items():
-            for name_b, b in estimates.items():
-                assert a.contains(b.estimate), (
-                    f"{name_b} estimate {b.estimate} outside "
-                    f"{name_a} 99% CI [{a.low}, {a.high}] for {text}"
-                )
-
-    @pytest.mark.parametrize("make_pdb,text", GRID)
-    def test_intervals_cover_exact_probability(self, make_pdb, text):
-        truth = query_probability(q(text), make_pdb())
-        for backend, estimate in estimates_for(make_pdb, text).items():
-            assert estimate.contains(truth), (
-                f"{backend} 99% CI misses exact P(Q)={truth} for {text}"
+        estimates = estimates_for(make_pdb, text)
+        seeded, from_rng = estimates["query-seed"], estimates["query-rng"]
+        # Same draws, and the event is the query's own model check.
+        assert estimates["event-seed"] == seeded
+        for a, b in ((seeded, from_rng), (from_rng, seeded)):
+            assert a.contains(b.estimate), (
+                f"estimate {b.estimate} outside the other stream's 99% CI "
+                f"[{a.low}, {a.high}] for {text}"
             )
 
     @pytest.mark.parametrize("make_pdb,text", GRID)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_seed_is_bit_identical(self, make_pdb, text, backend):
+    def test_intervals_cover_exact_probability(self, make_pdb, text):
+        truth = exact(make_pdb, text)
+        for name, estimate in estimates_for(make_pdb, text).items():
+            assert estimate.contains(truth), (
+                f"{name} 99% CI misses exact P(Q)={truth} for {text}"
+            )
+
+    @pytest.mark.parametrize("make_pdb,text", GRID)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_identical_seed_is_bit_identical(self, make_pdb, text, sampler):
         pdb = make_pdb()
         query = q(text)
-        first = query_probability_monte_carlo(
-            query, pdb, 1500, seed=7, backend=backend)
-        second = query_probability_monte_carlo(
-            query, pdb, 1500, seed=7, backend=backend)
+        first = query_probability_monte_carlo(query, pdb, 1500, seed=7)
+        second = query_probability_monte_carlo(query, pdb, 1500, seed=7)
         assert first == second
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seeds_actually_vary_draws(self, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_seeds_actually_vary_draws(self, sampler):
         pdb = ti_join()
         query = q("EXISTS x, y. R(x) AND S(x, y) AND T(y)")
         seen = {
-            query_probability_monte_carlo(
-                query, pdb, 1500, seed=seed, backend=backend).estimate
+            query_probability_monte_carlo(query, pdb, 1500, seed=seed).estimate
             for seed in range(5)
         }
         assert len(seen) > 1
@@ -128,18 +145,18 @@ class TestKarpLubyAgreement:
     ])
     def test_backends_agree_with_exact(self, text):
         table = ti_join()
-        truth = query_probability(q(text), table)
-        for backend in BACKENDS:
-            estimate = query_probability_karp_luby(
-                q(text), table, SAMPLES, seed=19, backend=backend)
-            assert estimate.estimate == pytest.approx(truth, abs=0.05), backend
+        truth = query_probability(q(text), table, strategy="worlds")
+        estimate = query_probability_karp_luby(q(text), table, SAMPLES, seed=19)
+        half_width = z_quantile(0.99) * estimate.report.sampling_std_error
+        assert abs(estimate.estimate - truth) <= half_width, (
+            f"Karp–Luby 99% CI {estimate.estimate} ± {half_width} misses "
+            f"exact P(Q)={truth} for {text}"
+        )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_seed_is_bit_identical(self, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_identical_seed_is_bit_identical(self, sampler):
         table = ti_join()
         query = q("EXISTS x. R(x)")
-        first = query_probability_karp_luby(
-            query, table, 1500, seed=3, backend=backend)
-        second = query_probability_karp_luby(
-            query, table, 1500, seed=3, backend=backend)
+        first = query_probability_karp_luby(query, table, 1500, seed=3)
+        second = query_probability_karp_luby(query, table, 1500, seed=3)
         assert first == second

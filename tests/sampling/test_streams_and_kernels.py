@@ -1,5 +1,5 @@
-"""Unit tests for the sampling subsystem: seed streams, kernel registry,
-plans, and the batched ``sample_batch`` entry points."""
+"""Unit tests for the sampling subsystem: seed streams, RNG sources,
+the batched draws, plans, and the ``sample_instances`` batch sampler."""
 
 import random
 
@@ -8,12 +8,12 @@ import pytest
 from repro.finite import Block, BlockIndependentTable, FinitePDB, TupleIndependentTable
 from repro.relational import Instance, Schema
 from repro.sampling import (
-    PythonKernel,
     SampleStream,
     TIPlan,
     as_stream,
     batch_rngs,
-    get_kernel,
+    bernoulli_rows,
+    categorical,
     plan_for,
     resolve_rng,
     sample_instances,
@@ -23,9 +23,9 @@ from repro.sampling.plans import BIDPlan, WorldPlan
 schema = Schema.of(R=1)
 R = schema["R"]
 
-#: The batched kernel's one name; the one-value parameter keeps each
-#: case's ``[python]`` test id.
-KERNELS = ("python",)
+#: The pure-Python batched sampler, the only one; the one-value
+#: parameter keeps each case's ``[python]`` test id.
+SAMPLERS = ("python",)
 
 
 def ti_table():
@@ -61,42 +61,30 @@ class TestSampleStream:
         assert as_stream(5) == stream
 
 
-class TestKernelRegistry:
-    def test_python_always_available(self):
-        assert isinstance(get_kernel("python"), PythonKernel)
-        assert get_kernel("python").name == "python"
-
-    def test_auto_resolves(self):
-        assert get_kernel("auto") is get_kernel("python")
-
-    def test_scalar_is_not_a_kernel(self):
-        with pytest.raises(ValueError):
-            get_kernel("scalar")
-
-    def test_unknown_backend_rejected(self):
-        for backend in ("cuda", "numpy"):
-            with pytest.raises(ValueError, match="unknown sampling backend"):
-                get_kernel(backend)
-
+class TestRngSources:
     def test_resolve_rng_requires_a_source(self):
-        kernel = get_kernel("python")
         with pytest.raises(ValueError):
-            resolve_rng(kernel)
+            resolve_rng()
         with pytest.raises(ValueError):
-            batch_rngs(kernel)
+            batch_rngs()
 
-    def test_python_kernel_rejects_foreign_rng(self):
-        with pytest.raises(TypeError):
-            get_kernel("python").adapt_rng(object())
+    def test_a_seed_gives_each_batch_its_stream_rng(self):
+        expected = SampleStream(5).python_rng(2).random()
+        assert resolve_rng(seed=5, batch_index=2).random() == expected
+        assert batch_rngs(seed=5)(2).random() == expected
+
+    def test_a_caller_rng_is_used_as_given(self):
+        rng = random.Random(1)
+        assert resolve_rng(rng=rng) is rng
+        assert batch_rngs(rng=rng)(3) is rng
 
 
 class TestKernelDraws:
-    @pytest.mark.parametrize("backend", KERNELS)
-    def test_bernoulli_rows_shape_and_determinism(self, backend):
-        kernel = get_kernel(backend)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_bernoulli_rows_shape_and_determinism(self, sampler):
         probs = (0.0, 0.25, 0.5, 1.0)
-        rows = kernel.bernoulli_rows(probs, 64, kernel.make_rng(7))
-        again = kernel.bernoulli_rows(probs, 64, kernel.make_rng(7))
+        rows = bernoulli_rows(probs, 64, random.Random(7))
+        again = bernoulli_rows(probs, 64, random.Random(7))
         assert rows == again
         assert len(rows) == 64
         for row in rows:
@@ -104,21 +92,18 @@ class TestKernelDraws:
             assert 3 in row      # probability-1 fact always drawn
             assert list(row) == sorted(row)
 
-    @pytest.mark.parametrize("backend", KERNELS)
-    def test_categorical_respects_remainder_mass(self, backend):
-        kernel = get_kernel(backend)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_categorical_respects_remainder_mass(self, sampler):
         cumulative = (0.2, 0.5)  # remainder mass 0.5
-        draws = kernel.categorical(cumulative, 2000, kernel.make_rng(3),
-                                   scale=1.0)
+        draws = categorical(cumulative, 2000, random.Random(3), scale=1.0)
         assert set(draws) <= {0, 1, 2}
         fraction_bottom = draws.count(2) / len(draws)
         assert abs(fraction_bottom - 0.5) < 0.05
 
-    @pytest.mark.parametrize("backend", KERNELS)
-    def test_categorical_defaults_scale_to_total(self, backend):
-        kernel = get_kernel(backend)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_categorical_defaults_scale_to_total(self, sampler):
         cumulative = (1.0, 3.0)
-        draws = kernel.categorical(cumulative, 1000, kernel.make_rng(11))
+        draws = categorical(cumulative, 1000, random.Random(11))
         assert set(draws) <= {0, 1}
 
 
@@ -143,42 +128,33 @@ class TestPlans:
     def test_world_plan_rows_are_indices(self):
         pdb = ti_table().expand()
         plan = plan_for(pdb)
-        kernel = get_kernel("python")
-        rows = plan.sample_rows(kernel, 50, kernel.make_rng(1))
+        rows = plan.sample_rows(50, random.Random(1))
         assert all(0 <= row[0] < len(plan.instances) for row in rows)
 
 
 class TestSampleBatch:
-    @pytest.mark.parametrize("backend", KERNELS)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("make", [ti_table, bid_table,
                                       lambda: ti_table().expand()])
-    def test_reproducible_from_seed_and_batch_index(self, backend, make):
+    def test_reproducible_from_seed_and_batch_index(self, sampler, make):
         pdb = make()
-        first = pdb.sample_batch(20, seed=13, backend=backend, batch_index=2)
-        second = pdb.sample_batch(20, seed=13, backend=backend, batch_index=2)
-        other = pdb.sample_batch(20, seed=13, backend=backend, batch_index=3)
+        first = sample_instances(pdb, 20, seed=13, batch_index=2)
+        second = sample_instances(pdb, 20, seed=13, batch_index=2)
+        other = sample_instances(pdb, 20, seed=13, batch_index=3)
         assert first == second
         assert first != other
-
-    @pytest.mark.parametrize("make", [ti_table, bid_table,
-                                      lambda: ti_table().expand()])
-    def test_scalar_backend_matches_sample_loop(self, make):
-        pdb = make()
-        batch = pdb.sample_batch(15, seed=21, backend="scalar")
-        reference = [pdb.sample(random.Random(21)) for _ in range(1)]
-        assert batch[0] == reference[0]
-        assert all(isinstance(world, Instance) for world in batch)
+        assert all(isinstance(world, Instance) for world in first)
 
     def test_requires_randomness_source(self):
         with pytest.raises(ValueError):
-            ti_table().sample_batch(5)
-        with pytest.raises(ValueError):
             sample_instances(ti_table(), 5)
+        with pytest.raises(ValueError):
+            sample_instances(ti_table(), -1, seed=1)
 
-    @pytest.mark.parametrize("backend", KERNELS)
-    def test_marginals_recovered(self, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_marginals_recovered(self, sampler):
         table = ti_table()
-        worlds = table.sample_batch(4000, seed=2, backend=backend)
+        worlds = sample_instances(table, 4000, seed=2)
         for fact, probability in table.marginals.items():
             frequency = sum(1 for world in worlds if fact in world) / 4000
             assert abs(frequency - probability) < 0.03

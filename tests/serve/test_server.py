@@ -4,6 +4,10 @@ and the background drain of queued guarantees."""
 import asyncio
 import io
 import json
+import os
+import threading
+
+import pytest
 
 from repro.serve import QueryServer, request_over_tcp
 
@@ -245,3 +249,37 @@ def test_query_result_carries_the_certificate():
     assert result["low"] <= result["value"] <= result["high"]
     assert result["high"] - result["low"] <= (
         result["tail"] + 3 * result["fold_error"])
+
+
+def _poisoned_server():
+    """A server whose one session holds a lock, which cannot be
+    pickled."""
+    server = QueryServer()
+    server.manager.create("s", SPEC)
+    server.manager.get("s").poison = threading.Lock()
+    return server
+
+
+@pytest.mark.parametrize("case", [
+    "unwritable", "unreplaceable", "unreadable", "unpicklable"])
+def test_snapshot_failures_answer_and_keep_the_connection(case, tmp_path):
+    """A snapshot or restore that fails answers with a ``SnapshotError``
+    instead of closing the client's connection, and leaves no temporary
+    file behind."""
+    server, path = QueryServer(), str(tmp_path / "x.snap")
+    if case == "unwritable":
+        request = {"op": "snapshot", "path": str(tmp_path / "no" / "x.snap")}
+    elif case == "unreplaceable":
+        os.mkdir(path)  # the temporary file is written, then cannot move
+        request = {"op": "snapshot", "path": path}
+    elif case == "unreadable":
+        request = {"op": "restore", "path": path}
+    else:
+        server = _poisoned_server()
+        request = {"op": "snapshot", "path": path}
+    failed, pong = roundtrip([request, {"op": "ping"}], server=server)
+    assert failed["ok"] is False
+    assert failed["error_type"] == "SnapshotError", failed
+    assert pong == {"ok": True, "result": "pong"}
+    expected = ["x.snap"] if case == "unreplaceable" else []
+    assert os.listdir(tmp_path) == expected

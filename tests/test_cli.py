@@ -73,3 +73,51 @@ class TestMarginals:
     def test_boolean_rejected(self, table_file):
         with pytest.raises(SystemExit):
             main(["marginals", table_file, "EXISTS x. R(x)"])
+
+
+class TestStrategyFlagEverywhere:
+    """``--strategy`` reaches the finite evaluator in the open world too,
+    and a sampled answer prints as an estimate with its half-width."""
+
+    OPEN = ["--open-world", "0.2,0.5", "--epsilon", "0.05"]
+
+    @staticmethod
+    def run(capsys, *argv):
+        assert main([*argv, "--stats", "json"]) == 0
+        captured = capsys.readouterr()
+        return captured.out, json.loads(captured.err)
+
+    @pytest.mark.parametrize("command", [
+        ["query", "EXISTS x. R(x)", *OPEN],
+        ["query", "EXISTS x. R(x)", "--open-world", "0.2,0.5",
+         "--sweep", "0.05"],
+        ["marginals", "R(x)", *OPEN],
+    ], ids=["query", "query-sweep", "marginals"])
+    def test_open_world_answers_use_the_strategy(
+            self, table_file, capsys, command):
+        kind, text, *flags = command
+        out, stats = self.run(
+            capsys, kind, table_file, text, *flags, "--strategy", "bdd")
+        assert stats["strategy"] == "bdd"
+        assert "truncated at n = " in out
+
+    def test_a_sampled_answer_is_printed_as_an_estimate(
+            self, table_file, capsys):
+        out, stats = self.run(
+            capsys, "query", table_file, "EXISTS x. R(x)",
+            "--strategy", "sampled")
+        assert stats["strategy"] == "sampled"
+        assert stats["sample_batches"] > 0
+        assert "exact" not in out
+        assert out.startswith("P(Q) = 0.6")
+        assert f"± {stats['sampling_error']:.3g}  (sampled estimate" in out
+
+    def test_a_sampled_open_world_answer_carries_its_sampling_error(
+            self, table_file, capsys):
+        out, stats = self.run(
+            capsys, "query", table_file, "EXISTS x. R(x)", *self.OPEN,
+            "--strategy", "sampled")
+        assert stats["strategy"] == "sampled"
+        assert stats["sampling_error"] > 0
+        assert (f"± {stats['sampling_error']:.3g}  (sampled estimate; "
+                "±0.05, truncated at n = ") in out
