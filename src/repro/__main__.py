@@ -226,8 +226,14 @@ def command_marginals(args: argparse.Namespace) -> int:
         raise SystemExit("--sweep requires --open-world")
     answers = marginal_answer_probabilities(
         query, table, strategy=args.strategy, workers=workers)
+    # The report's half-width is the largest over the answers, so it
+    # bounds each sampled answer.
+    error = answers.report.sampling_error
     for answer in sorted(answers, key=repr):
-        print(f"{answer} : {answers[answer]:.6f}")
+        value = answers[answer]
+        printed = (_answer(value, "closed world", error) if error
+                   else f"{value:.6f}")
+        print(f"{answer} : {printed}")
     if not answers:
         print("(no answers with positive probability)")
     _emit_stats(answers, args.stats)

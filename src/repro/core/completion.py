@@ -127,12 +127,11 @@ class CompletedPDB(CountablePDB):
         """``E(S′) = E(S) + Σ_{new f} p_f`` (independent sum)."""
         return self.original.expected_size() + self.new_facts.expected_size()
 
-    def sample(self, rng: random.Random, tolerance: float = 1e-9) -> Instance:
+    def sample(self, rng: random.Random) -> Instance:
         """One draw of the product: a world of the original united with
-        an independent draw of the new facts (whose omitted tail jointly
-        occurs with probability ≤ ``tolerance``), with no world
+        an independent draw of the new facts, with no world
         enumeration."""
-        return self.original.sample(rng) | self.new_facts.sample(rng, tolerance)
+        return self.original.sample(rng) | self.new_facts.sample(rng)
 
     # ------------------------------------------------------------ enumeration
     def _enumerate(self) -> Iterator[Tuple[Instance, float]]:

@@ -24,9 +24,7 @@ from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.lineage import Lineage, lineage_of
 from repro.logic.queries import BooleanQuery
 from repro.relational.facts import Fact
-from repro.sampling import (
-    DEFAULT_BATCH_SIZE, batch_rngs, bernoulli_rows, categorical,
-)
+from repro.sampling import batches, bernoulli_rows, categorical
 
 
 class DNFTerm(NamedTuple):
@@ -164,7 +162,9 @@ def karp_luby_probability(
     :data:`~repro.sampling.DEFAULT_BATCH_SIZE` at a time with the
     :mod:`repro.sampling` draws, and the chosen term's forced facts are
     applied afterwards (equivalent in distribution to sampling a world
-    conditioned on the term, since facts are independent).
+    conditioned on the term, since facts are independent).  Randomness
+    comes from exactly one of a caller ``rng`` and a ``seed``, as in
+    :func:`~repro.finite.montecarlo.query_probability_monte_carlo`.
 
     >>> from repro.relational import Schema
     >>> schema = Schema.of(R=1)
@@ -213,15 +213,10 @@ def karp_luby_probability(
 
 def _batched_hits(terms, table, samples, rng, seed, cumulative, term_mass,
                   all_facts) -> int:
-    rng_for = batch_rngs(rng=rng, seed=seed)
     probs = table.marginal_values(all_facts)
     last_term = len(terms) - 1
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        k = min(DEFAULT_BATCH_SIZE, samples - done)
-        batch_rng = rng_for(batch_index)
+    for k, batch_rng in batches(samples, rng=rng, seed=seed):
         # 1. Batch of term picks ∝ term probability (clamped against the
         # measure-zero float edge u == term_mass).
         indices = categorical(cumulative, k, batch_rng, scale=term_mass)
@@ -240,9 +235,6 @@ def _batched_hits(terms, table, samples, rng, seed, cumulative, term_mass,
             )
             if first == index:
                 hits += 1
-        done += k
-        batch_index += 1
-    obs.incr("sampling.batches", batch_index)
     return hits
 
 

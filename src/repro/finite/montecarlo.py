@@ -23,7 +23,7 @@ from repro.finite.pdb import FinitePDB
 from repro.finite.tuple_independent import TupleIndependentTable
 from repro.logic.queries import BooleanQuery
 from repro.relational.instance import Instance
-from repro.sampling import DEFAULT_BATCH_SIZE, batch_rngs, plan_for
+from repro.sampling import batches, plan_for
 
 Samplable = Union[FinitePDB, TupleIndependentTable, BlockIndependentTable]
 
@@ -87,18 +87,11 @@ def _wald_estimate(hits: int, samples: int, z: float) -> MonteCarloEstimate:
 
 
 def _batched_hits(check_row: Callable, plan, samples: int, rng, seed) -> int:
-    rng_for = batch_rngs(rng=rng, seed=seed)
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        k = min(DEFAULT_BATCH_SIZE, samples - done)
-        for row in plan.sample_rows(k, rng_for(batch_index)):
+    for k, batch_rng in batches(samples, rng=rng, seed=seed):
+        for row in plan.sample_rows(k, batch_rng):
             if check_row(row):
                 hits += 1
-        done += k
-        batch_index += 1
-    obs.incr("sampling.batches", batch_index)
     return hits
 
 

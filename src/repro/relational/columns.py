@@ -1,8 +1,8 @@
 """Columnar fact storage: interned facts + parallel value columns.
 
-The engines above this layer (finite tables, the fact index, prefix
-caches, the lifted evaluator) all reduce their hot loops to the same
-three primitives over a truncation's facts:
+The engines above this layer (the fact index, prefix caches, the
+lifted evaluator) all reduce their hot loops to the same three
+primitives over a truncation's facts:
 
 * *interning* — map a :class:`~repro.relational.facts.Fact` to a dense
   integer row id once, then refer to it by id;
@@ -10,9 +10,11 @@ three primitives over a truncation's facts:
 * *aggregate* — fold a marginal slice into ``Σ p``, ``Π (1 − p)`` or
   ``1 − Π (1 − p)`` (see :mod:`repro.utils.probability`).
 
-This module stores those primitives as parallel growable columns —
-facts, marginals, block ids — behind one :class:`ColumnStore` facade.
-Each column is a plain Python list: a tightening step appends a few
+This module stores those primitives as parallel growable columns,
+:class:`FloatColumn` and :class:`IntColumn`.  The :class:`ColumnStore`
+facade over facts, marginals and block ids has no library user; it is
+kept for the benchmark's span rows, which patch it.  Each column is a
+plain Python list: a tightening step appends a few
 dozen to a few hundred rows and folds segments of about as many, sizes
 at which converting to arrays costs more than it saves.  Extension is
 strictly append-only and O(delta), so the refinement engine's warm
@@ -22,9 +24,6 @@ change (the same invariant the compile cache relies on).
 Every fold goes through :class:`~repro.utils.probability.ComplementAccumulator`'s
 hybrid underflow policy, in row order, so the aggregates are
 bit-identical to the dict-of-floats path.
-
-Observability: ``columns.interned`` counts facts interned and
-``columns.extends`` counts delta extensions.
 
 >>> from repro.relational import RelationSymbol
 >>> R = RelationSymbol("R", 1)

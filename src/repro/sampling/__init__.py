@@ -7,7 +7,8 @@ finite-world sampling, so this package centralises world generation:
 * :mod:`~repro.sampling.stream` — seeded :class:`SampleStream` objects
   making every estimate reproducible from ``(seed, batch_index)``;
 * :mod:`~repro.sampling.kernels` — the batched draws,
-  :func:`bernoulli_rows` and :func:`categorical`;
+  :func:`bernoulli_rows` and :func:`categorical`, and :func:`batches`,
+  which splits an estimate into seeded batches;
 * :mod:`~repro.sampling.plans` — pre-materialised per-representation
   sampling plans (TI / BID / explicit worlds) with batch-level model
   checking (compile the query once, memoise truth per distinct world),
@@ -18,9 +19,9 @@ finite-world sampling, so this package centralises world generation:
 from repro.sampling.kernels import (
     DEFAULT_BATCH_SIZE,
     batch_rngs,
+    batches,
     bernoulli_rows,
     categorical,
-    resolve_rng,
 )
 from repro.sampling.plans import (
     BIDPlan,
@@ -39,9 +40,9 @@ __all__ = [
     "WorldPlan",
     "as_stream",
     "batch_rngs",
+    "batches",
     "bernoulli_rows",
     "categorical",
     "plan_for",
-    "resolve_rng",
     "sample_instances",
 ]

@@ -4,7 +4,8 @@ Engines (Monte Carlo, Karp–Luby, world sampling) never loop over
 ``random.Random`` fact-by-fact themselves; they pre-materialise a
 :mod:`~repro.sampling.plans` plan once and then draw ``k`` rows at a
 time with :func:`bernoulli_rows` and :func:`categorical`, which hoist
-every per-fact attribute and dict lookup out of the sampling loop.
+every per-fact attribute and dict lookup out of the sampling loop;
+:func:`batches` splits an estimate's samples into those batches.
 
 Determinism contract: the same seed produces bit-identical draws on
 every run and every install (``tests/sampling/test_seeded_corpus.py``
@@ -16,6 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 
+from repro import obs
 from repro.sampling.stream import as_stream
 
 #: Number of worlds generated per draw call.
@@ -52,24 +54,25 @@ def categorical(cumulative, k, rng, scale=None):
     return [locate(cumulative, uniform() * top) for _ in range(k)]
 
 
-def resolve_rng(rng=None, seed=None, batch_index: int = 0) -> random.Random:
-    """One RNG from either a caller RNG or a ``(seed, batch)`` pair."""
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return as_stream(seed).python_rng(batch_index)
-    raise ValueError("provide rng= or seed=")
-
-
 def batch_rngs(rng=None, seed=None):
-    """A ``batch_index -> rng`` provider for multi-batch estimators.
+    """A ``batch_index -> rng`` provider from exactly one source.
 
     With ``seed`` every batch gets an independent RNG derived from
     ``(seed, batch_index)``; with a caller ``rng`` that one RNG is
     consumed sequentially across batches.
     """
+    if (rng is None) == (seed is None):
+        raise ValueError("provide exactly one of rng= or seed=")
     if seed is not None:
         return as_stream(seed).python_rng
-    if rng is not None:
-        return lambda batch_index: rng
-    raise ValueError("provide rng= or seed=")
+    return lambda batch_index: rng
+
+
+def batches(samples, rng=None, seed=None):
+    """Split ``samples`` draws into batches of at most
+    :data:`DEFAULT_BATCH_SIZE`, yielding each batch's ``(size, rng)``
+    and counting it as ``sampling.batches``."""
+    rng_for = batch_rngs(rng=rng, seed=seed)
+    for batch_index, done in enumerate(range(0, samples, DEFAULT_BATCH_SIZE)):
+        obs.incr("sampling.batches")
+        yield min(DEFAULT_BATCH_SIZE, samples - done), rng_for(batch_index)

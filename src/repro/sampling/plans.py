@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.relational.instance import Instance
-from repro.sampling.kernels import bernoulli_rows, categorical, resolve_rng
+from repro.sampling.kernels import batch_rngs, bernoulli_rows, categorical
 
 Row = Tuple[int, ...]
 
@@ -229,11 +229,10 @@ def sample_instances(
     explicit-world PDB's batch sampler.
 
     Reproducible from ``(seed, batch_index)``; with ``rng`` the caller's
-    stream is consumed instead.
+    stream is consumed instead.  Exactly one of the two is required.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     plan = plan_for(pdb)
-    rows = plan.sample_rows(
-        n, resolve_rng(rng=rng, seed=seed, batch_index=batch_index))
+    rows = plan.sample_rows(n, batch_rngs(rng=rng, seed=seed)(batch_index))
     return [plan.decode(row) for row in rows]

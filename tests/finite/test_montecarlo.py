@@ -67,6 +67,9 @@ class TestEstimates:
         with pytest.raises(ValueError):
             # No randomness source at all.
             query_probability_monte_carlo(q("R(1)"), table, 10)
+        with pytest.raises(ValueError):
+            # Two sources: neither is silently ignored.
+            query_probability_monte_carlo(q("R(1)"), table, 10, rng, seed=2)
 
 
 class TestZQuantile:

@@ -8,14 +8,15 @@ import pytest
 from repro.finite import Block, BlockIndependentTable, FinitePDB, TupleIndependentTable
 from repro.relational import Instance, Schema
 from repro.sampling import (
+    DEFAULT_BATCH_SIZE,
     SampleStream,
     TIPlan,
     as_stream,
     batch_rngs,
+    batches,
     bernoulli_rows,
     categorical,
     plan_for,
-    resolve_rng,
     sample_instances,
 )
 from repro.sampling.plans import BIDPlan, WorldPlan
@@ -62,21 +63,26 @@ class TestSampleStream:
 
 
 class TestRngSources:
-    def test_resolve_rng_requires_a_source(self):
-        with pytest.raises(ValueError):
-            resolve_rng()
+    def test_exactly_one_source_is_required(self):
         with pytest.raises(ValueError):
             batch_rngs()
+        with pytest.raises(ValueError):
+            batch_rngs(rng=random.Random(1), seed=2)
 
     def test_a_seed_gives_each_batch_its_stream_rng(self):
         expected = SampleStream(5).python_rng(2).random()
-        assert resolve_rng(seed=5, batch_index=2).random() == expected
         assert batch_rngs(seed=5)(2).random() == expected
 
     def test_a_caller_rng_is_used_as_given(self):
         rng = random.Random(1)
-        assert resolve_rng(rng=rng) is rng
         assert batch_rngs(rng=rng)(3) is rng
+
+    def test_batches_cover_the_samples_in_order(self):
+        sizes = [k for k, _ in batches(2 * DEFAULT_BATCH_SIZE + 5, seed=5)]
+        assert sizes == [DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 5]
+        rngs = [rng for _, rng in batches(2 * DEFAULT_BATCH_SIZE, seed=5)]
+        assert [rng.random() for rng in rngs] == [
+            SampleStream(5).python_rng(i).random() for i in range(2)]
 
 
 class TestKernelDraws:
@@ -148,6 +154,8 @@ class TestSampleBatch:
     def test_requires_randomness_source(self):
         with pytest.raises(ValueError):
             sample_instances(ti_table(), 5)
+        with pytest.raises(ValueError):
+            sample_instances(ti_table(), 5, rng=random.Random(1), seed=2)
         with pytest.raises(ValueError):
             sample_instances(ti_table(), -1, seed=1)
 

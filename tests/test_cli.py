@@ -112,6 +112,17 @@ class TestStrategyFlagEverywhere:
         assert out.startswith("P(Q) = 0.6")
         assert f"± {stats['sampling_error']:.3g}  (sampled estimate" in out
 
+    def test_sampled_marginals_are_printed_as_estimates(
+            self, table_file, capsys):
+        out, stats = self.run(
+            capsys, "marginals", table_file, "R(x)", "--strategy", "sampled")
+        assert stats["strategy"] == "sampled"
+        assert stats["sampling_error"] > 0
+        lines = out.splitlines()
+        assert lines and all(
+            f"± {stats['sampling_error']:.3g}  (sampled estimate; "
+            "closed world)" in line for line in lines)
+
     def test_a_sampled_open_world_answer_carries_its_sampling_error(
             self, table_file, capsys):
         out, stats = self.run(
